@@ -1,8 +1,8 @@
 //! Timing benchmarks of the simulator itself: cycle-loop throughput
 //! per machine mode, mechanism-structure hot paths, and the workload
-//! generators. (The paper's tables/figures are regenerated by the
-//! `fig*`/`table1`/`exp_*` binaries; these benches track the cost of
-//! simulating them.)
+//! generators. (The paper's tables/figures are regenerated by
+//! `cfir suite <name>`; these benches track the cost of simulating
+//! them.)
 //!
 //! Hand-rolled harness (`harness = false`, no criterion): each bench
 //! runs a warmup pass then a fixed number of timed iterations and

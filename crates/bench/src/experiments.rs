@@ -4,9 +4,8 @@
 //! (workload, configuration) points it needs, plus an aggregator that
 //! reduces the finished [`JobResult`]s — in job-definition order —
 //! into the same CSV artifacts and stdout blocks the original
-//! single-threaded figure binaries produced. `cfir-suite` schedules
-//! the union of these matrices on the harness pool; the figure
-//! binaries are thin wrappers over [`standalone_main`].
+//! single-threaded figure binaries produced. `cfir suite` schedules
+//! any subset of these matrices on the harness pool.
 //!
 //! The aggregators recompute every derived rate from the raw counters
 //! carried by [`JobResult`] with the exact `SimStats` formulas, so the
@@ -15,11 +14,9 @@
 //! the retired serial binaries.
 
 use crate::report::{f3, pct, report_json_checked, Table};
-use crate::runner;
 use cfir_core::{storage, MechConfig};
 use cfir_harness::{
-    run_suite, AggCtx, Artifact, Experiment, ExperimentOutput, JobResult, JobSpec, SuiteOptions,
-    WorkloadRef,
+    AggCtx, Artifact, Experiment, ExperimentOutput, JobResult, JobSpec, WorkloadRef,
 };
 use cfir_sim::{harmonic_mean, Mode, RegFileSize, SimConfig};
 use cfir_workloads::{WorkloadSpec, NAMES};
@@ -38,13 +35,32 @@ pub struct Params {
 }
 
 impl Params {
-    /// Parameters from `CFIR_INSTS` / `CFIR_ELEMS` / `CFIR_SEED`.
+    /// Parameters from `CFIR_INSTS` (default 150\_000) and
+    /// `CFIR_ELEMS` / `CFIR_SEED` (default [`WorkloadSpec`]).
     pub fn from_env() -> Params {
+        fn var(name: &str) -> Option<u64> {
+            std::env::var(name).ok()?.parse().ok()
+        }
+        let mut spec = WorkloadSpec::default();
+        if let Some(e) = var("CFIR_ELEMS") {
+            spec.elems = e;
+        }
+        if let Some(x) = var("CFIR_SEED") {
+            spec.seed = x;
+        }
         Params {
-            spec: runner::default_spec(),
-            max_insts: runner::max_insts(),
+            spec,
+            max_insts: var("CFIR_INSTS").unwrap_or(150_000),
         }
     }
+}
+
+/// The paper's standard config for a mode/ports/regs point.
+pub fn config(mode: Mode, dports: u32, regs: RegFileSize) -> SimConfig {
+    SimConfig::paper_baseline()
+        .with_mode(mode)
+        .with_dports(dports)
+        .with_regs(regs)
 }
 
 /// The paper's five register-file sizes, in figure order.
@@ -218,7 +234,7 @@ fn table1(_p: &Params) -> Experiment {
 fn fig04(p: &Params) -> Experiment {
     let mut jobs = Vec::new();
     for slots in [1usize, 2, 4] {
-        let mut cfg = runner::config(Mode::Ci, 1, RegFileSize::Finite(512));
+        let mut cfg = config(Mode::Ci, 1, RegFileSize::Finite(512));
         cfg.mech.strided_pc_slots = slots;
         jobs.extend(suite_jobs(p, &cfg));
     }
@@ -267,7 +283,7 @@ fn fig04(p: &Params) -> Experiment {
 }
 
 fn fig05(p: &Params) -> Experiment {
-    let cfg = runner::config(Mode::Ci, 1, RegFileSize::Finite(512));
+    let cfg = config(Mode::Ci, 1, RegFileSize::Finite(512));
     Experiment {
         name: "fig05",
         title: "Figure 5: CI classification of mispredicted branches",
@@ -316,7 +332,7 @@ fn fig08(p: &Params) -> Experiment {
         for mode in [Mode::Scalar, Mode::WideBus, Mode::Ci] {
             jobs.extend(suite_jobs(
                 p,
-                &runner::config(mode, ports, RegFileSize::Finite(512)),
+                &config(mode, ports, RegFileSize::Finite(512)),
             ));
         }
     }
@@ -355,7 +371,7 @@ fn fig09(p: &Params) -> Experiment {
     for r in REGS {
         for ports in [1u32, 2] {
             for mode in [Mode::Scalar, Mode::WideBus, Mode::Ci] {
-                jobs.extend(suite_jobs(p, &runner::config(mode, ports, r)));
+                jobs.extend(suite_jobs(p, &config(mode, ports, r)));
             }
         }
     }
@@ -390,10 +406,7 @@ fn fig09(p: &Params) -> Experiment {
 fn fig10(p: &Params) -> Experiment {
     let mut jobs = Vec::new();
     for mode in [Mode::Scalar, Mode::WideBus, Mode::CiIw, Mode::Ci] {
-        jobs.extend(suite_jobs(
-            p,
-            &runner::config(mode, 1, RegFileSize::Finite(512)),
-        ));
+        jobs.extend(suite_jobs(p, &config(mode, 1, RegFileSize::Finite(512))));
     }
     Experiment {
         name: "fig10",
@@ -440,13 +453,10 @@ fn fig11(p: &Params) -> Experiment {
     let mut jobs = Vec::new();
     for r in REGS {
         for mode in [Mode::Scalar, Mode::WideBus] {
-            jobs.extend(suite_jobs(p, &runner::config(mode, 1, r)));
+            jobs.extend(suite_jobs(p, &config(mode, 1, r)));
         }
         for reps in [1u8, 2, 4, 8] {
-            jobs.extend(suite_jobs(
-                p,
-                &runner::config(Mode::Ci, 1, r).with_replicas(reps),
-            ));
+            jobs.extend(suite_jobs(p, &config(Mode::Ci, 1, r).with_replicas(reps)));
         }
     }
     Experiment {
@@ -482,7 +492,7 @@ fn fig12(p: &Params) -> Experiment {
     for reps in [2u8, 4] {
         jobs.extend(suite_jobs(
             p,
-            &runner::config(Mode::Ci, 1, RegFileSize::Finite(512)).with_replicas(reps),
+            &config(Mode::Ci, 1, RegFileSize::Finite(512)).with_replicas(reps),
         ));
     }
     Experiment {
@@ -533,10 +543,10 @@ fn fig13(p: &Params) -> Experiment {
     let mut jobs = Vec::new();
     for r in REGS {
         for mode in [Mode::Scalar, Mode::WideBus, Mode::Ci] {
-            jobs.extend(suite_jobs(p, &runner::config(mode, 1, r)));
+            jobs.extend(suite_jobs(p, &config(mode, 1, r)));
         }
         for positions in [128usize, 256, 512, 768] {
-            let mut cfg = runner::config(Mode::Ci, 1, r);
+            let mut cfg = config(Mode::Ci, 1, r);
             cfg.mech = MechConfig::paper_with_specmem(positions);
             jobs.extend(suite_jobs(p, &cfg));
         }
@@ -575,7 +585,7 @@ fn fig14(p: &Params) -> Experiment {
     let mut jobs = Vec::new();
     for r in REGS {
         for mode in [Mode::Ci, Mode::Vect] {
-            jobs.extend(suite_jobs(p, &runner::config(mode, 2, r)));
+            jobs.extend(suite_jobs(p, &config(mode, 2, r)));
         }
     }
     Experiment {
@@ -631,7 +641,7 @@ fn fig14(p: &Params) -> Experiment {
 
 fn exp_regs(p: &Params) -> Experiment {
     let occ_cfg = |daec: u8| {
-        let mut cfg = runner::config(Mode::Ci, 1, RegFileSize::Infinite);
+        let mut cfg = config(Mode::Ci, 1, RegFileSize::Infinite);
         cfg.mech.daec_threshold = daec;
         cfg
     };
@@ -702,7 +712,7 @@ fn exp_regs(p: &Params) -> Experiment {
 }
 
 fn exp_coherence(p: &Params) -> Experiment {
-    let cfg = runner::config(Mode::Ci, 1, RegFileSize::Finite(512));
+    let cfg = config(Mode::Ci, 1, RegFileSize::Finite(512));
     Experiment {
         name: "exp_coherence",
         title: "S2.4.3: store-coherence conflicts",
@@ -739,14 +749,14 @@ fn exp_coherence(p: &Params) -> Experiment {
 }
 
 fn ablations(p: &Params) -> Experiment {
-    let base = runner::config(Mode::Ci, 1, RegFileSize::Finite(512));
+    let base = config(Mode::Ci, 1, RegFileSize::Finite(512));
     let mut ungated = base.clone();
     ungated.mech.mbs_gating = false;
     let mut naive = base.clone();
     naive.mech.full_rcp_heuristic = false;
     let mut first = base.clone();
     first.mech.replicas_first = true;
-    let wb = runner::config(Mode::WideBus, 1, RegFileSize::Finite(512));
+    let wb = config(Mode::WideBus, 1, RegFileSize::Finite(512));
     let mut big = wb.clone();
     big.hierarchy.l1d.size_bytes = 128 * 1024; // nearest pow-2 >= 64+39 KB
 
@@ -754,12 +764,12 @@ fn ablations(p: &Params) -> Experiment {
     // these groups, so keep the two lists in sync.
     let mut groups: Vec<SimConfig> = vec![base.clone(), ungated, naive];
     for thr in [1u8, 2, 4, u8::MAX] {
-        let mut c = runner::config(Mode::Ci, 1, RegFileSize::Finite(256));
+        let mut c = config(Mode::Ci, 1, RegFileSize::Finite(256));
         c.mech.daec_threshold = thr;
         groups.push(c);
     }
     for hr in [0usize, 8, 16, 64] {
-        let mut c = runner::config(Mode::Ci, 1, RegFileSize::Finite(256));
+        let mut c = config(Mode::Ci, 1, RegFileSize::Finite(256));
         c.mech.replica_headroom = hr;
         groups.push(c);
     }
@@ -872,8 +882,8 @@ fn ablations(p: &Params) -> Experiment {
 }
 
 fn exp_limit(p: &Params) -> Experiment {
-    let wb = runner::config(Mode::WideBus, 1, RegFileSize::Finite(512));
-    let ci = runner::config(Mode::Ci, 1, RegFileSize::Finite(512));
+    let wb = config(Mode::WideBus, 1, RegFileSize::Finite(512));
+    let ci = config(Mode::Ci, 1, RegFileSize::Finite(512));
     let mut perfect = wb.clone();
     perfect.perfect_branch_prediction = true;
     let mut jobs = Vec::new();
@@ -976,14 +986,14 @@ fn exp_bottleneck(p: &Params) -> Experiment {
     let modes = [Mode::Scalar, Mode::WideBus, Mode::Ci, Mode::Vect];
     let mut jobs = Vec::new();
     for mode in modes {
-        let mut cfg = runner::config(mode, 1, RegFileSize::Finite(512));
+        let mut cfg = config(mode, 1, RegFileSize::Finite(512));
         cfg.record_lifecycle = true;
         jobs.extend(suite_jobs(p, &cfg));
     }
     // The oracle runs: the same wb machine with fetch-side perfect
     // branch prediction, no lifecycle — the measuring stick for the
     // perfect_bp projection.
-    let mut oracle = runner::config(Mode::WideBus, 1, RegFileSize::Finite(512));
+    let mut oracle = config(Mode::WideBus, 1, RegFileSize::Finite(512));
     oracle.perfect_branch_prediction = true;
     jobs.extend(suite_jobs(p, &oracle));
     Experiment {
@@ -1111,7 +1121,7 @@ fn exp_cidi(p: &Params) -> Experiment {
     let modes = [Mode::Scalar, Mode::WideBus, Mode::Ci, Mode::Vect];
     let mut jobs = Vec::new();
     for mode in modes {
-        let cfg = runner::config(mode, 1, RegFileSize::Finite(512));
+        let cfg = config(mode, 1, RegFileSize::Finite(512));
         jobs.extend(suite_jobs(p, &cfg));
     }
     let spec = p.spec;
@@ -1260,7 +1270,7 @@ const SAMPLING_WARMUP: u64 = 3_500;
 const SAMPLING_WINDOW: u64 = 4_000;
 
 fn exp_sampling(p: &Params) -> Experiment {
-    let cfg = runner::config(Mode::Ci, 1, RegFileSize::Finite(512));
+    let cfg = config(Mode::Ci, 1, RegFileSize::Finite(512));
     let mut jobs = Vec::new();
     for n in NAMES {
         let mut full = named_job(p, n, cfg.clone());
@@ -1386,7 +1396,7 @@ fn exp_sampling(p: &Params) -> Experiment {
 }
 
 fn exp_warmup(p: &Params) -> Experiment {
-    let mut cfg = runner::config(Mode::Ci, 1, RegFileSize::Finite(512));
+    let mut cfg = config(Mode::Ci, 1, RegFileSize::Finite(512));
     cfg.interval_cycles = 10_000;
     Experiment {
         name: "exp_warmup",
@@ -1429,25 +1439,46 @@ fn exp_warmup(p: &Params) -> Experiment {
     }
 }
 
+/// The axes of the design-space sweep. The default is the point whose
+/// artifact `results/sweep.csv` is committed.
+#[derive(Debug, Clone)]
+pub struct SweepAxes {
+    /// Machine modes.
+    pub modes: Vec<Mode>,
+    /// Physical register file sizes.
+    pub regs: Vec<RegFileSize>,
+    /// L1D port counts.
+    pub ports: Vec<u32>,
+    /// Replicas per vectorized instruction.
+    pub replicas: Vec<u8>,
+    /// One benchmark instead of the whole suite.
+    pub bench: Option<String>,
+}
+
+impl Default for SweepAxes {
+    fn default() -> Self {
+        SweepAxes {
+            modes: vec![Mode::WideBus, Mode::Ci],
+            regs: vec![RegFileSize::Finite(512)],
+            ports: vec![1],
+            replicas: vec![4],
+            bench: None,
+        }
+    }
+}
+
 /// The generic design-space sweeper as an experiment: cartesian
 /// product of modes × register sizes × ports × replica counts over the
 /// suite (or one benchmark).
-pub fn sweep_experiment(
-    p: &Params,
-    modes: Vec<Mode>,
-    regs: Vec<RegFileSize>,
-    ports: Vec<u32>,
-    replicas: Vec<u8>,
-    bench: Option<String>,
-) -> Experiment {
+pub fn sweep_experiment(p: &Params, axes: &SweepAxes) -> Experiment {
     let mut jobs = Vec::new();
     let mut points = Vec::new();
-    for &mode in &modes {
-        for &r in &regs {
-            for &po in &ports {
-                for &reps in &replicas {
-                    let cfg = runner::config(mode, po, r).with_replicas(reps);
-                    match &bench {
+    for &mode in &axes.modes {
+        for &r in &axes.regs {
+            for &po in &axes.ports {
+                for &reps in &axes.replicas {
+                    let cfg = config(mode, po, r).with_replicas(reps);
+                    match &axes.bench {
                         Some(name) => jobs.push(named_job(p, name, cfg)),
                         None => jobs.extend(suite_jobs(p, &cfg)),
                     }
@@ -1456,7 +1487,7 @@ pub fn sweep_experiment(
             }
         }
     }
-    let group = if bench.is_some() { 1 } else { NAMES.len() };
+    let group = if axes.bench.is_some() { 1 } else { NAMES.len() };
     Experiment {
         name: "sweep",
         title: "Design-space sweep (modes x regs x ports x replicas)",
@@ -1498,20 +1529,9 @@ pub fn sweep_experiment(
     }
 }
 
-fn sweep_default(p: &Params) -> Experiment {
-    sweep_experiment(
-        p,
-        vec![Mode::WideBus, Mode::Ci],
-        vec![RegFileSize::Finite(512)],
-        vec![1],
-        vec![4],
-        None,
-    )
-}
-
-/// The five-mode smoke check on one benchmark, with the interval time
-/// series sampled (the snapshot bundle is the perf-gate baseline).
-pub fn smoke_experiment(p: &Params, bench: &str) -> Experiment {
+/// The five-mode smoke check on bzip2, with the interval time series
+/// sampled (the snapshot bundle is the perf-gate baseline).
+fn smoke(p: &Params) -> Experiment {
     let mut jobs = Vec::new();
     for mode in [
         Mode::Scalar,
@@ -1520,22 +1540,21 @@ pub fn smoke_experiment(p: &Params, bench: &str) -> Experiment {
         Mode::Ci,
         Mode::Vect,
     ] {
-        let mut cfg = runner::config(mode, 1, RegFileSize::Finite(512));
+        let mut cfg = config(mode, 1, RegFileSize::Finite(512));
         cfg.interval_cycles = 10_000;
         // Whole-run lifecycle recording: the smoke snapshots carry the
         // full bottleneck object (critical path, what-if projections)
         // so CI can sanity-check it without extra jobs.
         cfg.record_lifecycle = true;
-        jobs.push(named_job(p, bench, cfg));
+        jobs.push(named_job(p, "bzip2", cfg));
     }
-    let name = bench.to_string();
     Experiment {
         name: "smoke",
         title: "Smoke: one benchmark, all five machine modes",
         jobs,
         aggregate: Box::new(move |ctx, results| {
             let mut t = Table::new(
-                format!("smoke: {name}"),
+                "smoke: bzip2",
                 &[
                     "mode",
                     "IPC",
@@ -1586,7 +1605,7 @@ pub fn smoke_experiment(p: &Params, bench: &str) -> Experiment {
 }
 
 // ---------------------------------------------------------------------------
-// Registry, profiles, and the standalone-wrapper entry point
+// Registry and profiles
 // ---------------------------------------------------------------------------
 
 /// Names of every registered experiment, in canonical (suite) order.
@@ -1613,8 +1632,7 @@ pub const EXPERIMENT_NAMES: [&str; 20] = [
     "smoke",
 ];
 
-/// Build one experiment by name (`sweep` and `smoke` get their
-/// defaults: the committed-artifact sweep point, benchmark `bzip2`).
+/// Build one experiment by name (`sweep` gets its default axes).
 pub fn by_name(p: &Params, name: &str) -> Option<Experiment> {
     Some(match name {
         "table1" => table1(p),
@@ -1635,8 +1653,8 @@ pub fn by_name(p: &Params, name: &str) -> Option<Experiment> {
         "exp_bottleneck" => exp_bottleneck(p),
         "exp_cidi" => exp_cidi(p),
         "exp_sampling" => exp_sampling(p),
-        "sweep" => sweep_default(p),
-        "smoke" => smoke_experiment(p, "bzip2"),
+        "sweep" => sweep_experiment(p, &SweepAxes::default()),
+        "smoke" => smoke(p),
         _ => return None,
     })
 }
@@ -1670,39 +1688,6 @@ pub fn profile(name: &str) -> Option<Vec<&'static str>> {
         "all" => EXPERIMENT_NAMES.to_vec(),
         _ => return None,
     })
-}
-
-/// Entry point for the thin per-figure wrapper binaries: run one named
-/// experiment through the harness with the legacy flags (`--emit-json`
-/// plus the new `--jobs N` / `--resume`). Exits non-zero when any job
-/// or the aggregation failed.
-pub fn standalone_main(name: &str) -> ! {
-    let mut opts = SuiteOptions {
-        emit_json: false,
-        ..SuiteOptions::default()
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--emit-json" => opts.emit_json = true,
-            "--resume" => opts.resume = true,
-            "--jobs" => {
-                opts.jobs = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--jobs wants a number");
-                    std::process::exit(2);
-                })
-            }
-            other => {
-                eprintln!("unknown flag {other} (try --emit-json, --jobs N, --resume)");
-                std::process::exit(2);
-            }
-        }
-    }
-    let p = Params::from_env();
-    let exp = by_name(&p, name).expect("registered experiment");
-    let report = run_suite(vec![exp], &opts);
-    eprintln!("{}", report.summary_line());
-    std::process::exit(if report.all_ok() { 0 } else { 1 })
 }
 
 #[cfg(test)]

@@ -7,27 +7,20 @@
 //! same rows/series the paper reports, as an aligned text table, CSV
 //! (written to `results/`), and optionally a JSON snapshot bundle.
 //!
-//! `cfir-suite` (the orchestrator binary at the workspace root) runs
-//! any subset of the matrix in parallel with caching and resume; the
-//! per-figure binaries in `src/bin` are thin wrappers that run their
-//! single experiment through the same harness.
+//! `cfir suite <name>...` (the `cfir` binary at the workspace root)
+//! runs any subset of the matrix in parallel with caching and resume.
 //!
 //! Run sizes are controlled by environment variables so the same
-//! binaries serve quick smoke runs and full reproductions:
+//! matrix serves quick smoke runs and full reproductions:
 //!
 //! * `CFIR_INSTS` — committed instructions per benchmark per config
 //!   (default 150_000);
 //! * `CFIR_ELEMS` — data-array elements (default 16384);
 //! * `CFIR_SEED` — workload data seed (default 0xC0FFEE).
 //!
-//! Every binary also understands `--emit-json`: the figure binaries
-//! additionally write `results/<name>.json` (versioned table + one
-//! full statistics snapshot per run), and `smoke` prints the JSON
-//! document to stdout instead of the table.
+//! With `cfir suite --emit-json`, each experiment additionally writes
+//! `<name>.json` next to its CSV: the versioned table plus one full
+//! statistics snapshot per run.
 
 pub mod experiments;
-pub mod report;
-pub mod runner;
-
-pub use report::{emit_json_requested, report_json, report_json_checked, write_csv, Table};
-pub use runner::{default_spec, max_insts, run_mode, run_one, suite_specs, RunRow};
+mod report;

@@ -1,8 +1,7 @@
-//! Aligned text tables and CSV output for the figure binaries.
+//! Aligned text tables, CSV and JSON bundles for the experiment
+//! aggregators.
 
 use std::fmt::Write as _;
-use std::fs;
-use std::path::Path;
 
 /// A simple column-aligned table with a title.
 #[derive(Debug, Clone)]
@@ -58,26 +57,6 @@ impl Table {
         out
     }
 
-    /// Render as a GitHub-flavoured Markdown table.
-    pub fn to_markdown(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "### {}", self.title);
-        let _ = writeln!(out, "| {} |", self.header.join(" | "));
-        let _ = writeln!(
-            out,
-            "|{}|",
-            self.header
-                .iter()
-                .map(|_| "---")
-                .collect::<Vec<_>>()
-                .join("|")
-        );
-        for r in &self.rows {
-            let _ = writeln!(out, "| {} |", r.join(" | "));
-        }
-        out
-    }
-
     /// Render as CSV (header + rows).
     pub fn to_csv(&self) -> String {
         let mut out = String::new();
@@ -108,65 +87,9 @@ impl Table {
     }
 }
 
-/// Print the table and also write it as `results/<name>.csv`.
-///
-/// This is the ad-hoc path; the experiment matrix (`cfir-suite`)
-/// produces the same artifacts through each experiment's aggregator,
-/// which also bundles the per-run snapshots as `<name>.json` when
-/// `--emit-json` is in effect.
-pub fn write_csv(table: &Table, name: &str) {
-    print!("{}", table.render());
-    let dir = Path::new("results");
-    if fs::create_dir_all(dir).is_ok() {
-        let path = dir.join(format!("{name}.csv"));
-        if let Err(e) = fs::write(&path, table.to_csv()) {
-            eprintln!("(could not write {}: {e})", path.display());
-        } else {
-            println!("[csv written to {}]\n", path.display());
-        }
-    }
-}
-
-/// True when the process was invoked with an `--emit-json` argument.
-pub fn emit_json_requested() -> bool {
-    std::env::args().any(|a| a == "--emit-json")
-}
-
-/// The explicit output path given after `--emit-json`, if any. The
-/// next argument is taken as the path when it ends in `.json` (so a
-/// positional benchmark name after the flag is not mistaken for one):
-/// `smoke bzip2 --emit-json results/smoke.json`.
-pub fn emit_json_path() -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    let i = args.iter().position(|a| a == "--emit-json")?;
-    args.get(i + 1)
-        .filter(|a| a.ends_with(".json"))
-        .map(|a| a.to_string())
-}
-
-/// Write `doc` to `path` (creating parent directories), or print it to
-/// stdout when no path was given — the shared `--emit-json [path]`
-/// behaviour of `smoke` and `cfir-run`.
-pub fn write_json_doc(path: Option<&str>, doc: &str) {
-    match path {
-        Some(p) => {
-            let p = Path::new(p);
-            if let Some(dir) = p.parent() {
-                let _ = fs::create_dir_all(dir);
-            }
-            if let Err(e) = fs::write(p, doc) {
-                eprintln!("(could not write {}: {e})", p.display());
-            } else {
-                println!("[json written to {}]", p.display());
-            }
-        }
-        None => println!("{doc}"),
-    }
-}
-
 /// A versioned JSON document bundling the rendered table (header +
 /// rows, as strings) with the full per-run statistics snapshots.
-pub fn report_json(table: &Table, runs: &[String]) -> String {
+fn report_json(table: &Table, runs: &[String]) -> String {
     let mut out = String::new();
     let _ = write!(
         out,
@@ -253,17 +176,6 @@ mod tests {
     fn arity_checked() {
         let mut t = Table::new("T", &["a", "b"]);
         t.row(vec!["only-one".into()]);
-    }
-
-    #[test]
-    fn markdown_shape() {
-        let mut t = Table::new("M", &["a", "b"]);
-        t.row(vec!["1".into(), "2".into()]);
-        let md = t.to_markdown();
-        assert!(md.contains("### M"));
-        assert!(md.contains("| a | b |"));
-        assert!(md.contains("|---|---|"));
-        assert!(md.contains("| 1 | 2 |"));
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Integration tests for the experiment matrix running through the
 //! `cfir-harness` pool: parallel determinism, cache resume, and
-//! failure isolation — the properties `cfir-suite` is built on.
+//! failure isolation — the properties `cfir suite` is built on.
 
-use cfir_bench::runner;
+use cfir_bench::experiments::config;
 use cfir_harness::{
     run_suite, Artifact, Experiment, ExperimentOutput, JobSpec, SuiteOptions, WorkloadRef,
 };
@@ -34,7 +34,7 @@ fn spec(name: &str, mode: Mode) -> JobSpec {
                 seed: 7,
             },
         },
-        cfg: runner::config(mode, 1, RegFileSize::Finite(512)),
+        cfg: config(mode, 1, RegFileSize::Finite(512)),
         max_insts: 3_000,
         sampling: None,
     }
@@ -215,7 +215,7 @@ fn a_panicking_job_fails_its_experiment_only() {
                 panic: true,
                 sleep_ms: 0,
             },
-            cfg: runner::config(Mode::Scalar, 1, RegFileSize::Finite(512)),
+            cfg: config(Mode::Scalar, 1, RegFileSize::Finite(512)),
             max_insts: 0,
             sampling: None,
         }],

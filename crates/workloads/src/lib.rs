@@ -31,6 +31,7 @@
 pub mod custom;
 pub mod kernels;
 pub mod micro;
+pub mod random;
 
 use cfir_emu::MemImage;
 use cfir_isa::Program;

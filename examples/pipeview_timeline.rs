@@ -33,7 +33,7 @@ fn main() {
         s.committed, s.squashed, s.replicas_executed, s.lifecycle_records
     );
 
-    // Same rendering path as `cfir-report timeline target/gzip-ci.kanata
+    // Same rendering path as `cfir report timeline target/gzip-ci.kanata
     // --around-mispredict 1`, done in-process.
     let text = std::fs::read_to_string("target/gzip-ci.kanata").expect("trace written");
     let trace = cfir::obs::parse_konata(&text).expect("round-trips");

@@ -4,7 +4,7 @@
 # The simulator is deterministic (seeded workloads), so for a fixed
 # CFIR_INSTS these snapshots are exactly reproducible; CI's perf-gate
 # job reruns the same commands and compares fresh output against the
-# committed files with `cfir-report check`. Rerun this script (and
+# committed files with `cfir report check`. Rerun this script (and
 # commit the result) whenever a change intentionally moves the numbers.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -16,7 +16,7 @@ mkdir -p results/baselines
 
 # The smoke profile (per-mode run snapshots of the smoke benchmark +
 # the machine-configuration table) through the suite orchestrator; a
-# failed or timed-out job makes cfir-suite exit non-zero, which stops
+# failed or timed-out job makes cfir suite exit non-zero, which stops
 # this script before anything is copied over the committed baselines.
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
@@ -25,7 +25,7 @@ trap 'rm -rf "$tmp"' EXIT
 # the full runs (exp_sampling pins its own instruction budgets and
 # ignores CFIR_INSTS; its aggregator fails the suite — and therefore
 # this script — when any kernel misses the ±3%/CI accuracy gate).
-./target/release/cfir-suite table1 smoke exp_sampling --jobs 2 --emit-json \
+./target/release/cfir suite table1 smoke exp_sampling --jobs 2 --emit-json \
   --bench-json BENCH_6.json --out-dir "$tmp" --quiet
 
 # Snapshot bundle (current schema): the perf gate.
@@ -40,7 +40,7 @@ cp "$tmp/exp_sampling.csv" results/baselines/sampling.csv
 # recording, plus the 12 oracle-BP validation runs. Its aggregator
 # already gates dropped records, projection bounds and oracle ratios,
 # so reaching this cp means the analysis is self-consistent.
-./target/release/cfir-suite exp_bottleneck --jobs 2 --emit-json \
+./target/release/cfir suite exp_bottleneck --jobs 2 --emit-json \
   --out-dir "$tmp" --quiet
 cp "$tmp/exp_bottleneck.json" results/baselines/bottleneck.json
 cp "$tmp/exp_bottleneck_validation.csv" \
@@ -50,14 +50,14 @@ cp "$tmp/exp_bottleneck_validation.csv" \
 # static CIDI/CIDD verdicts against runtime reuse outcomes. The
 # aggregator gates the agreement floor and the zero-failure rule for
 # regular-access kernels before anything is copied.
-./target/release/cfir-suite exp_cidi --jobs 2 --emit-json \
+./target/release/cfir suite exp_cidi --jobs 2 --emit-json \
   --out-dir "$tmp" --quiet
 cp "$tmp/exp_cidi.csv" results/baselines/cidi.csv
 cp "$tmp/exp_cidi_validation.csv" results/baselines/cidi_validation.csv
 
 # Static-analysis reports for every kernel (lints + RCP agreement).
-# CI reruns `cfir-analyze --all --check --baseline` against this file.
-./target/release/cfir-analyze --all --emit-json results/baselines/analyze.json
+# CI reruns `cfir analyze --all --check --baseline` against this file.
+./target/release/cfir analyze --all --emit-json results/baselines/analyze.json
 
 # Throughput floor for the CI perf gate: detailed-core insts/sec over
 # the smoke profile, single worker, fresh cache each run (cache hits
@@ -69,7 +69,7 @@ cp "$tmp/exp_cidi_validation.csv" results/baselines/cidi_validation.csv
 best=0
 for _ in 1 2 3; do
   rm -rf "$tmp/perf-cache" "$tmp/perf-out"
-  ./target/release/cfir-suite --profile smoke --jobs 1 --quiet \
+  ./target/release/cfir suite --profile smoke --jobs 1 --quiet \
     --cache-dir "$tmp/perf-cache" --out-dir "$tmp/perf-out" \
     --bench-json "$tmp/perf.json" > /dev/null
   best=$(python3 -c "import json,sys; \

@@ -1,65 +1,40 @@
-//! `cfir-analyze` — static CFG / post-dominator analysis of the
+//! `cfir analyze` — static CFG / post-dominator analysis of the
 //! shipped kernels, with an agreement cross-check against the dynamic
 //! reconvergence heuristic (`cfir_core::rcp::estimate`).
 //!
 //! ```sh
 //! # Human-readable summary of every kernel:
-//! cfir-analyze --all
+//! cfir analyze --all
 //!
 //! # JSON bundle (one report object per kernel, schema-versioned):
-//! cfir-analyze --all --emit-json results/analyze.json
+//! cfir analyze --all --emit-json results/analyze.json
 //!
 //! # Analyze an assembly file instead of a named kernel:
-//! cfir-analyze path/to/prog.asm
+//! cfir analyze path/to/prog.asm
 //!
 //! # CI gate: fail on any lint, and on RCP-agreement regression
 //! # against the committed baseline:
-//! cfir-analyze --all --check --baseline results/baselines/analyze.json
+//! cfir analyze --all --check --baseline results/baselines/analyze.json
 //! ```
 //!
 //! `--check` exits 1 when any kernel trips a lint or (with
 //! `--baseline`) when a kernel's hammock/all agreement fraction drops
 //! more than `--tolerance` (default 0, the fractions are deterministic)
-//! below the committed value. Exit codes: 0 ok, 1 gate failure,
-//! 2 usage/IO error.
+//! below the committed value. Exit codes: 0 ok, 1 gate failure or an
+//! unwritable `--emit-json` file, 2 usage error or unreadable input.
 
+use super::{emit_json, input_fail, load_program, Args};
 use cfir::obs::json::{self, JsonWriter};
 use cfir::report::parse_tolerance;
 use cfir_analyze::{analyze, Agreement, ANALYZE_SCHEMA_VERSION};
-use cfir_isa::Program;
-use cfir_workloads::{by_name, WorkloadSpec, NAMES};
+use cfir_workloads::NAMES;
 use std::process::exit;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: cfir-analyze [<kernel|file.asm>...] [--all] [--emit-json <path|->]\n\
-         \x20      [--check] [--baseline <analyze.json>] [--tolerance P%]"
-    );
-    exit(2)
-}
+const USAGE: &str = "\
+usage: cfir analyze [<kernel|file.asm>...] [--all] [--emit-json [path.json]]
+                    [--check] [--baseline <analyze.json>] [--tolerance P%]";
 
-fn load_program(name: &str) -> Program {
-    if name.ends_with(".asm") {
-        let text = std::fs::read_to_string(name).unwrap_or_else(|e| {
-            eprintln!("cfir-analyze: cannot read {name}: {e}");
-            exit(2)
-        });
-        return cfir_isa::assemble(name, &text).unwrap_or_else(|e| {
-            eprintln!("cfir-analyze: {name}: {e}");
-            exit(2)
-        });
-    }
-    match by_name(name, WorkloadSpec::default()) {
-        Some(w) => w.prog,
-        None => {
-            eprintln!(
-                "cfir-analyze: unknown kernel {name:?} (known: {})",
-                NAMES.join(", ")
-            );
-            exit(2)
-        }
-    }
-}
+const CMD: &str = "cfir analyze";
 
 struct KernelResult {
     name: String,
@@ -68,29 +43,28 @@ struct KernelResult {
     n_lints: usize,
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+pub fn main(args: Vec<String>) {
+    let mut a = Args::new(CMD, USAGE, args);
     let mut names: Vec<String> = Vec::new();
-    let mut emit_json: Option<String> = None;
+    let mut json = false;
+    let mut json_path: Option<String> = None;
     let mut check = false;
     let mut baseline: Option<String> = None;
     let mut tolerance = 0.0;
-    let mut it = args.iter().map(|s| s.as_str());
-    while let Some(a) = it.next() {
-        match a {
+    while let Some(arg) = a.next() {
+        match arg.as_str() {
             "--all" => names.extend(NAMES.iter().map(|s| s.to_string())),
-            "--emit-json" => emit_json = Some(it.next().unwrap_or_else(|| usage()).to_string()),
-            "--check" => check = true,
-            "--baseline" => baseline = Some(it.next().unwrap_or_else(|| usage()).to_string()),
-            "--tolerance" => {
-                tolerance = it
-                    .next()
-                    .and_then(parse_tolerance)
-                    .unwrap_or_else(|| usage());
+            "--emit-json" => {
+                json = true;
+                json_path = a.json_path();
             }
-            "--help" | "-h" => usage(),
-            _ if !a.starts_with('-') => names.push(a.to_string()),
-            _ => usage(),
+            "--check" => check = true,
+            "--baseline" => baseline = Some(a.value("--baseline")),
+            "--tolerance" => {
+                tolerance = a.parsed("--tolerance", "P% or a fraction", parse_tolerance)
+            }
+            _ if !arg.starts_with('-') => names.push(arg),
+            _ => a.unexpected(&arg),
         }
     }
     if names.is_empty() {
@@ -104,27 +78,27 @@ fn main() {
 
     let mut results: Vec<KernelResult> = Vec::new();
     for name in &names {
-        let prog = load_program(name);
-        let a = analyze(&prog);
-        let agreement = Agreement::compute(&prog, &a.branches);
-        if emit_json.is_none() {
+        let (prog, _) = load_program(CMD, name);
+        let an = analyze(&prog);
+        let agreement = Agreement::compute(&prog, &an.branches);
+        if !json {
             println!(
                 "{:10} {:4} insts {:3} blocks {:3} edges {:2} loops (depth {}) \
                  branches {:2}  rcp agree {}/{} hammock, {}/{} all  lints {}",
                 prog.name,
                 prog.len(),
-                a.cfg.len(),
-                a.cfg.n_edges,
-                a.loops.loops.len(),
-                a.loops.max_depth(),
-                a.branches.len(),
+                an.cfg.len(),
+                an.cfg.n_edges,
+                an.loops.loops.len(),
+                an.loops.max_depth(),
+                an.branches.len(),
                 agreement.hammock_agree,
                 agreement.hammock_checked,
                 agreement.all_agree,
                 agreement.all_checked,
-                a.lints.len(),
+                an.lints.len(),
             );
-            for l in &a.lints {
+            for l in &an.lints {
                 println!("    lint: {l}");
             }
             for d in &agreement.divergences {
@@ -134,28 +108,18 @@ fn main() {
                 );
             }
         }
-        cfir_analyze::write_report(&prog, &a, &mut w);
+        cfir_analyze::write_report(&prog, &an, &mut w);
         results.push(KernelResult {
             name: prog.name.clone(),
             agreement,
-            mean_cidi_fraction: a.cidi.mean_cidi_fraction(),
-            n_lints: a.lints.len(),
+            mean_cidi_fraction: an.cidi.mean_cidi_fraction(),
+            n_lints: an.lints.len(),
         });
     }
     w.end_arr();
     w.end_obj();
-    let doc = w.finish();
-
-    match emit_json.as_deref() {
-        Some("-") => println!("{doc}"),
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, &doc) {
-                eprintln!("cfir-analyze: cannot write {path}: {e}");
-                exit(2)
-            }
-            eprintln!("cfir-analyze: wrote {path}");
-        }
-        None => {}
+    if json {
+        emit_json(CMD, json_path.as_deref(), &w.finish());
     }
 
     if !check {
@@ -164,32 +128,25 @@ fn main() {
     let mut failed = false;
     for r in &results {
         if r.n_lints > 0 {
-            eprintln!("cfir-analyze: {}: {} lint(s)", r.name, r.n_lints);
+            eprintln!("{CMD}: {}: {} lint(s)", r.name, r.n_lints);
             failed = true;
         }
     }
     if let Some(path) = baseline {
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("cfir-analyze: cannot read baseline {path}: {e}");
-            exit(2)
-        });
-        let base = json::parse(&text).unwrap_or_else(|e| {
-            eprintln!("cfir-analyze: baseline {path}: {e}");
-            exit(2)
-        });
+        let text = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| input_fail(CMD, &format!("cannot read baseline {path}: {e}")));
+        let base = json::parse(&text)
+            .unwrap_or_else(|e| input_fail(CMD, &format!("baseline {path}: {e}")));
         let kernels = base
             .get("kernels")
             .and_then(|k| k.as_arr())
-            .unwrap_or_else(|| {
-                eprintln!("cfir-analyze: baseline {path}: missing kernels array");
-                exit(2)
-            });
+            .unwrap_or_else(|| input_fail(CMD, &format!("baseline {path}: missing kernels array")));
         for r in &results {
             let Some(bk) = kernels
                 .iter()
                 .find(|k| k.get("name").and_then(|n| n.as_str()) == Some(r.name.as_str()))
             else {
-                eprintln!("cfir-analyze: {}: not in baseline (skipping)", r.name);
+                eprintln!("{CMD}: {}: not in baseline (skipping)", r.name);
                 continue;
             };
             let checks = [
@@ -202,7 +159,7 @@ fn main() {
                 };
                 if fresh < base_v - tolerance {
                     eprintln!(
-                        "cfir-analyze: {}: {key} regressed {base_v:.4} -> {fresh:.4} \
+                        "{CMD}: {}: {key} regressed {base_v:.4} -> {fresh:.4} \
                          (tolerance {tolerance:.4})",
                         r.name
                     );
@@ -219,7 +176,7 @@ fn main() {
                 let fresh = r.mean_cidi_fraction;
                 if fresh < base_v - tolerance {
                     eprintln!(
-                        "cfir-analyze: {}: mean_cidi_fraction regressed {base_v:.4} -> \
+                        "{CMD}: {}: mean_cidi_fraction regressed {base_v:.4} -> \
                          {fresh:.4} (tolerance {tolerance:.4})",
                         r.name
                     );
@@ -231,5 +188,7 @@ fn main() {
     if failed {
         exit(1)
     }
+    // Same wording as before the tools became subcommands: CI logs
+    // compare this stdout.
     println!("cfir-analyze: check ok ({} kernels)", results.len());
 }

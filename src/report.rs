@@ -1,9 +1,9 @@
-//! Snapshot reading, diffing and regression gating for `cfir-report`.
+//! Snapshot reading, diffing and regression gating for `cfir report`.
 //!
 //! Works on the versioned JSON documents the simulator emits: either a
 //! single-run snapshot ([`cfir_sim::run_json`]) or a bundle with a
-//! `"runs"` array (`cfir_bench::report::report_json`, what `smoke
-//! --emit-json` and the figure binaries write). Runs are matched across
+//! `"runs"` array (what `cfir suite --emit-json` writes for every
+//! experiment). Runs are matched across
 //! documents by `(name, mode)`, compared metric by metric, and the
 //! *gating* metrics (IPC, reuse fraction, CI-exploited fraction) decide
 //! whether the new document regressed beyond a relative tolerance —
@@ -36,7 +36,7 @@ pub struct Metric {
     pub gating: bool,
 }
 
-/// The metrics `cfir-report diff` compares, in display order. The
+/// The metrics `cfir report diff` compares, in display order. The
 /// gating set is the ISSUE's contract: IPC and the two reuse rates.
 pub const METRICS: &[Metric] = &[
     Metric {
@@ -302,7 +302,7 @@ pub fn diff(old: &JsonValue, new: &JsonValue, tolerance: f64) -> Result<DiffOutc
 /// Total `lifecycle.dropped` across every run of a document. A nonzero
 /// count means the per-instruction recorder overflowed its ring and
 /// the bottleneck DAG (critical path, what-if projections) is built
-/// from an incomplete record set — `cfir-report` warns loudly, and
+/// from an incomplete record set — `cfir report` warns loudly, and
 /// `check` treats it as a failure.
 pub fn lifecycle_dropped(doc: &JsonValue) -> u64 {
     let runs: Vec<&JsonValue> = match doc.get("runs").and_then(|r| r.as_arr()) {
@@ -651,7 +651,7 @@ pub fn render_sampling(doc: &JsonValue, full: Option<&JsonValue>) -> Result<Stri
     // error table: (ipc, reuse_fraction,
     // branch_prof.ci_exploited_fraction). With no second document the
     // sampled document itself serves as the reference — a mixed
-    // bundle (what `cfir-suite exp_sampling --emit-json` writes)
+    // bundle (what `cfir suite exp_sampling --emit-json` writes)
     // carries the full runs alongside the sampled ones. Runs that are
     // themselves sampled never act as references.
     let mut full_runs: Vec<(String, String, f64, f64, f64)> = Vec::new();

@@ -4,146 +4,22 @@
 //! full CI/DV mechanism speculating over them.
 //!
 //! Plain seeded-`Rng64` tests (no proptest): deterministic, offline.
+//! The programs come from `cfir_workloads::random`, the generator
+//! `cfir stress` soaks with; a failing seed replays there with
+//! `cfir stress 1 <seed>`.
 
 use cfir::prelude::*;
-use cfir_isa::{AluOp, Cond};
-
-const DATA_BASE: i64 = 0x2_0000;
-const OUT_BASE: i64 = 0x8_0000;
-const DATA_MASK: i64 = 0x3FF; // 128 words
-
-/// One step of the random loop body.
-#[derive(Debug, Clone)]
-enum BodyOp {
-    Alu(AluOp, u8, u8, u8),
-    AluImm(AluOp, u8, u8, i8),
-    LoadStrided(u8),
-    LoadIndexed(u8, u8),
-    Store(u8),
-    Hammock(Cond, u8, u8),
-    Accumulate(u8, u8),
-}
-
-const ALU_OPS: [AluOp; 10] = [
-    AluOp::Add,
-    AluOp::Sub,
-    AluOp::Mul,
-    AluOp::And,
-    AluOp::Or,
-    AluOp::Xor,
-    AluOp::Sll,
-    AluOp::Srl,
-    AluOp::Slt,
-    AluOp::Div,
-];
-const CONDS: [Cond; 4] = [Cond::Eq, Cond::Ne, Cond::Lt, Cond::Ge];
-
-/// Work registers r10..r25; the harness owns r1..r9.
-fn reg(rng: &mut Rng64) -> u8 {
-    rng.gen_range_incl(10, 25) as u8
-}
-
-fn body_op(rng: &mut Rng64) -> BodyOp {
-    let op = ALU_OPS[rng.gen_range(0, 10) as usize];
-    match rng.gen_range(0, 7) {
-        0 => BodyOp::Alu(op, reg(rng), reg(rng), reg(rng)),
-        1 => BodyOp::AluImm(op, reg(rng), reg(rng), rng.next_u64() as i8),
-        2 => BodyOp::LoadStrided(reg(rng)),
-        3 => BodyOp::LoadIndexed(reg(rng), reg(rng)),
-        4 => BodyOp::Store(reg(rng)),
-        5 => BodyOp::Hammock(CONDS[rng.gen_range(0, 4) as usize], reg(rng), reg(rng)),
-        _ => BodyOp::Accumulate(reg(rng), reg(rng)),
-    }
-}
-
-/// Build a terminating program: `iters` iterations of a random body
-/// over a masked index, then halt. Register conventions: r1 = iteration
-/// counter, r2 = limit, r3 = mask, r4 = data base, r5 = out base,
-/// r6 = byte offset of the strided cursor.
-fn build(ops: &[BodyOp], iters: u16) -> Program {
-    let mut b = ProgramBuilder::new("prop");
-    b.li(1, 0);
-    b.li(2, iters as i64);
-    b.li(3, DATA_MASK);
-    b.li(4, DATA_BASE);
-    b.li(5, OUT_BASE);
-    b.li(6, 0);
-    let top = b.label_here();
-    // Strided cursor: r7 = data_base + (r6 & mask)
-    b.alu(AluOp::And, 7, 6, 3);
-    b.alu(AluOp::Add, 7, 7, 4);
-    for op in ops {
-        match *op {
-            BodyOp::Alu(o, d, s1, s2) => {
-                b.alu(o, d, s1, s2);
-            }
-            BodyOp::AluImm(o, d, s, imm) => {
-                b.alui(o, d, s, imm as i64);
-            }
-            BodyOp::LoadStrided(d) => {
-                b.ld(d, 7, 0);
-            }
-            BodyOp::LoadIndexed(d, idx) => {
-                // r8 = base + ((idx*8) & mask): arbitrary but in-bounds.
-                b.alui(AluOp::Mul, 8, idx, 8);
-                b.alu(AluOp::And, 8, 8, 3);
-                b.alu(AluOp::Add, 8, 8, 4);
-                b.ld(d, 8, 0);
-            }
-            BodyOp::Store(s) => {
-                // Store to the OUT region, strided by iteration.
-                b.alui(AluOp::Mul, 8, 1, 8);
-                b.alui(AluOp::And, 8, 8, 0xFFF);
-                b.alu(AluOp::Add, 8, 8, 5);
-                b.st(s, 8, 0);
-            }
-            BodyOp::Hammock(c, a, x) => {
-                let else_ = b.label();
-                let join = b.label();
-                b.br(c, a, x, else_);
-                b.alui(AluOp::Add, 9, 9, 1);
-                b.jmp(join);
-                b.bind(else_);
-                b.alui(AluOp::Xor, 9, 9, 3);
-                b.bind(join);
-            }
-            BodyOp::Accumulate(d, s) => {
-                b.alu(AluOp::Add, d, d, s);
-            }
-        }
-    }
-    b.alui(AluOp::Add, 6, 6, 8);
-    b.alui(AluOp::Add, 1, 1, 1);
-    b.br(Cond::Lt, 1, 2, top);
-    b.halt();
-    b.finish()
-}
-
-fn data_mem(seed: u64) -> MemImage {
-    let mut mem = MemImage::new();
-    let mut x = seed | 1;
-    for i in 0..128u64 {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        mem.write(DATA_BASE as u64 + i * 8, x & 0xFF);
-    }
-    mem
-}
+use cfir::workloads::random::{RandomProgram, OUT_BASE, OUT_WORDS};
 
 #[test]
 fn random_programs_cosim_in_every_mode() {
-    let mut rng = Rng64::seed_from_u64(0xC0512);
+    let mut seeds = Rng64::seed_from_u64(0xC0512);
     for case in 0..24 {
-        let n = rng.gen_range(1, 12) as usize;
-        let ops: Vec<BodyOp> = (0..n).map(|_| body_op(&mut rng)).collect();
-        let iters = rng.gen_range(16, 150) as u16;
-        let seed = rng.next_u64();
-        let prog = build(&ops, iters);
-        let mem = data_mem(seed);
+        let seed = seeds.next_u64();
+        let c = RandomProgram::generate(seed);
 
-        let mut emu = Emulator::new(mem.clone());
-        emu.run(&prog, 10_000_000);
+        let mut emu = Emulator::new(c.mem.clone());
+        emu.run(&c.prog, 10_000_000);
         assert!(emu.halted, "case {case}: generated program must halt");
 
         for mode in [Mode::Scalar, Mode::Ci, Mode::Vect] {
@@ -152,22 +28,23 @@ fn random_programs_cosim_in_every_mode() {
                 .with_regs(RegFileSize::Finite(256))
                 .with_max_insts(u64::MAX >> 1);
             cfg.cosim_check = true; // the oracle panics on any divergence
-            let mut pipe = Pipeline::new(&prog, mem.clone(), cfg);
+            let mut pipe = Pipeline::new(&c.prog, c.mem.clone(), cfg);
             assert_eq!(pipe.run(), RunExit::Halted, "case {case} {mode:?}");
             for r in 0..64u8 {
                 assert_eq!(
                     pipe.arch_reg(r),
                     emu.reg(r),
-                    "case {case}: r{r} in {mode:?} (ops {ops:?})"
+                    "case {case} (seed {seed}): r{r} in {mode:?} (ops {:?})",
+                    c.ops
                 );
             }
             // Committed memory must match too (stores).
-            for i in 0..64u64 {
-                let a = OUT_BASE as u64 + i * 8;
+            for i in 0..OUT_WORDS {
+                let a = OUT_BASE + i * 8;
                 assert_eq!(
                     pipe.memory().read(a),
                     emu.mem.read(a),
-                    "case {case} mem {a:#x}"
+                    "case {case} (seed {seed}) mem {a:#x}"
                 );
             }
         }

@@ -1,4 +1,4 @@
-//! `cfir-report` must never panic on damaged input: every load path
+//! `cfir report` must never panic on damaged input: every load path
 //! prints the offending file's path to stderr and exits nonzero
 //! (exit 2 = usage/IO error), for a truncated schema-v7 snapshot, junk
 //! that isn't JSON at all, and well-formed JSON of the wrong shape.
@@ -7,10 +7,11 @@ use std::path::PathBuf;
 use std::process::Command;
 
 fn report(args: &[&str]) -> std::process::Output {
-    Command::new(env!("CARGO_BIN_EXE_cfir-report"))
+    Command::new(env!("CARGO_BIN_EXE_cfir"))
+        .arg("report")
         .args(args)
         .output()
-        .expect("spawn cfir-report")
+        .expect("spawn cfir report")
 }
 
 fn write_tmp(name: &str, contents: &str) -> PathBuf {

@@ -1,5 +1,5 @@
-//! End-to-end tracing acceptance: `CFIR_TRACE` drives the `cfir-run`
-//! binary to produce Chrome-trace and JSONL files, and tracing must
+//! End-to-end tracing acceptance: `CFIR_TRACE` drives `cfir run` to
+//! produce Chrome-trace and JSONL files, and tracing must
 //! not perturb the simulation (identical `--emit-json` snapshots with
 //! and without a tracer attached).
 //!
@@ -30,18 +30,20 @@ fn tmp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("cfir-trace-test-{}-{name}", std::process::id()))
 }
 
-/// Run `cfir-run <asm> --mode ci --emit-json` with a scrubbed trace
+/// Run `cfir run <asm> --mode ci --emit-json` with a scrubbed trace
 /// environment plus `trace_env`, returning stdout.
 fn run(asm: &PathBuf, trace_env: Option<&str>) -> String {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_cfir-run"));
-    cmd.arg(asm).args(["--mode", "ci", "--emit-json"]);
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_cfir"));
+    cmd.arg("run")
+        .arg(asm)
+        .args(["--mode", "ci", "--emit-json"]);
     cmd.env_remove("CFIR_TRACE")
         .env_remove("CFIR_DEBUG")
         .env_remove("CFIR_CSTREAM");
     if let Some(spec) = trace_env {
         cmd.env("CFIR_TRACE", spec);
     }
-    let out = cmd.output().expect("cfir-run spawns");
+    let out = cmd.output().expect("cfir run spawns");
     assert!(
         out.status.success(),
         "cfir-run failed (trace={trace_env:?}): {}",
