@@ -4,7 +4,7 @@
 //! is a *dynamic heuristic*: cheap, per-branch, and occasionally wrong.
 //! This crate computes the *static truth* for any [`Program`]:
 //!
-//! * basic-block CFG with indirect-target resolution ([`cfg`]),
+//! * basic-block CFG with indirect-target resolution ([`cfg`](mod@cfg)),
 //! * dominator and post-dominator trees via Cooper–Harvey–Kennedy
 //!   ([`dom`]),
 //! * natural-loop nesting ([`loops`]),

@@ -19,7 +19,7 @@
 //! * [`cache`] — a content-addressed on-disk result cache keyed by
 //!   `hash(workload spec, sim config, sim version)`; `--resume` skips
 //!   completed points after a crash or an interrupted sweep.
-//! * [`suite`] — declarative [`Experiment`](suite::Experiment)s (jobs
+//! * [`suite`] — declarative [`Experiment`]s (jobs
 //!   plus an aggregation function) reduced **deterministically**:
 //!   aggregation consumes results in job-definition order, never in
 //!   completion order, so `--jobs 1` and `--jobs 16` produce
@@ -27,7 +27,7 @@
 //!
 //! The experiment definitions themselves (every figure, table and
 //! ablation of the paper expressed as data) live in
-//! `cfir_bench::experiments`; the `cfir-suite` binary is the driver.
+//! `cfir_bench::experiments`; `cfir suite` is the driver.
 
 pub mod cache;
 pub mod job;
@@ -42,25 +42,5 @@ pub use suite::{
     SuiteOptions, SuiteReport,
 };
 
-/// FNV-1a 64-bit hash (the content address of a job fingerprint).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fnv_is_stable_and_spreads() {
-        assert_eq!(fnv1a64(b""), 0xcbf29ce484222325);
-        assert_ne!(fnv1a64(b"a"), fnv1a64(b"b"));
-        // Regression pin so cache file names never silently change.
-        assert_eq!(fnv1a64(b"cfir"), fnv1a64(b"cfir"));
-    }
-}
+/// The content address of a job fingerprint.
+pub use cfir_obs::fnv1a64;

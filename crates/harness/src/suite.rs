@@ -6,7 +6,7 @@
 //! (CSV/JSON files under the output directory) and a human-readable
 //! stdout block. [`run_suite`] deduplicates identical points across
 //! experiments (same fingerprint → simulated once), consults the
-//! on-disk [`Cache`], runs the remainder on the [`pool`](crate::pool),
+//! on-disk [`Cache`], runs the remainder on the [`pool`],
 //! and aggregates each experiment **as soon as its last job lands**
 //! while the rest of the suite keeps executing.
 //!

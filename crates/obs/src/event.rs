@@ -91,7 +91,7 @@ pub enum EventKind {
     CacheMiss { addr: u64, latency: u32 },
     /// A replica value was reused at commit.
     Reuse { value: u64, waited: u64 },
-    /// An instruction committed (folds the old `CFIR_CSTREAM` dump).
+    /// An instruction committed (`CFIR_TRACE=sub=commit` gives the commit stream).
     Commit { seq: u64, value: u64 },
     /// Free-form message (payload built lazily at the call site).
     Note { msg: String },

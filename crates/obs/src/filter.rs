@@ -1,21 +1,18 @@
 //! The `CFIR_TRACE` filter — parsed **once** at startup.
 //!
-//! Two syntaxes are accepted:
+//! A spec is space-separated `key=value` pairs, any subset of
 //!
-//! * **Legacy** (kept for compatibility with the original ad-hoc
-//!   tracing): `PC[,CYCLE_LO[,CYCLE_HI]]` — three bare integers, e.g.
-//!   `CFIR_TRACE=10,0,3000`.
-//! * **Keyed**: space-separated `key=value` pairs, any subset of
-//!   - `pc=N` — only events for this program counter (decimal or `0x` hex)
-//!   - `cycle=LO..HI` — only events in this half-open cycle range
-//!   - `sub=a+b+c` — only these subsystems (`vec`, `commit`, `exec`, …)
-//!   - `sink=text` | `sink=jsonl:PATH` | `sink=chrome:PATH` — output format
-//!   - `cap=N` — ring-buffer capacity for buffered sinks
+//! - `pc=N` — only events for this program counter (decimal or `0x` hex)
+//! - `cycle=LO..HI` — only events in this half-open cycle range
+//! - `sub=a+b+c` — only these subsystems (`vec`, `commit`, `exec`, …)
+//! - `sink=text` | `sink=jsonl:PATH` | `sink=chrome:PATH` — output format
+//! - `cap=N` — ring-buffer capacity for buffered sinks
 //!
-//!   e.g. `CFIR_TRACE='sub=vec+flush cycle=0..50000 sink=chrome:trace.json'`.
+//! e.g. `CFIR_TRACE='sub=vec+flush cycle=0..50000 sink=chrome:trace.json'`.
 //!
-//! `CFIR_TRACE=1` (or any empty/boolean-ish value) traces everything
-//! to the text sink.
+//! `CFIR_TRACE=1` (or `true`, or an empty value) traces everything to
+//! the text sink. Anything else that is not `key=value` pairs is
+//! rejected.
 
 use crate::event::Subsystem;
 
@@ -68,9 +65,8 @@ pub const VALID_KEYS: &str = "pc=, cycle=, sub=, sink=, cap=";
 
 /// Suffix `path` with `.<scope>` before its extension
 /// (`trace.jsonl` → `trace.<scope>.jsonl`; no extension → appended).
-/// Shared by [`TraceFilter::scoped`] and
-/// [`crate::PipeviewSpec::scoped`] so every per-job artifact scopes the
-/// same way.
+/// Every per-job artifact (trace sinks via [`TraceFilter::scoped`], the
+/// `CFIR_PIPEVIEW` file) scopes through it, so all scope the same way.
 pub fn scope_path(path: &str, scope: &str) -> String {
     match path.rsplit_once('.') {
         // Only treat the final dot as an extension separator if it is
@@ -90,7 +86,7 @@ fn parse_int(s: &str) -> Option<u64> {
 }
 
 impl TraceFilter {
-    /// Match-everything filter (used by `CFIR_DEBUG=1`).
+    /// Match-everything filter (`CFIR_TRACE=1`).
     pub fn all() -> Self {
         Self::default()
     }
@@ -104,31 +100,6 @@ impl TraceFilter {
         if spec.is_empty() || spec == "1" || spec.eq_ignore_ascii_case("true") {
             return Ok(f);
         }
-
-        // Legacy form: bare integers `PC[,LO[,HI]]`.
-        if !spec.contains('=') {
-            let parts: Vec<&str> = spec.split(',').collect();
-            if parts.len() > 3 {
-                return Err(format!(
-                    "legacy CFIR_TRACE takes at most PC,LO,HI: `{spec}`"
-                ));
-            }
-            f.pc = Some(
-                parse_int(parts[0])
-                    .ok_or_else(|| format!("bad PC `{}` in CFIR_TRACE", parts[0]))?,
-            );
-            if let Some(lo) = parts.get(1) {
-                f.cycle_lo =
-                    parse_int(lo).ok_or_else(|| format!("bad cycle lo `{lo}` in CFIR_TRACE"))?;
-            }
-            if let Some(hi) = parts.get(2) {
-                f.cycle_hi =
-                    parse_int(hi).ok_or_else(|| format!("bad cycle hi `{hi}` in CFIR_TRACE"))?;
-            }
-            return Ok(f);
-        }
-
-        // Keyed form.
         for tok in spec.split_whitespace() {
             let (key, val) = tok.split_once('=').ok_or_else(|| {
                 format!("expected key=value, got `{tok}` in CFIR_TRACE (valid keys: {VALID_KEYS})")
@@ -227,23 +198,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_triple() {
-        let f = TraceFilter::parse("10,0,3000").unwrap();
-        assert_eq!(f.pc, Some(10));
-        assert_eq!((f.cycle_lo, f.cycle_hi), (0, 3000));
-        assert!(f.matches(Subsystem::Vec, 10, 2999));
-        assert!(!f.matches(Subsystem::Vec, 10, 3000));
-        assert!(!f.matches(Subsystem::Vec, 11, 100));
-
-        let f = TraceFilter::parse("0x20").unwrap();
-        assert_eq!(f.pc, Some(0x20));
-        assert_eq!(f.cycle_hi, u64::MAX);
-
-        assert!(TraceFilter::parse("10,20,30,40").is_err());
-        assert!(TraceFilter::parse("ten").is_err());
-    }
-
-    #[test]
     fn keyed_form() {
         let f = TraceFilter::parse("pc=0x10 cycle=100..200 sub=vec+flush").unwrap();
         assert_eq!(f.pc, Some(0x10));
@@ -311,6 +265,7 @@ mod tests {
         assert!(TraceFilter::parse("cycle=10").is_err());
         assert!(TraceFilter::parse("frequency=11").is_err());
         assert!(TraceFilter::parse("pc=zebra").is_err());
+        assert!(TraceFilter::parse("0x20").is_err());
     }
 
     #[test]

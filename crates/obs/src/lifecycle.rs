@@ -1,4 +1,4 @@
-//! Per-instruction pipeline lifecycle records (`cfir-viz`).
+//! Per-instruction pipeline lifecycle records.
 //!
 //! The aggregate telemetry (stall breakdown, histograms, scorecards)
 //! answers *how much*; this module answers *what happened to this
@@ -29,7 +29,7 @@
 //!   replicas on their own lane, squashed instructions retired as
 //!   flushes, and reused instructions in a dedicated `Ru` stage.
 //! * [`render_timeline`] over [`parse_konata`] — an in-terminal ASCII
-//!   timeline (`cfir-report timeline`), windowed by PC, cycle range, or
+//!   timeline (`cfir report timeline`), windowed by PC, cycle range, or
 //!   the N-th misprediction squash cluster.
 //!
 //! Records are held in a bounded ring (`cap` retired records, oldest
@@ -1357,16 +1357,6 @@ impl PipeviewSpec {
         })
         .clone()
     }
-
-    /// A copy with the output path suffixed by `scope` (same rule as
-    /// [`crate::TraceFilter::scoped`]), so concurrent harness jobs
-    /// sharing one `CFIR_PIPEVIEW` value write distinct files.
-    pub fn scoped(&self, scope: &str) -> PipeviewSpec {
-        PipeviewSpec {
-            path: crate::filter::scope_path(&self.path, scope),
-            cap: self.cap,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1565,7 +1555,7 @@ mod tests {
         assert_eq!(s.cap, DEFAULT_PIPEVIEW_CAP);
         let s = PipeviewSpec::parse("trace.log cap=4096").unwrap();
         assert_eq!(s.cap, 4096);
-        assert_eq!(s.scoped("07").path, "trace.07.log");
+        assert_eq!(crate::filter::scope_path(&s.path, "07"), "trace.07.log");
         assert!(PipeviewSpec::parse("").is_err());
         assert!(PipeviewSpec::parse("a b").is_err());
         assert!(PipeviewSpec::parse("a cap=zebra").is_err());

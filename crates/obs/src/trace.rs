@@ -1,21 +1,12 @@
 //! The [`Tracer`]: a parse-once filter plus a sink.
 //!
 //! The simulator owns an `Option<Tracer>` built by [`Tracer::from_env`]
-//! at startup. The environment is consulted exactly once per process
-//! (cached in a `OnceLock`), so hot-path trace sites never touch
-//! `env::var`. Emission goes through interior mutability so the
-//! [`trace_event!`](crate::trace_event) macro can fire from `&self`
-//! contexts.
-//!
-//! Environment contract:
-//!
-//! | variable | effect |
-//! |---|---|
-//! | `CFIR_TRACE=SPEC` | trace per [`TraceFilter::parse`]; malformed specs panic loudly |
-//! | `CFIR_DEBUG=1` | trace everything (text sink) |
-//! | `CFIR_CSTREAM=1` | trace the commit subsystem only (the old commit-stream dump) |
-//!
-//! `CFIR_TRACE` wins over `CFIR_DEBUG`, which wins over `CFIR_CSTREAM`.
+//! at startup from `CFIR_TRACE`, the one variable that configures it
+//! (syntax in [`TraceFilter::parse`]; a malformed spec panics loudly).
+//! The environment is consulted exactly once per process (cached in a
+//! `OnceLock`), so hot-path trace sites never touch `env::var`.
+//! Emission goes through interior mutability so trace sites can fire
+//! from `&self` contexts.
 
 use std::cell::RefCell;
 use std::sync::OnceLock;
@@ -50,28 +41,10 @@ fn build_sink(filter: &TraceFilter) -> Box<dyn Sink> {
     }
 }
 
-/// Resolve the three trace-related environment values into a filter.
+/// Resolve the `CFIR_TRACE` value into a filter (`None` = unset).
 /// Pure so it can be tested without mutating the process environment.
-fn resolve(trace: Option<&str>, debug: bool, cstream: bool) -> Result<Option<TraceFilter>, String> {
-    if let Some(spec) = trace {
-        return TraceFilter::parse(spec).map(Some);
-    }
-    if debug {
-        return Ok(Some(TraceFilter::all()));
-    }
-    if cstream {
-        let mut f = TraceFilter::all();
-        f.subs = Subsystem::Commit.bit();
-        return Ok(Some(f));
-    }
-    Ok(None)
-}
-
-fn env_truthy(name: &str) -> bool {
-    match std::env::var(name) {
-        Ok(v) => !v.is_empty() && v != "0",
-        Err(_) => false,
-    }
+fn resolve(trace: Option<&str>) -> Result<Option<TraceFilter>, String> {
+    trace.map(TraceFilter::parse).transpose()
 }
 
 static ENV_FILTER: OnceLock<Option<TraceFilter>> = OnceLock::new();
@@ -94,25 +67,18 @@ impl Tracer {
         }
     }
 
-    /// Build a tracer from `CFIR_TRACE` / `CFIR_DEBUG` / `CFIR_CSTREAM`.
+    /// Build a tracer from `CFIR_TRACE`.
     ///
     /// The environment is read and the filter parsed **once per
     /// process**; later calls reuse the cached result (each call still
     /// gets its own sink). Returns `None` — the zero-overhead path —
-    /// when none of the variables are set. Panics with a descriptive
-    /// message on a malformed `CFIR_TRACE`, so a typo'd filter fails
-    /// the run instead of silently tracing nothing.
+    /// when the variable is unset. Panics with a descriptive message
+    /// on a malformed value, so a typo'd filter fails the run instead
+    /// of silently tracing nothing.
     pub fn from_env() -> Option<Tracer> {
         let cached = ENV_FILTER.get_or_init(|| {
             let trace = std::env::var("CFIR_TRACE").ok();
-            match resolve(
-                trace.as_deref(),
-                env_truthy("CFIR_DEBUG"),
-                env_truthy("CFIR_CSTREAM"),
-            ) {
-                Ok(f) => f,
-                Err(e) => panic!("CFIR_TRACE: {e}"),
-            }
+            resolve(trace.as_deref()).unwrap_or_else(|e| panic!("CFIR_TRACE: {e}"))
         });
         cached.clone().map(Tracer::new)
     }
@@ -130,7 +96,8 @@ impl Tracer {
     }
 
     /// Emit an event. Callers are expected to have checked
-    /// [`enabled`](Self::enabled) first (the `trace_event!` macro does).
+    /// [`enabled`](Self::enabled) first, and to build the event only
+    /// after that check passed.
     pub fn emit(&self, sub: Subsystem, pc: u64, cycle: u64, kind: EventKind) {
         self.sink.borrow_mut().emit(&TraceEvent {
             cycle,
@@ -155,81 +122,37 @@ impl Drop for Tracer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
     use std::rc::Rc;
 
-    #[derive(Default)]
-    struct Capture {
-        events: Rc<RefCell<Vec<TraceEvent>>>,
-        flushes: Rc<RefCell<u32>>,
-    }
+    struct FlushCount(Rc<Cell<u32>>);
 
-    impl Sink for Capture {
-        fn emit(&mut self, ev: &TraceEvent) {
-            self.events.borrow_mut().push(ev.clone());
-        }
+    impl Sink for FlushCount {
+        fn emit(&mut self, _: &TraceEvent) {}
         fn flush(&mut self) {
-            *self.flushes.borrow_mut() += 1;
+            self.0.set(self.0.get() + 1);
         }
-    }
-
-    fn capture(filter: TraceFilter) -> (Tracer, Rc<RefCell<Vec<TraceEvent>>>) {
-        let cap = Capture::default();
-        let events = cap.events.clone();
-        (Tracer::with_sink(filter, Box::new(cap)), events)
-    }
-
-    #[test]
-    fn macro_is_lazy_and_filtered() {
-        let mut f = TraceFilter::all();
-        f.pc = Some(0x10);
-        let (tracer, events) = capture(f);
-        let tracer = Some(tracer);
-
-        let built = std::cell::Cell::new(0u32);
-        let payload = |v: u64| {
-            built.set(built.get() + 1);
-            EventKind::Commit { seq: v, value: v }
-        };
-        crate::trace_event!(tracer, Subsystem::Commit, 0x10, 1, payload(7));
-        crate::trace_event!(tracer, Subsystem::Commit, 0x11, 2, payload(8)); // filtered: wrong pc
-        assert_eq!(
-            built.get(),
-            1,
-            "payload must only build when the filter matches"
-        );
-        assert_eq!(events.borrow().len(), 1);
-        assert_eq!(events.borrow()[0].cycle, 1);
-
-        let disabled: Option<Tracer> = None;
-        crate::trace_event!(disabled, Subsystem::Commit, 0x10, 1, payload(9));
-        assert_eq!(built.get(), 1, "disabled tracer must not build payloads");
     }
 
     #[test]
     fn resolve_precedence() {
-        // CFIR_TRACE wins.
-        let f = resolve(Some("pc=0x10"), true, true).unwrap().unwrap();
+        let f = resolve(Some("pc=0x10")).unwrap().unwrap();
         assert_eq!(f.pc, Some(0x10));
-        // CFIR_DEBUG next: everything.
-        let f = resolve(None, true, true).unwrap().unwrap();
-        assert_eq!(f, TraceFilter::all());
-        // CFIR_CSTREAM alone: commit subsystem only.
-        let f = resolve(None, false, true).unwrap().unwrap();
-        assert!(f.matches(Subsystem::Commit, 0, 0));
-        assert!(!f.matches(Subsystem::Vec, 0, 0));
+        // The boolean form traces everything.
+        assert_eq!(resolve(Some("1")).unwrap(), Some(TraceFilter::all()));
         // Nothing set: tracing disabled.
-        assert!(resolve(None, false, false).unwrap().is_none());
-        // Malformed specs are loud.
-        assert!(resolve(Some("sub=bogus"), false, false).is_err());
+        assert!(resolve(None).unwrap().is_none());
+        // Malformed specs are loud, a bare number included.
+        assert!(resolve(Some("sub=bogus")).is_err());
+        assert!(resolve(Some("10,0,3000")).is_err());
     }
 
     #[test]
     fn drop_flushes_sink() {
-        let cap = Capture::default();
-        let flushes = cap.flushes.clone();
-        let tracer = Tracer::with_sink(TraceFilter::all(), Box::new(cap));
+        let flushes = Rc::new(Cell::new(0));
+        let tracer = Tracer::with_sink(TraceFilter::all(), Box::new(FlushCount(flushes.clone())));
         tracer.emit(Subsystem::Vec, 0, 0, EventKind::Note { msg: "x".into() });
         drop(tracer);
-        assert_eq!(*flushes.borrow(), 1);
+        assert_eq!(flushes.get(), 1);
     }
 }

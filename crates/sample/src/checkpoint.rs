@@ -18,10 +18,10 @@
 //! derives its randomness (and its cache key) from content, never from
 //! worker/pool scheduling order.
 
-use crate::fnv1a64;
 use cfir_emu::MemImage;
 use cfir_isa::NUM_LOGICAL_REGS;
 use cfir_mem::{WarmCache, WarmHierarchy, WarmWay};
+use cfir_obs::fnv1a64;
 use cfir_sim::WarmStart;
 use std::path::{Path, PathBuf};
 

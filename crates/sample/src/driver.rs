@@ -21,10 +21,10 @@
 
 use crate::checkpoint::Checkpoint;
 use crate::estimate::{mean_ci95, Estimate};
-use crate::fnv1a64;
 use crate::warm::WarmingEmulator;
 use cfir_emu::MemImage;
 use cfir_isa::Program;
+use cfir_obs::fnv1a64;
 use cfir_obs::stall::ALL_CAUSES;
 use cfir_sim::{
     run_json_sampled, Pipeline, RunExit, SampleEstimate, SampleWindow, SamplingInfo, SimConfig,

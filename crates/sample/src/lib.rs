@@ -51,15 +51,3 @@ pub use checkpoint::{Checkpoint, FORMAT_VERSION};
 pub use driver::{replay_window, run_sampled, SampledRun, SamplingConfig, WindowRow};
 pub use estimate::{mean_ci95, Estimate};
 pub use warm::WarmingEmulator;
-
-/// FNV-1a over bytes — the same content-addressing hash the harness
-/// uses for its result cache, reimplemented locally so the dependency
-/// arrow stays harness → sample.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}

@@ -7,7 +7,7 @@ use crate::rob::{RobEntry, RobState};
 use cfir_core::RenameExt;
 use cfir_emu::MemImage;
 use cfir_isa::{Inst, Program, NUM_LOGICAL_REGS};
-use cfir_obs::{trace_event, EventKind, Subsystem};
+use cfir_obs::{EventKind, Subsystem};
 
 impl Pipeline<'_> {
     /// Architecturally-correct result of `e`, computed from committed
@@ -135,7 +135,7 @@ impl Pipeline<'_> {
                     // repair architecturally and flush the poisoned
                     // pipeline (counts as mis-speculation recovery).
                     self.stats.commit_check_failures += 1;
-                    trace_event!(self.tracer, Subsystem::Commit, e.pc as u64, self.cycle, {
+                    self.obs.trace(Subsystem::Commit, e.pc as u64, self.cycle, || {
                         let entdbg = r
                             .srsmt_idx
                             .and_then(|i| self.mech.as_ref().unwrap().srsmt.get(i))
@@ -272,30 +272,7 @@ impl Pipeline<'_> {
                 }
             }
 
-            trace_event!(
-                self.tracer,
-                Subsystem::Commit,
-                e.pc as u64,
-                self.cycle,
-                EventKind::Commit {
-                    seq: e.seq,
-                    value: e.value
-                }
-            );
-
-            if let Some((cap, q)) = &mut self.commit_log {
-                if q.len() == *cap {
-                    q.pop_front();
-                }
-                q.push_back(crate::pipeline::CommitRecord {
-                    cycle: self.cycle,
-                    seq: e.seq,
-                    pc: e.pc,
-                    inst: e.inst,
-                    value: e.value,
-                    reused: e.reuse.is_some(),
-                });
-            }
+            self.obs.commit(&e, self.cycle);
 
             // --- Golden-model check ---
             self.cosim_check(&e);
@@ -303,9 +280,6 @@ impl Pipeline<'_> {
             self.last_committed_seq = e.seq;
             if let Some(fc) = self.last_flush_cycle.take() {
                 self.stats.h_flush_recovery.record(self.cycle - fc);
-            }
-            if let Some(log) = &mut self.lifecycle {
-                log.note_commit(e.lid, self.cycle);
             }
             self.stats.committed += 1;
             // The mis-speculation blacklist ages: bootstrap-phase
@@ -380,45 +354,20 @@ impl Pipeline<'_> {
     /// store-coherence squash (§2.4.3) and the commit-time validation
     /// repair. Replicas are *not* squashed (§2.4.4).
     pub(crate) fn full_flush(&mut self, resume_pc: u32) {
-        let mut squashed = 0u64;
-        while let Some(e) = self.rob.pop_back() {
-            if let Some(p) = e.new_phys {
-                self.rf.free(p);
-            }
-            if let Some(log) = &mut self.lifecycle {
-                log.note_squash(e.lid, self.cycle);
-            }
-            self.kill_seed_waiter(e.seq);
-            squashed += 1;
-        }
-        squashed += self.decode_q.len() as u64;
-        if let Some(log) = &mut self.lifecycle {
-            for f in &self.decode_q {
-                log.note_squash(f.lid, self.cycle);
-            }
-        }
-        self.decode_q.clear();
+        let squashed = self.squash_window(0);
         self.lsq.clear();
-        self.stats.squashed += squashed;
-        self.flushed_this_cycle = true;
-        self.last_flush_cycle = Some(self.cycle);
-        trace_event!(
-            self.tracer,
-            Subsystem::Flush,
-            resume_pc as u64,
-            self.cycle,
-            EventKind::RepairFlush {
-                resume_pc: resume_pc as u64,
-                squashed
-            }
-        );
+        self.obs
+            .trace(Subsystem::Flush, resume_pc as u64, self.cycle, || {
+                EventKind::RepairFlush {
+                    resume_pc: resume_pc as u64,
+                    squashed,
+                }
+            });
         self.rmap = self.arch_map;
         self.ext = [RenameExt::new(); NUM_LOGICAL_REGS];
         // Resume with the committed branch history so the predictor's
         // speculative state matches the restart point.
         self.gshare.restore_history(self.arch_ghist);
-        let flush_seq = self.next_seq; // everything in flight dies
-        let _ = flush_seq;
         if let Some(mut m) = self.mech.take() {
             m.nrbq.clear();
             m.crp.deactivate();

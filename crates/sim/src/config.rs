@@ -17,7 +17,7 @@ pub enum Mode {
     /// The paper's proposal: CI reuse via dynamic vectorization,
     /// on top of wide buses (`cixp`).
     Ci,
-    /// Full-blown speculative dynamic vectorization of reference [12]
+    /// Full-blown speculative dynamic vectorization of reference \[12\]
     /// (`vect`, Figure 14): every trusted strided load is vectorized,
     /// no CI gating.
     Vect,

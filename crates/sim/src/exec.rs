@@ -3,12 +3,23 @@
 use crate::pipeline::Pipeline;
 use crate::rob::RobState;
 use cfir_isa::{FuClass, Inst, Program};
-use cfir_obs::{trace_event, EventKind, Subsystem, WaitEdgeKind};
+use cfir_obs::{EventKind, Subsystem, WaitEdgeKind};
+
+/// Result of an ALU-class instruction (`Alu`, `AluImm`, `Fp`) on
+/// source values `a` and `b`; `None` for any other instruction.
+pub(crate) fn alu_result(inst: Inst, a: u64, b: u64) -> Option<u64> {
+    match inst {
+        Inst::Alu { op, .. } => Some(op.eval(a, b)),
+        Inst::AluImm { op, imm, .. } => Some(op.eval(a, imm as u64)),
+        Inst::Fp { op, .. } => Some(op.eval(a, b)),
+        _ => None,
+    }
+}
 
 impl Pipeline<'_> {
     /// Whether a functional unit of `class` is free this cycle, and
     /// consume it if so.
-    fn take_fu(&mut self, class: FuClass) -> bool {
+    pub(crate) fn take_fu(&mut self, class: FuClass) -> bool {
         let slot = match class {
             FuClass::IntAlu | FuClass::Store => &mut self.res.int_alu,
             FuClass::IntMul | FuClass::IntDiv => &mut self.res.int_muldiv,
@@ -65,13 +76,11 @@ impl Pipeline<'_> {
         if lat > self.cfg.hierarchy.l1_hit {
             self.outstanding_misses
                 .push((line, self.cycle + lat as u64));
-            trace_event!(
-                self.tracer,
-                Subsystem::Mem,
-                0,
-                self.cycle,
-                EventKind::CacheMiss { addr, latency: lat }
-            );
+            self.obs
+                .trace(Subsystem::Mem, 0, self.cycle, || EventKind::CacheMiss {
+                    addr,
+                    latency: lat,
+                });
         }
         if wide {
             self.res
@@ -125,23 +134,18 @@ impl Pipeline<'_> {
                     self.lsq.set_addr(seq, addr);
                     match self.lsq.search_for_load(seq, addr) {
                         crate::lsq::LoadSearch::Stall => {
-                            if self.lifecycle.is_some() {
-                                let lid = self.rob[i].lid;
-                                let target =
-                                    self.lsq.blocking_store_for_load(seq, addr).and_then(|s| {
-                                        self.rob.iter().find(|e| e.seq == s).map(|e| e.lid)
-                                    });
-                                let cyc = self.cycle;
-                                if let Some(log) = &mut self.lifecycle {
-                                    log.edge(
-                                        lid,
-                                        WaitEdgeKind::StoreDisambiguation,
-                                        target,
-                                        "",
-                                        cyc,
-                                    );
-                                }
-                            }
+                            let (lsq, rob) = (&self.lsq, &self.rob);
+                            self.obs.wait_edge(
+                                rob[i].lid,
+                                WaitEdgeKind::StoreDisambiguation,
+                                || {
+                                    lsq.blocking_store_for_load(seq, addr).and_then(|s| {
+                                        rob.iter().find(|e| e.seq == s).map(|e| e.lid)
+                                    })
+                                },
+                                "",
+                                self.cycle,
+                            );
                             continue;
                         }
                         crate::lsq::LoadSearch::Forwarded(v) => {
@@ -154,12 +158,14 @@ impl Pipeline<'_> {
                         }
                         crate::lsq::LoadSearch::CacheAccess => {
                             let Some(lat) = self.arbitrate_load(addr) else {
-                                if self.lifecycle.is_some() {
-                                    let (lid, cyc) = (self.rob[i].lid, self.cycle);
-                                    if let Some(log) = &mut self.lifecycle {
-                                        log.edge(lid, WaitEdgeKind::Port, None, "dports", cyc);
-                                    }
-                                }
+                                let lid = self.rob[i].lid;
+                                self.obs.wait_edge(
+                                    lid,
+                                    WaitEdgeKind::Port,
+                                    || None,
+                                    "dports",
+                                    self.cycle,
+                                );
                                 continue;
                             };
                             let v = self.mem.read(addr);
@@ -173,10 +179,14 @@ impl Pipeline<'_> {
                             e.done_at = self.cycle + lat as u64;
                             e.dcache_miss = miss;
                             if miss {
-                                let (lid, cyc) = (e.lid, self.cycle);
-                                if let Some(log) = &mut self.lifecycle {
-                                    log.edge(lid, WaitEdgeKind::CacheMiss, None, level, cyc);
-                                }
+                                let lid = e.lid;
+                                self.obs.wait_edge(
+                                    lid,
+                                    WaitEdgeKind::CacheMiss,
+                                    || None,
+                                    level,
+                                    self.cycle,
+                                );
                             }
                         }
                     }
@@ -221,35 +231,13 @@ impl Pipeline<'_> {
                     e.done_at = self.cycle + 1;
                     self.res.issue -= 1;
                 }
-                Inst::Alu { op, .. } => {
+                Inst::Alu { .. } | Inst::AluImm { .. } | Inst::Fp { .. } => {
                     let class = inst.class();
                     if !self.take_fu(class) {
                         continue;
                     }
                     let e = &mut self.rob[i];
-                    e.value = op.eval(v1, v2);
-                    e.state = RobState::Executing;
-                    e.done_at = self.cycle + class.latency().unwrap() as u64;
-                    self.res.issue -= 1;
-                }
-                Inst::AluImm { op, imm, .. } => {
-                    let class = inst.class();
-                    if !self.take_fu(class) {
-                        continue;
-                    }
-                    let e = &mut self.rob[i];
-                    e.value = op.eval(v1, imm as u64);
-                    e.state = RobState::Executing;
-                    e.done_at = self.cycle + class.latency().unwrap() as u64;
-                    self.res.issue -= 1;
-                }
-                Inst::Fp { op, .. } => {
-                    let class = inst.class();
-                    if !self.take_fu(class) {
-                        continue;
-                    }
-                    let e = &mut self.rob[i];
-                    e.value = op.eval(v1, v2);
+                    e.value = alu_result(inst, v1, v2).unwrap();
                     e.state = RobState::Executing;
                     e.done_at = self.cycle + class.latency().unwrap() as u64;
                     self.res.issue -= 1;
@@ -272,10 +260,7 @@ impl Pipeline<'_> {
             // resource-fail paths `continue` before this), so a state
             // change means the instruction issued this cycle.
             if self.rob[i].state == RobState::Executing {
-                let (lid, cyc) = (self.rob[i].lid, self.cycle);
-                if let Some(log) = &mut self.lifecycle {
-                    log.note_issue(lid, cyc);
-                }
+                self.obs.issue(self.rob[i].lid, self.cycle);
             }
         }
     }
@@ -296,12 +281,7 @@ impl Pipeline<'_> {
                 continue;
             }
             self.rob[i].state = RobState::Done;
-            {
-                let (lid, cyc) = (self.rob[i].lid, self.cycle);
-                if let Some(log) = &mut self.lifecycle {
-                    log.note_complete(lid, cyc);
-                }
-            }
+            self.obs.complete(self.rob[i].lid, self.cycle);
             if let Some(pr) = self.rob[i].probe {
                 if !pr.verified {
                     if let Some(p) = &mut self.rob[i].probe {
@@ -378,6 +358,35 @@ impl Pipeline<'_> {
         mask
     }
 
+    /// Squash every window entry younger than the `keep` oldest, then
+    /// the whole decode queue: the squash half of both recovery paths
+    /// ([`recover`](Self::recover) and [`full_flush`](Self::full_flush)).
+    /// The window goes youngest first, freeing each destination
+    /// register, closing its lifecycle record and killing any self-loop
+    /// entry it was to seed; then the decode queue, oldest first.
+    /// Marks the cycle as flushed and returns the number squashed.
+    pub(crate) fn squash_window(&mut self, keep: usize) -> u64 {
+        let mut squashed = 0u64;
+        while self.rob.len() > keep {
+            let e = self.rob.pop_back().unwrap();
+            if let Some(p) = e.new_phys {
+                self.rf.free(p);
+            }
+            self.obs.squash(e.lid, self.cycle);
+            self.kill_seed_waiter(e.seq);
+            squashed += 1;
+        }
+        squashed += self.decode_q.len() as u64;
+        for f in &self.decode_q {
+            self.obs.squash(f.lid, self.cycle);
+        }
+        self.decode_q.clear();
+        self.stats.squashed += squashed;
+        self.flushed_this_cycle = true;
+        self.last_flush_cycle = Some(self.cycle);
+        squashed
+    }
+
     fn recover(&mut self, i: usize) {
         let bseq = self.rob[i].seq;
         let bpc = self.rob[i].pc;
@@ -389,27 +398,8 @@ impl Pipeline<'_> {
         self.mech_on_mispredict(i, bseq, bpc, is_cond);
 
         // Squash younger instructions.
-        let mut squashed = 0u64;
-        while self.rob.len() > i + 1 {
-            let e = self.rob.pop_back().unwrap();
-            debug_assert!(e.seq > bseq);
-            if let Some(p) = e.new_phys {
-                self.rf.free(p);
-            }
-            if let Some(log) = &mut self.lifecycle {
-                log.note_squash(e.lid, self.cycle);
-            }
-            self.kill_seed_waiter(e.seq);
-            squashed += 1;
-        }
-        squashed += self.decode_q.len() as u64;
-        if let Some(log) = &mut self.lifecycle {
-            for f in &self.decode_q {
-                log.note_squash(f.lid, self.cycle);
-            }
-        }
-        self.decode_q.clear();
-        self.stats.squashed += squashed;
+        let squashed = self.squash_window(i + 1);
+        debug_assert_eq!(self.rob.back().map(|e| e.seq), Some(bseq));
         self.lsq.squash_younger(bseq);
 
         // Restore rename state from the branch's checkpoint.
@@ -431,18 +421,13 @@ impl Pipeline<'_> {
 
         // Fix SRSMT decode counters for validations that survived.
         self.recount_srsmt_decode();
-        self.flushed_this_cycle = true;
-        self.last_flush_cycle = Some(self.cycle);
-        trace_event!(
-            self.tracer,
-            Subsystem::Flush,
-            bpc as u64,
-            self.cycle,
-            EventKind::Squash {
-                resume_pc: actual_target as u64,
-                squashed
-            }
-        );
+        self.obs
+            .trace(Subsystem::Flush, bpc as u64, self.cycle, || {
+                EventKind::Squash {
+                    resume_pc: actual_target as u64,
+                    squashed,
+                }
+            });
     }
 }
 
@@ -455,7 +440,6 @@ impl Pipeline<'_> {
         if self.mech.is_none() {
             return;
         }
-        let mut stuck: Vec<usize> = Vec::new();
         for i in 0..self.rob.len() {
             let Some(r) = self.rob[i].reuse else { continue };
             if !r.pending || self.rob[i].state != RobState::Executing {
@@ -466,6 +450,9 @@ impl Pipeline<'_> {
             #[derive(PartialEq)]
             enum Poll {
                 Wait,
+                /// The entry or replica died, or a stuck replica chain
+                /// (e.g. a producer window that can no longer grow)
+                /// kept the value away too long: execute normally.
                 Fallback,
                 /// Replica address contradicts the instance's exact
                 /// address: fall back and desynchronise the entry.
@@ -499,6 +486,9 @@ impl Pipeline<'_> {
                                 (Some(x), Some(a)) if x != a => Poll::Mismatch,
                                 _ => Poll::Deliver(ent.value_of(r.replica), addr),
                             }
+                        } else if self.cycle.saturating_sub(self.rob[i].done_at) > 64 {
+                            // A stuck chain must not block the ROB head.
+                            Poll::Fallback
                         } else {
                             Poll::Wait
                         }
@@ -507,50 +497,23 @@ impl Pipeline<'_> {
                 }
             };
             match poll {
-                Poll::Wait => {
-                    // A stuck replica chain (e.g. a producer window that
-                    // can no longer grow) must not block the ROB head:
-                    // give up and execute normally, keeping the slot as
-                    // a probe.
-                    if self.cycle.saturating_sub(self.rob[i].done_at) > 64 {
-                        let e = &mut self.rob[i];
-                        e.probe = Some(crate::rob::ProbeInfo {
-                            srsmt_idx: idx,
-                            gen: r.gen,
-                            replica: r.replica,
-                            verified: true, // value came from a real validation
-                        });
-                        e.reuse = None;
-                        e.state = RobState::Dispatched;
-                        e.done_at = 0;
-                        let lid = e.lid;
-                        if let Some(log) = &mut self.lifecycle {
-                            log.set_reused(lid, false);
-                        }
-                        let _ = &mut stuck;
-                    }
-                }
+                Poll::Wait => {}
                 Poll::Fallback | Poll::Mismatch => {
                     // Execute normally, but keep owning the consumed
                     // slot as a probe so the entry's instance accounting
                     // stays exact (recount/commit still see it).
-                    {
-                        let e = &mut self.rob[i];
-                        e.probe = Some(crate::rob::ProbeInfo {
-                            srsmt_idx: idx,
-                            gen: r.gen,
-                            replica: r.replica,
-                            verified: true, // value came from a real validation
-                        });
-                        e.reuse = None;
-                        e.state = RobState::Dispatched;
-                        e.done_at = 0;
-                        let lid = e.lid;
-                        if let Some(log) = &mut self.lifecycle {
-                            log.set_reused(lid, false);
-                        }
-                    }
-                    if matches!(poll, Poll::Mismatch) {
+                    let e = &mut self.rob[i];
+                    e.probe = Some(crate::rob::ProbeInfo {
+                        srsmt_idx: idx,
+                        gen: r.gen,
+                        replica: r.replica,
+                        verified: true, // value came from a real validation
+                    });
+                    e.reuse = None;
+                    e.state = RobState::Dispatched;
+                    e.done_at = 0;
+                    self.obs.reused(e.lid, false);
+                    if poll == Poll::Mismatch {
                         let mut m = self.mech.take().unwrap();
                         if let Some(ent) = m.srsmt.get_mut(idx) {
                             ent.synced = false;
@@ -561,13 +524,10 @@ impl Pipeline<'_> {
                 Poll::Deliver(value, addr) => {
                     let waited = self.cycle.saturating_sub(self.rob[i].done_at);
                     self.stats.h_reuse_wait.record(waited);
-                    trace_event!(
-                        self.tracer,
-                        Subsystem::Vec,
-                        self.rob[i].pc as u64,
-                        self.cycle,
-                        EventKind::Reuse { value, waited }
-                    );
+                    self.obs
+                        .trace(Subsystem::Vec, self.rob[i].pc as u64, self.cycle, || {
+                            EventKind::Reuse { value, waited }
+                        });
                     let mut e = self.rob[i].clone();
                     self.deliver_reuse_value(&mut e, value);
                     if let Some(a) = addr {
@@ -577,14 +537,6 @@ impl Pipeline<'_> {
                     self.rob[i] = e;
                 }
             }
-        }
-        if !stuck.is_empty() {
-            let mut m = self.mech.take().unwrap();
-            stuck.dedup();
-            for idx in stuck {
-                self.teardown_srsmt(&mut m, idx, "stuck_replica");
-            }
-            self.mech = Some(m);
         }
     }
 }
@@ -661,16 +613,11 @@ impl Pipeline<'_> {
             Some(false) => {
                 self.stats.validation_failures += 1;
                 self.stats.valfail_reasons[3] += 1;
-                trace_event!(
-                    self.tracer,
-                    Subsystem::Vec,
-                    0,
-                    self.cycle,
-                    EventKind::Validate {
+                self.obs
+                    .trace(Subsystem::Vec, 0, self.cycle, || EventKind::Validate {
                         ok: false,
-                        reason: "address_mismatch"
-                    }
-                );
+                        reason: "address_mismatch",
+                    });
                 self.teardown_srsmt(&mut m, pr.srsmt_idx, "probe_mismatch");
             }
             None => {}

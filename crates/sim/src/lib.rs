@@ -14,7 +14,7 @@
 //! * full wrong-path execution with squash/recovery,
 //! * and the paper's five machine variants ([`Mode`]): `scal`, `wb`,
 //!   `ci-iw` (squash reuse), `ci` (the proposal) and `vect` (the
-//!   full-blown dynamic vectorization comparator of reference [12]).
+//!   full-blown dynamic vectorization comparator of reference \[12\]).
 //!
 //! Correctness is enforced two ways: every committed instruction can be
 //! checked against the `cfir-emu` golden model (`cosim_check`), and
@@ -38,6 +38,7 @@ pub mod config;
 pub mod exec;
 pub mod lsq;
 pub mod mech;
+mod observe;
 pub mod pipeline;
 pub mod prof;
 pub mod regfile;
@@ -48,7 +49,8 @@ pub mod stats;
 pub mod vec_engine;
 
 pub use config::{Mode, RegFileSize, SimConfig};
-pub use pipeline::{CommitRecord, Pipeline, PipelineSnapshot, RunExit, WarmStart};
+pub use observe::CommitRecord;
+pub use pipeline::{Pipeline, PipelineSnapshot, RunExit, WarmStart};
 pub use prof::{BranchProf, BranchScore};
 pub use snapshot::{
     run_json, run_json_sampled, SampleEstimate, SampleWindow, SamplingInfo, SCHEMA_VERSION,

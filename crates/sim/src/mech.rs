@@ -210,7 +210,7 @@ pub struct Mech {
     /// Speculative data memory, when configured (`ci-h-N`).
     pub specmem: Option<SpecMem>,
     /// Event id that selected each load PC (Figure 5 attribution).
-    /// Dense table indexed by *word* PC ([`SEL_EVENT_EMPTY`] = never
+    /// Dense table indexed by *word* PC (`SEL_EVENT_EMPTY` = never
     /// selected); one indexed load replaces a hash lookup on the
     /// decode path. Entries are only ever overwritten, never erased —
     /// exactly the map semantics this replaces.
@@ -230,7 +230,7 @@ pub struct Mech {
     /// replaces (the blacklist threshold is ≥ 1).
     pub misspec_count: Vec<u8>,
     /// Squash-reuse buffer: wrong-path CI values, dense by *word* PC
-    /// (ci-iw). [`Mech::clear_squash_buf`] empties the queues in place
+    /// (ci-iw). `Mech::clear_squash_buf` empties the queues in place
     /// so their allocations survive across harvests.
     pub squash_buf: Vec<VecDeque<SquashReuse>>,
 }

@@ -20,6 +20,7 @@
 use crate::config::{RegFileSize, SimConfig};
 use crate::lsq::Lsq;
 use crate::mech::{Mech, ReplicaArena};
+use crate::observe::{CommitRecord, Observers};
 use crate::regfile::{PhysId, PhysRegFile};
 use crate::rob::{Checkpoint, ReuseInfo, RobEntry, RobState};
 use crate::stall_attr::DispatchBlock;
@@ -28,7 +29,7 @@ use cfir_core::RenameExt;
 use cfir_emu::{Emulator, MemImage};
 use cfir_isa::{Inst, Program, NUM_LOGICAL_REGS};
 use cfir_mem::Hierarchy;
-use cfir_obs::{LifecycleLog, PipeviewSpec, Tracer, WaitEdgeKind};
+use cfir_obs::LifecycleLog;
 use cfir_predict::Gshare;
 use std::collections::VecDeque;
 
@@ -49,7 +50,7 @@ pub(crate) struct Fetched {
     pub ghist: u64,
     /// Cycle at which the instruction reaches rename.
     pub ready_at: u64,
-    /// Lifecycle id (0 when lifecycle tracing is off).
+    /// Lifecycle id (0 when lifecycle recording is off).
     pub lid: u64,
 }
 
@@ -67,23 +68,6 @@ pub(crate) struct CycleRes {
     pub specmem_reads: u32,
     pub specmem_writes: u32,
     pub stores_committed: u32,
-}
-
-/// One committed instruction, as seen by the commit-log observer.
-#[derive(Debug, Clone, Copy)]
-pub struct CommitRecord {
-    /// Cycle of the commit.
-    pub cycle: u64,
-    /// Dynamic sequence number.
-    pub seq: u64,
-    /// Static PC.
-    pub pc: u32,
-    /// The instruction.
-    pub inst: Inst,
-    /// Result value (stores: the stored data).
-    pub value: u64,
-    /// Whether a precomputed result was reused.
-    pub reused: bool,
 }
 
 /// Point-in-time pipeline occupancy (see [`Pipeline::snapshot`]).
@@ -207,10 +191,6 @@ pub struct Pipeline<'a> {
     // Per-cycle resources.
     pub(crate) res: CycleRes,
 
-    /// Structured tracing (`CFIR_TRACE`/`CFIR_DEBUG`/`CFIR_CSTREAM`,
-    /// parsed once). `None` = disabled: every trace site is one branch.
-    pub(crate) tracer: Option<Tracer>,
-
     // Per-cycle stall-attribution state.
     /// A flush (branch recovery or repair) happened this cycle.
     pub(crate) flushed_this_cycle: bool,
@@ -219,32 +199,9 @@ pub struct Pipeline<'a> {
     /// Cycle of the most recent flush with no commit since.
     pub(crate) last_flush_cycle: Option<u64>,
 
-    /// Ring buffer of recent commits (enabled by
-    /// [`Pipeline::enable_commit_log`]).
-    pub(crate) commit_log: Option<(usize, std::collections::VecDeque<CommitRecord>)>,
-
-    /// Per-instruction lifecycle recorder (`cfir-viz`); `None` =
-    /// disabled, every hook is one branch. Boxed: the log is large and
-    /// cold relative to the pipeline state.
-    pub(crate) lifecycle: Option<Box<LifecycleLog>>,
-    /// Cycle at which lifecycle recording was enabled; the wait-sum
-    /// reconciliation against the stall breakdown is exact only from
-    /// cycle 0.
-    pub(crate) lifecycle_since: u64,
-    /// Physical register → lid of the instruction that produces it
-    /// (0 = no producer recorded; real lids start at 1). Maintained
-    /// only while lifecycle recording is on; gives every dispatched
-    /// instruction true dataflow (`Producer`) wait-edges so the
-    /// bottleneck DAG re-walk respects dependence chains even when the
-    /// per-cycle stall cascade never blamed them. Dense, indexed by
-    /// physical register id; grows on demand so `RegFileSize::Infinite`
-    /// runs stay correct. Entries are never erased (exactly like the
-    /// map this replaces): a slot is only ever overwritten by the next
-    /// rename of the same physical register.
-    pub(crate) prod_lid: Vec<u64>,
-    /// Where to write the Konata pipeview document at the end of the
-    /// run (`--pipeview` / `CFIR_PIPEVIEW`).
-    pub(crate) pipeview_path: Option<String>,
+    /// The tracer, the commit log and the lifecycle recorder: every
+    /// stage reports to them through this one seam.
+    pub(crate) obs: Observers,
 }
 
 impl<'a> Pipeline<'a> {
@@ -312,24 +269,12 @@ impl<'a> Pipeline<'a> {
             emu,
             oracle,
             res: CycleRes::default(),
-            tracer: Tracer::from_env(),
             flushed_this_cycle: false,
             dispatch_block: None,
             last_flush_cycle: None,
-            commit_log: None,
-            prod_lid: Vec::new(),
-            lifecycle: None,
-            lifecycle_since: 0,
-            pipeview_path: None,
+            obs: Observers::from_env(cfg.record_lifecycle),
             cfg,
         };
-        if let Some(spec) = PipeviewSpec::from_env() {
-            pipe.enable_pipeview(&spec.path, spec.cap);
-        } else if pipe.cfg.record_lifecycle {
-            // Unbounded ring: the bottleneck analysis needs the whole
-            // causal DAG (`dropped > 0` would truncate it).
-            pipe.enable_lifecycle(0);
-        }
         // Seed the per-branch scorecards with static oracle truth: the
         // post-dominator reconvergence PC and hammock class of every
         // conditional branch, so the runtime detector's estimates can
@@ -400,53 +345,46 @@ impl<'a> Pipeline<'a> {
         }
     }
 
-    /// Rebuild the tracer (if any) with its file sinks suffixed by
-    /// `scope`, so concurrent pipelines sharing one `CFIR_TRACE` value
-    /// write distinct trace files instead of interleaving. No-op when
-    /// tracing is off; the text sink is unaffected.
+    /// Suffix the file sinks of the tracer and the `CFIR_PIPEVIEW`
+    /// path (if any) with `scope`, so concurrent pipelines sharing one
+    /// environment write distinct files instead of interleaving. The
+    /// text sink is unaffected.
     pub fn scope_trace(&mut self, scope: &str) {
-        if let Some(t) = &self.tracer {
-            self.tracer = Some(Tracer::new(t.filter().scoped(scope)));
-        }
-        if let Some(p) = &self.pipeview_path {
-            self.pipeview_path = Some(cfir_obs::filter::scope_path(p, scope));
-        }
+        self.obs.scope(scope);
     }
 
     /// Record a per-instruction lifecycle (stage-entry cycles + causal
-    /// wait-edges) for every dynamic instruction from now on, keeping
-    /// up to `cap` retired records (0 = unbounded). Enable before the
-    /// first cycle for the wait-sum reconciliation invariant to hold.
+    /// wait-edges) for every dynamic instruction, keeping up to `cap`
+    /// retired records (0 = unbounded). Replaces any recorder already
+    /// set up, including a `CFIR_PIPEVIEW` one (its file is then not
+    /// written). Must run before the first cycle, so the wait sums
+    /// reconcile exactly with the stall breakdown.
     pub fn enable_lifecycle(&mut self, cap: usize) {
-        self.lifecycle_since = self.cycle;
-        self.lifecycle = Some(Box::new(LifecycleLog::new(cap)));
-    }
-
-    /// [`Pipeline::enable_lifecycle`] plus a Konata pipeview document
-    /// written to `path` when the run finishes.
-    pub fn enable_pipeview(&mut self, path: &str, cap: usize) {
-        self.pipeview_path = Some(path.to_string());
-        self.enable_lifecycle(cap);
+        assert_eq!(
+            self.cycle, 0,
+            "enable_lifecycle must run before the first cycle"
+        );
+        self.obs.enable_lifecycle(cap);
     }
 
     /// The lifecycle recorder, when enabled.
     pub fn lifecycle(&self) -> Option<&LifecycleLog> {
-        self.lifecycle.as_deref()
+        self.obs.lifecycle()
     }
 
     /// Keep the last `n` committed instructions for inspection
     /// ([`Pipeline::commit_log`]).
     pub fn enable_commit_log(&mut self, n: usize) {
-        self.commit_log = Some((n, std::collections::VecDeque::with_capacity(n)));
+        self.obs.enable_commit_log(n);
     }
 
     /// The recorded commit log (empty unless enabled).
     pub fn commit_log(&self) -> impl Iterator<Item = &CommitRecord> {
-        self.commit_log.iter().flat_map(|(_, q)| q.iter())
+        self.obs.commit_log()
     }
 
     /// A one-line snapshot of pipeline occupancy, for teaching-style
-    /// per-cycle views (`cfir-run --pipeview`).
+    /// per-cycle views (`cfir run --pipeview N`).
     pub fn snapshot(&self) -> PipelineSnapshot {
         PipelineSnapshot {
             cycle: self.cycle,
@@ -631,33 +569,11 @@ impl<'a> Pipeline<'a> {
         {
             panic!("stall attribution broken: {e}");
         }
-        if let Some(log) = &self.lifecycle {
-            self.stats.lifecycle_records = log.len() as u64 + log.dropped();
-            self.stats.lifecycle_dropped = log.dropped();
-            // Per-instruction wait sums must reconcile exactly with the
-            // aggregate stall attribution — same invariant, finer grain
-            // (only exact when the recorder saw the whole run).
-            if self.lifecycle_since == 0 {
-                if let Err(e) = log.reconcile(&self.stats.stall) {
-                    panic!("lifecycle attribution broken: {e}");
-                }
-                // Whole-run causal DAG available: derive the critical
-                // path and the what-if speed-limit projections.
-                self.stats.bottleneck = Some(cfir_obs::critpath::analyze(
-                    log,
-                    self.cfg.commit_width as u64,
-                    self.cfg.window as usize,
-                ));
-            }
-            if let Some(path) = &self.pipeview_path {
-                if let Err(e) = std::fs::write(path, log.render_konata()) {
-                    eprintln!("cfir-sim: could not write pipeview {path}: {e}");
-                }
-            }
-        }
-        if let Some(t) = &self.tracer {
-            t.flush();
-        }
+        self.obs.finish(
+            &mut self.stats,
+            self.cfg.commit_width as u64,
+            self.cfg.window as usize,
+        );
     }
 
     // ----------------------------------------------------------------
@@ -717,10 +633,7 @@ impl<'a> Pipeline<'a> {
                 }
             };
             let ready_at = self.cycle + self.cfg.decode_delay as u64;
-            let lid = match &mut self.lifecycle {
-                Some(log) => log.begin_fetch(pc as u64, || inst.to_string(), self.cycle, ready_at),
-                None => 0,
-            };
+            let lid = self.obs.fetch(pc, inst, self.cycle, ready_at);
             self.decode_q.push_back(Fetched {
                 pc,
                 inst,
@@ -782,32 +695,14 @@ impl<'a> Pipeline<'a> {
             e.pred_target = f.pred_target;
             e.ghist = f.ghist;
             e.dispatched_at = self.cycle;
-            if let Some(log) = &mut self.lifecycle {
-                log.note_dispatch(f.lid, seq, self.cycle);
-            }
+            self.obs.dispatch(f.lid, seq, self.cycle);
 
             // Mechanism decode hooks (validation may deliver a reuse).
             let reuse = self.mech_decode(&mut e);
 
-            // Rename sources. With lifecycle recording on, each source
-            // also records a true dataflow `Producer` edge (the stall
-            // cascade only blames the window head, which misses chains
-            // of back-to-back misses; the bottleneck re-walk needs the
-            // full dependence DAG).
-            let srcs = f.inst.sources();
-            for (i, s) in srcs.iter().enumerate() {
-                if let Some(r) = s {
-                    let p = self.rmap[*r as usize];
-                    e.src_phys[i] = Some(p);
-                    if let Some(log) = &mut self.lifecycle {
-                        match self.prod_lid.get(p as usize) {
-                            Some(&plid) if plid != 0 => {
-                                log.edge(f.lid, WaitEdgeKind::Producer, Some(plid), "", self.cycle);
-                            }
-                            _ => {}
-                        }
-                    }
-                }
+            // Rename sources.
+            for (i, s) in f.inst.sources().iter().enumerate() {
+                e.src_phys[i] = s.map(|r| self.rmap[r as usize]);
             }
             // Checkpoint for everything that can redirect (Br, Jr).
             if matches!(f.inst, Inst::Br { .. } | Inst::Jr { .. }) {
@@ -824,13 +719,12 @@ impl<'a> Pipeline<'a> {
                 e.new_phys = Some(p);
                 e.ldest = Some(d);
                 self.rmap[d as usize] = p;
-                if self.lifecycle.is_some() {
-                    if self.prod_lid.len() <= p as usize {
-                        self.prod_lid.resize(p as usize + 1, 0);
-                    }
-                    self.prod_lid[p as usize] = f.lid;
-                }
             }
+            // The recorder's true dataflow `Producer` edges: the stall
+            // cascade only blames the window head, which misses chains
+            // of back-to-back misses; the bottleneck re-walk needs the
+            // full dependence DAG.
+            self.obs.rename(f.lid, e.src_phys, e.new_phys, self.cycle);
             // Memory instructions enter the LSQ.
             if is_mem {
                 self.lsq.push(seq, f.inst.is_store());
@@ -901,9 +795,7 @@ impl<'a> Pipeline<'a> {
         if let Some(r) = reuse {
             e.value = r.value;
             e.reuse = Some(r);
-            if let Some(log) = &mut self.lifecycle {
-                log.set_reused(e.lid, true);
-            }
+            self.obs.reused(e.lid, true);
             if r.pending {
                 // The replica is still executing; the validating
                 // instruction waits for the value (polled in writeback;
@@ -935,9 +827,7 @@ impl<'a> Pipeline<'a> {
             _ => {}
         }
         if e.state == RobState::Done {
-            if let Some(log) = &mut self.lifecycle {
-                log.note_complete(e.lid, self.cycle);
-            }
+            self.obs.complete(e.lid, self.cycle);
         }
     }
 
@@ -968,9 +858,7 @@ impl<'a> Pipeline<'a> {
                 self.rf.write(p, value);
             }
             e.state = RobState::Done;
-            if let Some(log) = &mut self.lifecycle {
-                log.note_complete(e.lid, self.cycle);
-            }
+            self.obs.complete(e.lid, self.cycle);
         }
     }
 }

@@ -67,8 +67,8 @@ pub struct Checkpoint {
 /// One reorder-buffer entry.
 #[derive(Debug, Clone)]
 pub struct RobEntry {
-    /// Lifecycle id assigned at fetch (0 when lifecycle tracing is
-    /// off or the entry predates enabling it).
+    /// Lifecycle id assigned at fetch (0 when lifecycle recording is
+    /// off).
     pub lid: u64,
     /// Dynamic sequence number (monotonic over the whole run).
     pub seq: u64,

@@ -48,56 +48,34 @@ impl Pipeline<'_> {
         let used = (self.stats.committed - committed_before).min(width);
         if used > 0 {
             self.stats.stall.charge(StallCause::Useful, used);
-            // The lifecycle view receives its `useful` charges in
-            // `note_commit` (one per retired instruction; the commit
-            // loop is bounded by `commit_width`, so the sums agree).
+            // The lifecycle view receives its `useful` charges from the
+            // commit hook (one per retired instruction; the commit loop
+            // is bounded by `commit_width`, so the sums agree).
         }
         let idle = width - used;
         if idle > 0 {
             let cause = self.idle_cause();
             self.stats.stall.charge(cause, idle);
-            if self.lifecycle.is_some() {
-                self.lifecycle_idle(cause, idle);
-            }
-        }
-    }
-
-    /// Mirror this cycle's idle charge into the per-instruction view:
-    /// the window head's record absorbs it (it is the instruction the
-    /// cascade blamed), or the front-end bucket when the window is
-    /// empty — plus the causal wait-edge where one is identifiable.
-    fn lifecycle_idle(&mut self, cause: StallCause, idle: u64) {
-        let cycle = self.cycle;
-        let head = self.rob.front();
-        let head_lid = head.map(|e| e.lid);
-        let edge = match cause {
-            // Blame the oldest in-flight producer of the head's first
-            // unready source operand.
-            StallCause::DataDependency => head
-                .and_then(|h| {
-                    h.src_phys
-                        .iter()
-                        .flatten()
-                        .find(|&&p| !self.rf.is_ready(p))
-                        .and_then(|&p| {
-                            self.rob
-                                .iter()
-                                .find(|e| e.new_phys == Some(p))
-                                .map(|e| e.lid)
-                        })
-                })
-                .map(|prod| (WaitEdgeKind::Producer, Some(prod))),
-            StallCause::ReplicaArbitration => Some((WaitEdgeKind::ReplicaValue, None)),
-            // Extends the issue-time edge that recorded the miss level.
-            StallCause::DCacheMiss => Some((WaitEdgeKind::CacheMiss, None)),
-            _ => None,
-        };
-        let Some(log) = &mut self.lifecycle else {
-            return;
-        };
-        log.charge(head_lid, cause, idle);
-        if let (Some(lid), Some((kind, target))) = (head_lid, edge) {
-            log.edge(lid, kind, target, "", cycle);
+            // Mirror the charge into the per-instruction view: the
+            // window head's record absorbs it (it is the instruction the
+            // cascade blamed; an empty window charges the front end),
+            // plus the causal wait-edge where one is identifiable.
+            let (rob, rf) = (&self.rob, &self.rf);
+            let head = rob.front();
+            let edge = || match cause {
+                // Blame the oldest in-flight producer of the head's
+                // first unready source operand.
+                StallCause::DataDependency => head
+                    .and_then(|h| h.src_phys.iter().flatten().find(|&&p| !rf.is_ready(p)))
+                    .and_then(|&p| rob.iter().find(|e| e.new_phys == Some(p)))
+                    .map(|prod| (WaitEdgeKind::Producer, Some(prod.lid))),
+                StallCause::ReplicaArbitration => Some((WaitEdgeKind::ReplicaValue, None)),
+                // Extends the issue-time edge that recorded the miss level.
+                StallCause::DCacheMiss => Some((WaitEdgeKind::CacheMiss, None)),
+                _ => None,
+            };
+            self.obs
+                .idle(head.map(|e| e.lid), cause, idle, edge, self.cycle);
         }
     }
 

@@ -3,12 +3,13 @@
 //! misprediction-side bookkeeping.
 
 use crate::config::Mode;
+use crate::exec::alu_result;
 use crate::mech::{Mech, RepKind, RepSrc, RepState, Replica, SquashReuse};
 use crate::pipeline::Pipeline;
 use crate::rob::{ReuseInfo, RobEntry, RobState};
 use cfir_core::srsmt::{AllocOutcome, SeqId, SrsmtEntry, StorageId, VecKind};
 use cfir_isa::{Inst, Program};
-use cfir_obs::{trace_event, EventKind, Subsystem, WaitEdgeKind};
+use cfir_obs::{EventKind, Subsystem, WaitEdgeKind};
 use std::collections::HashMap;
 
 /// Human-readable labels for the `valfail_reasons` buckets (§2.3.4
@@ -22,44 +23,32 @@ pub const VALFAIL_REASONS: [&str; 5] = [
 ];
 
 impl Pipeline<'_> {
-    /// Number of in-flight (dispatched, not committed) dynamic
-    /// instances of the static instruction at `pc`.
-    pub(crate) fn inflight_same_pc(&self, pc: u32) -> u64 {
-        self.rob.iter().filter(|e| e.pc == pc).count() as u64
-    }
-
-    /// ROB-only variant of [`Pipeline::frontier_addr`], used at entry
-    /// creation while the mechanism is checked out.
-    fn frontier_addr_precreate(&self, pc: u32, stride: i64) -> Option<u64> {
-        let mut younger = 0u64;
-        for e in self.rob.iter().rev() {
-            if e.pc != pc {
-                continue;
-            }
-            if let Some(a) = e.addr {
-                return Some(a.wrapping_add((stride as u64).wrapping_mul(younger + 1)));
-            }
-            younger += 1;
-        }
-        None
-    }
-
     /// Address the *next dispatched* instance of the load at `pc` will
-    /// access, anchored on real evidence: the youngest in-flight
-    /// instance whose address has already been computed, advanced one
-    /// stride per younger in-flight instance. Falls back to the
-    /// commit-anchored stride-predictor estimate.
-    pub(crate) fn frontier_addr(&self, m: &Mech, pc: u32, stride: i64) -> Option<u64> {
+    /// access, from the window alone: the youngest in-flight instance
+    /// whose address has already been computed, advanced one stride
+    /// per younger in-flight instance. `Err` carries the number of
+    /// in-flight instances when none has an address yet.
+    fn window_frontier_addr(&self, pc: u32, stride: i64) -> Result<u64, u64> {
         let mut younger = 0u64;
         for e in self.rob.iter().rev() {
             if e.pc != pc {
                 continue;
             }
             if let Some(a) = e.addr {
-                return Some(a.wrapping_add((stride as u64).wrapping_mul(younger + 1)));
+                return Ok(a.wrapping_add((stride as u64).wrapping_mul(younger + 1)));
             }
             younger += 1;
         }
+        Err(younger)
+    }
+
+    /// [`window_frontier_addr`](Self::window_frontier_addr), falling
+    /// back to the commit-anchored stride-predictor estimate.
+    pub(crate) fn frontier_addr(&self, m: &Mech, pc: u32, stride: i64) -> Option<u64> {
+        let younger = match self.window_frontier_addr(pc, stride) {
+            Ok(a) => return Some(a),
+            Err(younger) => younger,
+        };
         let bpc = Program::byte_pc(pc);
         m.stride.lookup(bpc).and_then(|se| {
             if se.trusted() && se.stride == stride {
@@ -232,15 +221,11 @@ impl Pipeline<'_> {
                                 .map(|k| ent.addr_of(k) == exp)
                                 .unwrap_or(false);
                             if cur_ev {
-                                trace_event!(
-                                    self.tracer,
-                                    Subsystem::Vec,
-                                    pc as u64,
-                                    self.cycle,
+                                self.obs.trace(Subsystem::Vec, pc as u64, self.cycle, || {
                                     EventKind::Note {
-                                        msg: format!("sync-accept exp={exp:#x}")
+                                        msg: format!("sync-accept exp={exp:#x}"),
                                     }
-                                );
+                                });
                                 let ent = m.srsmt.get_mut(idx).unwrap();
                                 ent.synced = true;
                                 if exact_addr == Some(exp) {
@@ -282,15 +267,14 @@ impl Pipeline<'_> {
                                         // live instance: stale addresses.
                                         self.stats.validation_failures += 1;
                                         self.stats.valfail_reasons[3] += 1;
-                                        trace_event!(
-                                            self.tracer,
+                                        self.obs.trace(
                                             Subsystem::Vec,
                                             pc as u64,
                                             self.cycle,
-                                            EventKind::Validate {
+                                            || EventKind::Validate {
                                                 ok: false,
                                                 reason: "address_mismatch",
-                                            }
+                                            },
                                         );
                                         self.teardown_srsmt(m, idx, "stale_addresses");
                                         return None;
@@ -309,7 +293,7 @@ impl Pipeline<'_> {
                 }
             }
             let r = self.try_validate(m, idx, inst, exact_addr);
-            trace_event!(self.tracer, Subsystem::Vec, pc as u64, self.cycle, {
+            self.obs.trace(Subsystem::Vec, pc as u64, self.cycle, || {
                 let msg =
                     match m.srsmt.get(idx) {
                         Some(ent) => format!(
@@ -338,15 +322,10 @@ impl Pipeline<'_> {
                             replica,
                             verified: false,
                         });
-                        trace_event!(
-                            self.tracer,
-                            Subsystem::Vec,
-                            pc as u64,
-                            self.cycle,
-                            EventKind::Note {
-                                msg: format!("probe k={replica} seq={}", e.seq)
-                            }
-                        );
+                        self.obs
+                            .trace(Subsystem::Vec, pc as u64, self.cycle, || EventKind::Note {
+                                msg: format!("probe k={replica} seq={}", e.seq),
+                            });
                         return None;
                     }
                     let pending = !ent.is_complete(replica);
@@ -354,16 +333,12 @@ impl Pipeline<'_> {
                     if inst.is_load() && !pending {
                         e.addr = Some(ent.addr_of(replica));
                     }
-                    trace_event!(
-                        self.tracer,
-                        Subsystem::Vec,
-                        pc as u64,
-                        self.cycle,
+                    self.obs.trace(Subsystem::Vec, pc as u64, self.cycle, || {
                         EventKind::Validate {
                             ok: true,
-                            reason: "ok"
+                            reason: "ok",
                         }
-                    );
+                    });
                     return Some(ReuseInfo {
                         value,
                         pending,
@@ -379,16 +354,12 @@ impl Pipeline<'_> {
                     // to the vectorization triggers below).
                     self.stats.validation_failures += 1;
                     self.stats.valfail_reasons[reason] += 1;
-                    trace_event!(
-                        self.tracer,
-                        Subsystem::Vec,
-                        pc as u64,
-                        self.cycle,
+                    self.obs.trace(Subsystem::Vec, pc as u64, self.cycle, || {
                         EventKind::Validate {
                             ok: false,
-                            reason: VALFAIL_REASONS[reason]
+                            reason: VALFAIL_REASONS[reason],
                         }
-                    );
+                    });
                     self.teardown_srsmt(m, idx, "validation_failure");
                 }
             }
@@ -606,29 +577,22 @@ impl Pipeline<'_> {
             return;
         };
         let storage = ent.unconsumed_storage();
-        trace_event!(
-            self.tracer,
-            Subsystem::Vec,
-            ent.pc >> 2, // SRSMT stores byte PCs; the trace uses word PCs
-            self.cycle,
+        // SRSMT stores byte PCs; the trace uses word PCs.
+        self.obs.trace(Subsystem::Vec, ent.pc >> 2, self.cycle, || {
             EventKind::Teardown {
                 reason,
-                entries: storage.len() as u32
+                entries: storage.len() as u32,
             }
-        );
+        });
         self.free_storage(m, &storage);
         self.reap_replicas(|r| r.srsmt_idx == idx && r.pc == ent.pc && r.gen == ent.gen);
     }
 
     /// Drop every replica matching `pred`, closing its lifecycle record
-    /// (if tracing is on) as squashed-undelivered.
+    /// (if recording is on) as squashed-undelivered.
     pub(crate) fn reap_replicas(&mut self, pred: impl Fn(&Replica) -> bool) {
-        let cyc = self.cycle;
-        let killed = self.replicas.reap(pred);
-        if let Some(log) = &mut self.lifecycle {
-            for &lid in killed {
-                log.finish_replica(lid, cyc, false);
-            }
+        for &lid in self.replicas.reap(pred) {
+            self.obs.replica_end(lid, self.cycle, false);
         }
     }
 
@@ -657,10 +621,9 @@ impl Pipeline<'_> {
         // Address of the instance being decoded (= "instance -1" of the
         // replica stream), anchored on in-flight evidence when possible.
         let base = self
-            .frontier_addr_precreate(pc32, stride)
-            .unwrap_or_else(|| {
-                let gap = self.inflight_same_pc(pc32) + 1;
-                last_addr.wrapping_add((stride as u64).wrapping_mul(gap))
+            .window_frontier_addr(pc32, stride)
+            .unwrap_or_else(|inflight| {
+                last_addr.wrapping_add((stride as u64).wrapping_mul(inflight + 1))
             });
         let mut ent = SrsmtEntry::new(
             bpc,
@@ -680,18 +643,14 @@ impl Pipeline<'_> {
                     self.reap_replicas(|r| r.pc == old.pc && r.gen == old.gen);
                 }
                 self.stats.vectorizations += 1;
-                trace_event!(
-                    self.tracer,
-                    Subsystem::Vec,
-                    pc32 as u64,
-                    self.cycle,
+                self.obs.trace(Subsystem::Vec, pc32 as u64, self.cycle, || {
                     EventKind::Vectorize {
                         kind: "load",
                         base,
                         stride,
                         count: self.cfg.mech.replicas_per_inst as u32,
                     }
-                );
+                });
                 while self.grow_one(m, idx) {}
             }
             AllocOutcome::Full => {}
@@ -784,18 +743,14 @@ impl Pipeline<'_> {
                     m.add_seed_waiter(seed, idx, gen);
                 }
                 self.stats.vectorizations += 1;
-                trace_event!(
-                    self.tracer,
-                    Subsystem::Vec,
-                    e.pc as u64,
-                    self.cycle,
+                self.obs.trace(Subsystem::Vec, e.pc as u64, self.cycle, || {
                     EventKind::Vectorize {
                         kind: "op",
                         base: 0,
                         stride: 0,
                         count: self.cfg.mech.replicas_per_inst as u32,
                     }
-                );
+                });
                 while self.grow_one(m, idx) {}
             }
             AllocOutcome::Full => {}
@@ -890,10 +845,7 @@ impl Pipeline<'_> {
             }
         };
         // SRSMT stores byte PCs; the lifecycle view uses word PCs.
-        let lid = match &mut self.lifecycle {
-            Some(log) => log.begin_replica(pc / 4, || inst.to_string(), self.cycle),
-            None => 0,
-        };
+        let lid = self.obs.replica_begin(pc / 4, inst, self.cycle);
         self.replicas.push(Replica {
             lid,
             pc,
@@ -1015,37 +967,16 @@ impl Pipeline<'_> {
                         };
                         (self.mem.read(a), Some(a), self.cycle + lat as u64)
                     }
-                    Inst::Alu { op, .. } => {
-                        if !self.take_fu_replica(inst) {
+                    _ => {
+                        let Some(value) = alu_result(inst, vals[0], vals[1]) else {
+                            continue;
+                        };
+                        if !self.take_fu(inst.class()) {
                             continue;
                         }
-                        (
-                            op.eval(vals[0], vals[1]),
-                            None,
-                            self.cycle + inst.class().latency().unwrap() as u64,
-                        )
+                        let done_at = self.cycle + inst.class().latency().unwrap() as u64;
+                        (value, None, done_at)
                     }
-                    Inst::AluImm { op, imm, .. } => {
-                        if !self.take_fu_replica(inst) {
-                            continue;
-                        }
-                        (
-                            op.eval(vals[0], imm as u64),
-                            None,
-                            self.cycle + inst.class().latency().unwrap() as u64,
-                        )
-                    }
-                    Inst::Fp { op, .. } => {
-                        if !self.take_fu_replica(inst) {
-                            continue;
-                        }
-                        (
-                            op.eval(vals[0], vals[1]),
-                            None,
-                            self.cycle + inst.class().latency().unwrap() as u64,
-                        )
-                    }
-                    _ => continue,
                 },
             };
             // Spec-memory write port (2 per cycle).
@@ -1070,31 +1001,12 @@ impl Pipeline<'_> {
             // longer than an L1 hit also gets a cache-miss wait-edge.
             let lat = done_at.saturating_sub(self.cycle) as u32;
             let miss = addr.is_some() && lat > self.cfg.hierarchy.l1_hit;
-            let level = if miss { self.miss_level(lat) } else { "" };
-            let (lid, cyc) = (rep.lid, self.cycle);
-            if let Some(log) = &mut self.lifecycle {
-                log.note_issue(lid, cyc);
-                if miss {
-                    log.edge(lid, WaitEdgeKind::CacheMiss, None, level, cyc);
-                }
+            self.obs.issue(rep.lid, self.cycle);
+            if miss {
+                let level = self.miss_level(lat);
+                self.obs
+                    .wait_edge(rep.lid, WaitEdgeKind::CacheMiss, || None, level, self.cycle);
             }
-        }
-    }
-
-    fn take_fu_replica(&mut self, inst: Inst) -> bool {
-        use cfir_isa::FuClass;
-        let slot = match inst.class() {
-            FuClass::IntAlu | FuClass::Store => &mut self.res.int_alu,
-            FuClass::IntMul | FuClass::IntDiv => &mut self.res.int_muldiv,
-            FuClass::FpAlu => &mut self.res.fp_alu,
-            FuClass::FpMul | FuClass::FpDiv => &mut self.res.fp_muldiv,
-            FuClass::Load => return false,
-        };
-        if *slot == 0 {
-            false
-        } else {
-            *slot -= 1;
-            true
         }
     }
 
@@ -1116,9 +1028,7 @@ impl Pipeline<'_> {
             if !alive {
                 // Entry gone: drop the record (storage already freed).
                 self.replicas.swap_remove(i);
-                if let Some(log) = &mut self.lifecycle {
-                    log.finish_replica(rep.lid, cycle, false);
-                }
+                self.obs.replica_end(rep.lid, cycle, false);
                 continue;
             }
             if done {
@@ -1127,9 +1037,7 @@ impl Pipeline<'_> {
                     // Slot recycled/skipped while executing.
                     ent.issue = ent.issue.saturating_sub(1);
                     self.replicas.swap_remove(i);
-                    if let Some(log) = &mut self.lifecycle {
-                        log.finish_replica(rep.lid, cycle, false);
-                    }
+                    self.obs.replica_end(rep.lid, cycle, false);
                     continue;
                 }
                 ent.complete_replica(rep.idx, rep.value, rep.addr);
@@ -1142,9 +1050,7 @@ impl Pipeline<'_> {
                     self.rf.write(storage, rep.value);
                 }
                 self.replicas.swap_remove(i);
-                if let Some(log) = &mut self.lifecycle {
-                    log.finish_replica(rep.lid, cycle, true);
-                }
+                self.obs.replica_end(rep.lid, cycle, true);
                 continue;
             }
             i += 1;

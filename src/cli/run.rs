@@ -22,7 +22,8 @@
 //! * `--pipeview <path>` — record every dynamic instruction's pipeline
 //!   lifecycle (stages, wait-edges, replica/reuse/wrong-path fate) and
 //!   write a Konata-compatible trace to `path` at the end of the run
-//!   (render it with `cfir report timeline <path>`);
+//!   (render it with `cfir report timeline <path>`); missing
+//!   directories are created, and an unwritable path exits 1;
 //! * `--pipeview-cap N` — retain at most N retired lifecycle records
 //!   (ring buffer; default 1M, 0 = unbounded);
 //! * `--emit-json [path.json]` — emit the versioned run-statistics
@@ -31,7 +32,7 @@
 //! * `--data ADDR=VALUE,...` — pre-initialise data memory words;
 //! * `--dump ADDR..ADDR` — print a memory range after the run.
 
-use super::{emit_json, load_program, parse_num, Args};
+use super::{emit_json, load_program, parse_num, write_file, Args};
 use cfir::prelude::*;
 
 const USAGE: &str = "\
@@ -138,8 +139,8 @@ pub fn main(args: Vec<String>) {
     if trace > 0 {
         pipe.enable_commit_log(trace);
     }
-    if let Some(p) = &pipeview_path {
-        pipe.enable_pipeview(p, pipeview_cap);
+    if pipeview_path.is_some() {
+        pipe.enable_lifecycle(pipeview_cap);
     }
     if pipeview > 0 {
         println!("cycle  fetch-pc  decq  rob(done)  lsq  regs  replicas  srsmt  committed");
@@ -165,6 +166,8 @@ pub fn main(args: Vec<String>) {
     let exit_reason = pipe.run();
     let s = &pipe.stats;
     if let Some(p) = &pipeview_path {
+        let log = pipe.lifecycle().expect("recording enabled above");
+        write_file(CMD, p, &log.render_konata());
         eprintln!(
             "[pipeview trace written to {p}: {} records, {} dropped]",
             s.lifecycle_records, s.lifecycle_dropped

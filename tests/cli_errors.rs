@@ -1,8 +1,8 @@
 //! The `cfir` binary's shared error contract, checked on every
 //! subcommand: bad arguments exit 2 with the usage text and never
-//! panic, and the `--emit-json [path.json]` writer creates missing
-//! directories but exits 1, naming the path, when the file cannot be
-//! written.
+//! panic, and the file writers (`--emit-json [path.json]`, `run
+//! --pipeview PATH`) create missing directories but exit 1, naming the
+//! path, when the file cannot be written.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -74,11 +74,13 @@ fn bad_arguments_exit_2_with_usage_on_every_subcommand() {
 }
 
 /// `cfir <sub> ... --emit-json <path>` for each JSON-emitting
-/// subcommand, with cheap arguments (`sample` needs a kernel long
+/// subcommand, or `cfir run ... --pipeview <path>` for `run
+/// --pipeview`, with cheap arguments (`sample` needs a kernel long
 /// enough to hold a few windows).
-fn emit_json(sub: &str, asm: &str, path: &str) -> Output {
+fn write_to(sub: &str, asm: &str, path: &str) -> Output {
     let args: Vec<&str> = match sub {
         "run" => vec!["run", asm, "--mode", "ci", "--emit-json", path],
+        "run --pipeview" => vec!["run", asm, "--mode", "ci", "--pipeview", path],
         "sample" => vec![
             "sample",
             "bzip2",
@@ -110,24 +112,29 @@ fn emit_json_creates_directories_and_fails_cleanly() {
     let blocker = tmp("blocker");
     std::fs::write(&blocker, "a regular file").unwrap();
 
-    for sub in ["run", "sample", "analyze"] {
-        let fresh = tmp(&format!("fresh-{sub}")).join("a/b/out.json");
-        let out = emit_json(sub, asm, fresh.to_str().unwrap());
+    for sub in ["run", "run --pipeview", "sample", "analyze"] {
+        let dir = tmp(&format!("fresh-{}", sub.replace(' ', "")));
+        let fresh = dir.join("a/b/out.json");
+        let out = write_to(sub, asm, fresh.to_str().unwrap());
         assert_exit(&out, 0, &format!("{sub} into a fresh directory"));
         let doc = std::fs::read_to_string(&fresh).expect("document written");
-        assert!(
-            cfir::obs::json::parse(&doc).is_ok(),
-            "{sub}: written document parses"
-        );
+        if sub == "run --pipeview" {
+            assert!(doc.starts_with("Kanata"), "{sub}: a Konata document");
+        } else {
+            assert!(
+                cfir::obs::json::parse(&doc).is_ok(),
+                "{sub}: written document parses"
+            );
+        }
 
         let bad = blocker.join("out.json");
-        let out = emit_json(sub, asm, bad.to_str().unwrap());
+        let out = write_to(sub, asm, bad.to_str().unwrap());
         let stderr = assert_exit(&out, 1, &format!("{sub} under a regular file"));
         assert!(
             stderr.contains(bad.to_str().unwrap()),
             "{sub}: stderr must name the path\nstderr: {stderr}"
         );
-        let _ = std::fs::remove_dir_all(tmp(&format!("fresh-{sub}")));
+        let _ = std::fs::remove_dir_all(dir);
     }
     let _ = std::fs::remove_file(asm);
     let _ = std::fs::remove_file(blocker);

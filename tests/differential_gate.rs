@@ -8,6 +8,11 @@
 //! lifecycle, bottleneck, oracle and dataflow-oracle objects) byte for
 //! byte against `results/baselines/differential.jsonl`.
 //!
+//! Each cell runs a second time with every observer off (no lifecycle
+//! recording, no commit log), and that snapshot must equal the
+//! recorded one once the recorder's own fields are zeroed: observing a
+//! run must not change it.
+//!
 //! When a change *intentionally* moves the numbers, regenerate the
 //! baseline (and review the diff) with:
 //!
@@ -57,6 +62,33 @@ fn spec() -> WorkloadSpec {
     }
 }
 
+/// The snapshot of one recorded (kernel, mode) cell, after checking
+/// that the same cell with every observer off differs only in the
+/// recorder's fields.
+fn snapshot(w: &Workload, mode: Mode) -> String {
+    let mut p = Pipeline::new(&w.prog, w.mem.clone(), gate_config(mode));
+    p.enable_commit_log(16);
+    p.run();
+    let recorded = run_json(w.name, mode.label(), &p.stats);
+
+    let mut cfg = gate_config(mode);
+    cfg.record_lifecycle = false;
+    let mut bare = Pipeline::new(&w.prog, w.mem.clone(), cfg);
+    bare.run();
+    let mut unobserved = p.stats.clone();
+    unobserved.lifecycle_records = 0;
+    unobserved.lifecycle_dropped = 0;
+    unobserved.bottleneck = None;
+    assert_eq!(
+        run_json(w.name, mode.label(), &bare.stats),
+        run_json(w.name, mode.label(), &unobserved),
+        "{}/{}: observers changed the run",
+        w.name,
+        mode.label()
+    );
+    recorded
+}
+
 /// One snapshot per (kernel, mode), in fixed matrix order.
 fn generate_all() -> Vec<String> {
     let mut out: Vec<Option<String>> = vec![None; NAMES.len()];
@@ -68,9 +100,7 @@ fn generate_all() -> Vec<String> {
                 let w = by_name(name, spec()).expect("known kernel");
                 let mut lines = String::new();
                 for mode in MODES {
-                    let mut p = Pipeline::new(&w.prog, w.mem.clone(), gate_config(mode));
-                    p.run();
-                    lines.push_str(&run_json(w.name, mode.label(), &p.stats));
+                    lines.push_str(&snapshot(&w, mode));
                     lines.push('\n');
                 }
                 *slot = Some(lines);

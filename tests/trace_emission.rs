@@ -37,16 +37,14 @@ fn run(asm: &PathBuf, trace_env: Option<&str>) -> String {
     cmd.arg("run")
         .arg(asm)
         .args(["--mode", "ci", "--emit-json"]);
-    cmd.env_remove("CFIR_TRACE")
-        .env_remove("CFIR_DEBUG")
-        .env_remove("CFIR_CSTREAM");
+    cmd.env_remove("CFIR_TRACE");
     if let Some(spec) = trace_env {
         cmd.env("CFIR_TRACE", spec);
     }
     let out = cmd.output().expect("cfir run spawns");
     assert!(
         out.status.success(),
-        "cfir-run failed (trace={trace_env:?}): {}",
+        "cfir run failed (trace={trace_env:?}): {}",
         String::from_utf8_lossy(&out.stderr)
     );
     String::from_utf8(out.stdout).expect("utf-8 stdout")
