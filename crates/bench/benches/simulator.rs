@@ -71,7 +71,7 @@ fn sim_throughput() {
 }
 
 fn mechanism_structures() {
-    use cfir_core::{Mbs, Nrbq, Srsmt};
+    use cfir_core::{Mbs, Srsmt};
     use cfir_predict::{Gshare, StridePredictor};
 
     let mut g = Gshare::paper();
@@ -98,13 +98,6 @@ fn mechanism_structures() {
         m.observe(0x40 + (i % 64) * 4, i.is_multiple_of(3));
         m.is_hard(0x40)
     });
-
-    let mut q = Nrbq::new(16);
-    for s in 0..16 {
-        q.on_branch_decode(s, s as u32, s as u32 + 1);
-        q.on_dest_write((s % 60) as u8 + 1);
-    }
-    bench("nrbq_mask_or", 1000, 100_000, || q.or_masks_from(4));
 
     bench("srsmt_alloc_recover", 100, 10_000, || {
         let mut t = Srsmt::paper();

@@ -18,7 +18,7 @@ use cfir_core::{storage, MechConfig};
 use cfir_harness::{
     AggCtx, Artifact, Experiment, ExperimentOutput, JobResult, JobSpec, WorkloadRef,
 };
-use cfir_sim::{harmonic_mean, Mode, RegFileSize, SimConfig};
+use cfir_sim::{harmonic_mean, Estimate, Mode, RegFileSize, SimConfig};
 use cfir_workloads::{WorkloadSpec, NAMES};
 use std::fmt::Write as _;
 
@@ -1308,26 +1308,20 @@ fn exp_sampling(p: &Params) -> Experiment {
             );
             // `mean ± hw` vs the full-run reference: pass on relative
             // error or on CI coverage; anything else fails the suite.
-            let check = |bench: &str, metric: &str, full: f64, mean: f64, hw: f64, n: u64| {
-                let err = if full.abs() < 1e-12 {
-                    if mean.abs() < 1e-12 {
-                        0.0
-                    } else {
-                        f64::INFINITY
-                    }
-                } else {
-                    (mean - full).abs() / full.abs()
-                };
-                let inside = n >= 2 && full >= mean - hw && full <= mean + hw;
-                if err <= SAMPLING_MAX_REL_ERROR || inside {
+            let check = |bench: &str, metric: &str, full: f64, e: &Estimate| {
+                let err = e.rel_error(full);
+                if err <= SAMPLING_MAX_REL_ERROR || e.contains(full) {
                     Ok(err)
                 } else {
                     Err(format!(
-                        "{bench}: sampled {metric} {mean:.4} vs full {full:.4} — error \
-                         {:.1}% exceeds ±{:.0}% and the 95% CI (±{hw:.4}, n={n}) \
+                        "{bench}: sampled {metric} {:.4} vs full {full:.4} — error \
+                         {:.1}% exceeds ±{:.0}% and the 95% CI (±{:.4}, n={}) \
                          does not cover the full value",
+                        e.mean,
                         err * 100.0,
-                        SAMPLING_MAX_REL_ERROR * 100.0
+                        SAMPLING_MAX_REL_ERROR * 100.0,
+                        e.half_width,
+                        e.n
                     ))
                 }
             };
@@ -1338,45 +1332,35 @@ fn exp_sampling(p: &Params) -> Experiment {
                 let s = v
                     .get("sampling")
                     .ok_or_else(|| format!("{bench}: sampled snapshot has no sampling object"))?;
-                let est = |k: &str| -> Result<(u64, f64, f64), String> {
-                    let e = s
-                        .get(k)
-                        .ok_or_else(|| format!("{bench}: sampling object missing `{k}`"))?;
-                    let f = |f: &str| e.get(f).and_then(|x| x.as_f64()).unwrap_or(0.0);
-                    let n = e.get("n").and_then(|x| x.as_u64()).unwrap_or(0);
-                    Ok((n, f("mean"), f("half_width")))
+                let est = |k: &str| {
+                    s.get(k)
+                        .map(Estimate::from_json)
+                        .ok_or_else(|| format!("{bench}: sampling object missing `{k}`"))
                 };
-                let (ni, ipc_mean, ipc_hw) = est("ipc")?;
-                let (nr, reuse_mean, reuse_hw) = est("reuse_rate")?;
-                let (_, ci_mean, _) = est("ci_exploited")?;
+                let ipc = est("ipc")?;
+                let reuse = est("reuse_rate")?;
+                let ci_expl = est("ci_exploited")?;
                 let detailed = s
                     .get("detailed_insts")
                     .and_then(|x| x.as_u64())
                     .unwrap_or(0);
-                let ipc_err = check(bench, "IPC", full.ipc(), ipc_mean, ipc_hw, ni)?;
-                check(
-                    bench,
-                    "reuse rate",
-                    full.reuse_fraction(),
-                    reuse_mean,
-                    reuse_hw,
-                    nr,
-                )?;
+                let ipc_err = check(bench, "IPC", full.ipc(), &ipc)?;
+                check(bench, "reuse rate", full.reuse_fraction(), &reuse)?;
                 t.row(vec![
                     bench.to_string(),
-                    ni.to_string(),
+                    ipc.n.to_string(),
                     format!(
                         "{:.1}",
                         100.0 * detailed as f64 / SAMPLING_FULL_INSTS as f64
                     ),
                     f3(full.ipc()),
-                    f3(ipc_mean),
-                    f3(ipc_hw),
+                    f3(ipc.mean),
+                    f3(ipc.half_width),
                     format!("{:.2}", ipc_err * 100.0),
                     f3(full.reuse_fraction()),
-                    f3(reuse_mean),
-                    f3(reuse_hw),
-                    f3(ci_mean),
+                    f3(reuse.mean),
+                    f3(reuse.half_width),
+                    f3(ci_expl.mean),
                     "ok".into(),
                 ]);
             }

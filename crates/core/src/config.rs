@@ -10,7 +10,9 @@ pub struct MechConfig {
     /// Propagated strided-load PCs per rename-map entry (Figure 4
     /// sweeps 1, 2, 4; SpecInt2000 needs 1.7 on average).
     pub strided_pc_slots: usize,
-    /// NRBQ capacity (16 entries, §3.1).
+    /// NRBQ capacity (16 entries, §3.1). Only the §3.1 storage budget
+    /// reads it: the simulator takes the CRP's initial mask from an
+    /// exact walk of its window instead of ORing NRBQ masks.
     pub nrbq_entries: usize,
     /// DAEC threshold: replica registers of an entry untouched across
     /// this many misprediction recoveries are released (§2.4.2: 2).
@@ -49,10 +51,13 @@ pub struct MechConfig {
     /// given less priority than the rest" (ablation).
     pub replicas_first: bool,
     /// Refuse to re-vectorize a PC after this many commit-time
-    /// mis-speculation repairs (a confidence counter, decaying every
-    /// 32k commits). `u8::MAX` disables the filter — the default,
-    /// because suppressing re-vectorization also suppresses the reuse
-    /// the paper measures (see DESIGN.md and the ablations binary).
+    /// mis-speculation repairs (a saturating `u8` confidence counter,
+    /// decaying by 1 every 32,768 commits). The default, `u8::MAX`, is
+    /// meant to switch the filter off, because suppressing
+    /// re-vectorization also suppresses the reuse the paper measures
+    /// (see the `ablations` experiment). It does not quite: the test
+    /// is `count >= threshold`, so a PC whose count saturates at 255
+    /// net repairs is still refused (DESIGN.md decision 13).
     pub misspec_blacklist: u8,
 }
 

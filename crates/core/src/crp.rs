@@ -3,7 +3,7 @@
 //! Holds the PC of the estimated re-convergent point of the most recent
 //! mispredicted hard branch, an `R` (reached) flag, and a 64-bit mask
 //! of logical registers written since the branch was fetched (wrong
-//! path included, via the NRBQ OR) and before the re-convergent point.
+//! path included) and before the re-convergent point.
 //!
 //! After the re-convergent point is reached, an instruction whose
 //! source registers all have clear mask bits is *control independent*.
@@ -34,7 +34,9 @@ impl Crp {
     }
 
     /// Activate for a new misprediction: `rcp` from the heuristic,
-    /// `initial_mask` from ORing the NRBQ, `event` for attribution.
+    /// `initial_mask` the registers the wrong path wrote before reaching
+    /// `rcp` (the simulator walks its window for them where the paper
+    /// ORs NRBQ masks), `event` for attribution.
     pub fn activate(&mut self, rcp: u32, initial_mask: u64, event: u64) {
         *self = Crp {
             active: true,

@@ -11,9 +11,6 @@
 //!   (backward branch → fall-through; forward branch → inspect the
 //!   instruction one above the target to distinguish if-then from
 //!   if-then-else hammocks).
-//! * [`Nrbq`] — Not-Retired Branch Queue (§2.3.1/§2.3.2): per in-flight
-//!   branch, the estimated re-convergent point and a 64-bit mask of
-//!   logical registers written after the branch and before the next one.
 //! * [`Crp`] — Current Re-convergent Point register (§2.3.2): RCP PC,
 //!   Reached flag and the accumulated write mask used to test whether a
 //!   post-RCP instruction is control independent.
@@ -72,7 +69,6 @@ pub mod config;
 pub mod crp;
 pub mod events;
 pub mod mbs;
-pub mod nrbq;
 pub mod rcp;
 pub mod rename_ext;
 pub mod specmem;
@@ -83,7 +79,6 @@ pub use config::MechConfig;
 pub use crp::Crp;
 pub use events::{EventOutcome, EventStats};
 pub use mbs::Mbs;
-pub use nrbq::Nrbq;
 pub use rename_ext::RenameExt;
 pub use specmem::SpecMem;
 pub use srsmt::{SeqId, Srsmt, SrsmtEntry, VecKind};

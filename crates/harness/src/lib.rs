@@ -15,7 +15,8 @@
 //!   deduplicated across experiments and content-addressed on disk.
 //! * [`pool`] — a std-only work-stealing thread pool (`--jobs N`) with
 //!   per-job panic isolation (`catch_unwind`; a panicking run fails
-//!   alone), bounded retries and a wall-clock watchdog per job.
+//!   alone) and a wall-clock watchdog per job; failed jobs are not
+//!   retried, since a job is a pure function of its spec.
 //! * [`cache`] — a content-addressed on-disk result cache keyed by
 //!   `hash(workload spec, sim config, sim version)`; `--resume` skips
 //!   completed points after a crash or an interrupted sweep.

@@ -4,11 +4,12 @@
 //! from the front of its own deque and steals from the back of the
 //! others when idle, so stragglers rebalance without a central lock on
 //! the hot path. Each job runs under `catch_unwind`: a panicking
-//! simulation marks that job failed and the suite continues. Failed
-//! jobs are retried up to a bound, and a wall-clock watchdog marks
-//! jobs that exceed a per-job budget as timed out (their worker thread
-//! is abandoned, not joined, so a wedged simulation cannot hang the
-//! suite).
+//! simulation marks that job failed and the suite continues. A failed
+//! job is not retried: [`JobSpec::execute`] is a pure function of the
+//! spec, so a second attempt would fail the same way. A wall-clock
+//! watchdog marks jobs that exceed a per-job budget as timed out
+//! (their worker thread is abandoned, not joined, so a wedged
+//! simulation cannot hang the suite).
 //!
 //! Completion order is **not** deterministic; callers that need
 //! determinism must reduce results by job index (as
@@ -27,8 +28,6 @@ use std::time::{Duration, Instant};
 pub struct PoolOptions {
     /// Worker threads. 0 = available parallelism.
     pub jobs: usize,
-    /// Extra attempts after a failed/panicked run.
-    pub retries: u32,
     /// Per-job wall-clock budget (`None` = no watchdog).
     pub timeout: Option<Duration>,
 }
@@ -51,13 +50,10 @@ pub enum JobOutcome {
     /// The run completed and reduced to a result (boxed: a `JobResult`
     /// is much larger than the other variants).
     Done(Box<JobResult>),
-    /// Every attempt failed (error or panic); the message carries the
-    /// last failure.
+    /// The run failed (error or panic).
     Failed {
-        /// Last error or panic payload.
+        /// The error or panic payload.
         error: String,
-        /// Attempts consumed (1 + retries that ran).
-        attempts: u32,
     },
     /// The watchdog expired the job; its thread was abandoned.
     TimedOut {
@@ -74,8 +70,8 @@ impl JobOutcome {
 }
 
 enum SlotState {
-    /// Waiting in some deque (attempt number of the *next* run).
-    Queued(u32),
+    /// Waiting in some deque.
+    Queued,
     /// Executing on a worker since the instant.
     Running(Instant),
     /// Outcome delivered (by the worker or the watchdog).
@@ -87,7 +83,6 @@ struct Shared {
     queues: Vec<Mutex<VecDeque<usize>>>,
     slots: Vec<Mutex<SlotState>>,
     undecided: AtomicUsize,
-    retries: u32,
     tx: mpsc::Sender<(usize, JobOutcome, Duration)>,
     /// Jobs executing right now / the high-water mark of that count
     /// (reported as [`PoolStats::peak_workers`]).
@@ -125,54 +120,28 @@ impl Shared {
         true
     }
 
-    fn run_task(&self, me: usize, idx: usize) {
+    fn run_task(&self, idx: usize) {
         let started = Instant::now();
-        let attempt = {
+        {
             let mut st = self.slots[idx].lock().unwrap();
-            match *st {
-                SlotState::Queued(a) => {
-                    *st = SlotState::Running(started);
-                    a
-                }
-                _ => return, // decided (or racing); nothing to do
+            if !matches!(*st, SlotState::Queued) {
+                return; // decided (or racing); nothing to do
             }
-        };
+            *st = SlotState::Running(started);
+        }
         let spec = &self.specs[idx];
         let cur = self.running.fetch_add(1, Ordering::SeqCst) + 1;
         self.peak.fetch_max(cur, Ordering::SeqCst);
         let outcome = catch_unwind(AssertUnwindSafe(|| spec.execute()));
         self.running.fetch_sub(1, Ordering::SeqCst);
-        let error = match outcome {
-            Ok(Ok(result)) => {
-                self.decide(idx, JobOutcome::Done(Box::new(result)), started.elapsed());
-                return;
-            }
-            Ok(Err(e)) => e,
-            Err(payload) => format!("panicked: {}", panic_message(&*payload)),
+        let outcome = match outcome {
+            Ok(Ok(result)) => JobOutcome::Done(Box::new(result)),
+            Ok(Err(error)) => JobOutcome::Failed { error },
+            Err(payload) => JobOutcome::Failed {
+                error: format!("panicked: {}", panic_message(&*payload)),
+            },
         };
-        if attempt < self.retries {
-            let mut st = self.slots[idx].lock().unwrap();
-            if matches!(*st, SlotState::Decided) {
-                return;
-            }
-            *st = SlotState::Queued(attempt + 1);
-            drop(st);
-            eprintln!(
-                "cfir-suite: job {} failed (attempt {}): {error}; retrying",
-                spec.display_name(),
-                attempt + 1
-            );
-            self.queues[me].lock().unwrap().push_front(idx);
-        } else {
-            self.decide(
-                idx,
-                JobOutcome::Failed {
-                    error,
-                    attempts: attempt + 1,
-                },
-                started.elapsed(),
-            );
-        }
+        self.decide(idx, outcome, started.elapsed());
     }
 }
 
@@ -196,8 +165,8 @@ pub struct PoolStats {
 
 /// Run every spec to a terminal outcome, invoking `on_done(index,
 /// outcome, wall)` on the **calling thread** as jobs finish (in
-/// completion order); `wall` is the wall-clock time of the deciding
-/// attempt, for throughput accounting. Workers steal from each other;
+/// completion order); `wall` is the job's wall-clock time, for
+/// throughput accounting. Workers steal from each other;
 /// panics are isolated per job; `opts.timeout` bounds each job's wall
 /// clock.
 pub fn execute(
@@ -213,9 +182,8 @@ pub fn execute(
     let (tx, rx) = mpsc::channel();
     let shared = Arc::new(Shared {
         queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-        slots: (0..n).map(|_| Mutex::new(SlotState::Queued(0))).collect(),
+        slots: (0..n).map(|_| Mutex::new(SlotState::Queued)).collect(),
         undecided: AtomicUsize::new(n),
-        retries: opts.retries,
         specs,
         tx,
         running: AtomicUsize::new(0),
@@ -234,7 +202,7 @@ pub fn execute(
                 .spawn(move || {
                     while sh.undecided.load(Ordering::SeqCst) > 0 {
                         match sh.pop_task(me) {
-                            Some(idx) => sh.run_task(me, idx),
+                            Some(idx) => sh.run_task(idx),
                             None => std::thread::park_timeout(Duration::from_millis(1)),
                         }
                     }
@@ -333,26 +301,7 @@ mod tests {
         assert!(out[0].as_ref().unwrap().is_done());
         assert!(out[2].as_ref().unwrap().is_done());
         match out[1].as_ref().unwrap() {
-            JobOutcome::Failed { error, attempts } => {
-                assert_eq!(*attempts, 1);
-                assert!(error.contains("panick"), "{error}");
-            }
-            o => panic!("expected Failed, got {o:?}"),
-        }
-    }
-
-    #[test]
-    fn retries_are_bounded() {
-        let out = run(
-            vec![selftest(true, 0)],
-            &PoolOptions {
-                jobs: 1,
-                retries: 2,
-                ..Default::default()
-            },
-        );
-        match out[0].as_ref().unwrap() {
-            JobOutcome::Failed { attempts, .. } => assert_eq!(*attempts, 3),
+            JobOutcome::Failed { error } => assert!(error.contains("panick"), "{error}"),
             o => panic!("expected Failed, got {o:?}"),
         }
     }
@@ -383,7 +332,6 @@ mod tests {
             &PoolOptions {
                 jobs: 2,
                 timeout: Some(Duration::from_millis(200)),
-                ..Default::default()
             },
         );
         assert!(

@@ -75,8 +75,6 @@ impl std::fmt::Debug for Experiment {
 pub struct SuiteOptions {
     /// Worker threads (0 = available parallelism).
     pub jobs: usize,
-    /// Extra attempts per failing job.
-    pub retries: u32,
     /// Per-job wall-clock budget.
     pub timeout: Option<Duration>,
     /// Reuse cached results (otherwise every point is re-simulated;
@@ -96,7 +94,6 @@ impl Default for SuiteOptions {
     fn default() -> Self {
         SuiteOptions {
             jobs: 0,
-            retries: 0,
             timeout: Some(Duration::from_secs(600)),
             resume: false,
             cache_dir: None,
@@ -337,7 +334,6 @@ pub fn run_suite(experiments: Vec<Experiment>, opts: &SuiteOptions) -> SuiteRepo
     let specs: Vec<JobSpec> = to_run.iter().map(|&i| unique[i].clone()).collect();
     let pool_opts = PoolOptions {
         jobs: opts.jobs,
-        retries: opts.retries,
         timeout: opts.timeout,
     };
     let mut job_wall: Vec<Duration> = vec![Duration::ZERO; unique.len()];
@@ -351,10 +347,10 @@ pub fn run_suite(experiments: Vec<Experiment>, opts: &SuiteOptions) -> SuiteRepo
                     eprintln!("cfir-suite: cache write failed: {e}");
                 }
             }
-            JobOutcome::Failed { error, attempts } => {
+            JobOutcome::Failed { error } => {
                 report.failed += 1;
                 eprintln!(
-                    "cfir-suite: job {} FAILED after {attempts} attempt(s): {error}",
+                    "cfir-suite: job {} FAILED: {error}",
                     unique[i].display_name()
                 );
             }

@@ -8,57 +8,41 @@
 use crate::json::JsonWriter;
 
 /// Which part of the machine emitted an event. Doubles as the filter
-/// dimension for `CFIR_TRACE sub=...`.
+/// dimension for `CFIR_TRACE sub=...`: only subsystems the simulator
+/// emits exist, so a filter naming anything else is rejected rather
+/// than tracing nothing. The discriminants are the Chrome sink's
+/// thread ids and stay fixed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u16)]
 pub enum Subsystem {
-    Fetch = 0,
-    Dispatch,
-    Issue,
-    Exec,
-    Commit,
-    Vec,
-    Lsq,
-    Mem,
-    Predict,
-    Flush,
+    Commit = 4,
+    Vec = 5,
+    Mem = 7,
+    Flush = 9,
 }
 
-/// Number of subsystems.
-pub const NUM_SUBSYSTEMS: usize = 10;
+/// Every subsystem, in discriminant order.
+pub const ALL_SUBSYSTEMS: [Subsystem; 4] = [
+    Subsystem::Commit,
+    Subsystem::Vec,
+    Subsystem::Mem,
+    Subsystem::Flush,
+];
 
 impl Subsystem {
     /// Stable lowercase name (filter syntax + JSON field).
     pub fn name(self) -> &'static str {
         match self {
-            Subsystem::Fetch => "fetch",
-            Subsystem::Dispatch => "dispatch",
-            Subsystem::Issue => "issue",
-            Subsystem::Exec => "exec",
             Subsystem::Commit => "commit",
             Subsystem::Vec => "vec",
-            Subsystem::Lsq => "lsq",
             Subsystem::Mem => "mem",
-            Subsystem::Predict => "predict",
             Subsystem::Flush => "flush",
         }
     }
 
     /// Parse a subsystem name (as used in `CFIR_TRACE sub=`).
     pub fn parse(s: &str) -> Option<Subsystem> {
-        Some(match s {
-            "fetch" => Subsystem::Fetch,
-            "dispatch" => Subsystem::Dispatch,
-            "issue" => Subsystem::Issue,
-            "exec" => Subsystem::Exec,
-            "commit" => Subsystem::Commit,
-            "vec" => Subsystem::Vec,
-            "lsq" => Subsystem::Lsq,
-            "mem" => Subsystem::Mem,
-            "predict" => Subsystem::Predict,
-            "flush" => Subsystem::Flush,
-            _ => return None,
-        })
+        ALL_SUBSYSTEMS.into_iter().find(|sub| sub.name() == s)
     }
 
     /// Bit in the filter's subsystem mask.
@@ -220,25 +204,15 @@ mod tests {
 
     #[test]
     fn subsystem_names_round_trip() {
-        for i in 0..NUM_SUBSYSTEMS as u16 {
-            // Safety net: parse(name) is the identity for every variant.
-            let all = [
-                Subsystem::Fetch,
-                Subsystem::Dispatch,
-                Subsystem::Issue,
-                Subsystem::Exec,
-                Subsystem::Commit,
-                Subsystem::Vec,
-                Subsystem::Lsq,
-                Subsystem::Mem,
-                Subsystem::Predict,
-                Subsystem::Flush,
-            ];
-            let s = all[i as usize];
+        for s in ALL_SUBSYSTEMS {
             assert_eq!(Subsystem::parse(s.name()), Some(s));
             assert_eq!(s.bit().count_ones(), 1);
         }
+        // Chrome thread ids are the discriminants and must not move.
+        let tids = ALL_SUBSYSTEMS.map(|s| s as u16);
+        assert_eq!(tids, [4, 5, 7, 9]);
         assert_eq!(Subsystem::parse("bogus"), None);
+        assert_eq!(Subsystem::parse("exec"), None);
     }
 
     #[test]

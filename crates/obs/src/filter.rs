@@ -4,7 +4,7 @@
 //!
 //! - `pc=N` — only events for this program counter (decimal or `0x` hex)
 //! - `cycle=LO..HI` — only events in this half-open cycle range
-//! - `sub=a+b+c` — only these subsystems (`vec`, `commit`, `exec`, …)
+//! - `sub=a+b+c` — only these subsystems: `commit`, `vec`, `mem`, `flush`
 //! - `sink=text` | `sink=jsonl:PATH` | `sink=chrome:PATH` — output format
 //! - `cap=N` — ring-buffer capacity for buffered sinks
 //!
@@ -262,6 +262,8 @@ mod tests {
     #[test]
     fn errors_are_loud() {
         assert!(TraceFilter::parse("sub=bogus").is_err());
+        // A subsystem the simulator never emits is malformed too.
+        assert!(TraceFilter::parse("sub=exec").is_err());
         assert!(TraceFilter::parse("cycle=10").is_err());
         assert!(TraceFilter::parse("frequency=11").is_err());
         assert!(TraceFilter::parse("pc=zebra").is_err());

@@ -8,7 +8,7 @@
 use std::collections::VecDeque;
 use std::io::Write;
 
-use crate::event::{Subsystem, TraceEvent, NUM_SUBSYSTEMS};
+use crate::event::{TraceEvent, ALL_SUBSYSTEMS};
 use crate::json::JsonWriter;
 
 /// Something that consumes trace events.
@@ -133,20 +133,7 @@ impl ChromeSink {
         let mut w = JsonWriter::new();
         w.begin_obj().key("traceEvents").begin_arr();
         // Thread-name metadata: one "thread" per subsystem.
-        let all_subs = [
-            Subsystem::Fetch,
-            Subsystem::Dispatch,
-            Subsystem::Issue,
-            Subsystem::Exec,
-            Subsystem::Commit,
-            Subsystem::Vec,
-            Subsystem::Lsq,
-            Subsystem::Mem,
-            Subsystem::Predict,
-            Subsystem::Flush,
-        ];
-        debug_assert_eq!(all_subs.len(), NUM_SUBSYSTEMS);
-        for sub in all_subs {
+        for sub in ALL_SUBSYSTEMS {
             w.begin_obj()
                 .field_str("name", "thread_name")
                 .field_str("ph", "M")
@@ -207,7 +194,7 @@ impl Sink for ChromeSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::EventKind;
+    use crate::event::{EventKind, Subsystem};
     use crate::json;
 
     fn ev(cycle: u64) -> TraceEvent {
@@ -245,9 +232,9 @@ mod tests {
         let doc = s.render();
         let v = json::parse(&doc).unwrap();
         let evs = v.get("traceEvents").unwrap().as_arr().unwrap();
-        // 10 thread-name metadata records + 4 retained events.
-        assert_eq!(evs.len(), NUM_SUBSYSTEMS + 4);
-        let first_real = &evs[NUM_SUBSYSTEMS];
+        // 4 thread-name metadata records + 4 retained events.
+        assert_eq!(evs.len(), ALL_SUBSYSTEMS.len() + 4);
+        let first_real = &evs[ALL_SUBSYSTEMS.len()];
         assert_eq!(
             first_real.get("ts").unwrap().as_u64(),
             Some(6),

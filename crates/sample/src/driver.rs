@@ -20,16 +20,12 @@
 //! byte-identical results.
 
 use crate::checkpoint::Checkpoint;
-use crate::estimate::{mean_ci95, Estimate};
+use crate::estimate::mean_ci95;
 use crate::warm::WarmingEmulator;
 use cfir_emu::MemImage;
 use cfir_isa::Program;
 use cfir_obs::fnv1a64;
-use cfir_obs::stall::ALL_CAUSES;
-use cfir_sim::{
-    run_json_sampled, Pipeline, RunExit, SampleEstimate, SampleWindow, SamplingInfo, SimConfig,
-    SimStats,
-};
+use cfir_sim::{Estimate, Pipeline, RunExit, SampledRun, SimConfig, SimStats, WindowRow};
 use std::path::PathBuf;
 
 /// Parameters of a sampled run. The defaults follow the SMARTS-style
@@ -76,26 +72,6 @@ impl Default for SamplingConfig {
     }
 }
 
-/// One measured window of a sampled run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WindowRow {
-    /// Retired-instruction position of the checkpoint the window's
-    /// pipeline started from (start of the warmup).
-    pub start_inst: u64,
-    /// Content id of that checkpoint.
-    pub checkpoint_id: u64,
-    /// Instructions committed inside the measured window.
-    pub committed: u64,
-    /// Cycles the measured window took.
-    pub cycles: u64,
-    /// Window IPC.
-    pub ipc: f64,
-    /// Window reuse rate (reused commits / commits).
-    pub reuse_rate: f64,
-    /// Window CI-exploited fraction (reused events / mispredictions).
-    pub ci_exploited: f64,
-}
-
 /// The result of replaying one window from a checkpoint.
 #[derive(Debug, Clone)]
 pub struct WindowReplay {
@@ -107,166 +83,6 @@ pub struct WindowReplay {
     pub warmup_committed: u64,
     /// Whether the program halted inside this detailed region.
     pub halted: bool,
-}
-
-/// A completed sampled run: per-window rows, per-metric estimates and
-/// the summed measured-portion statistics.
-#[derive(Debug, Clone)]
-pub struct SampledRun {
-    /// Workload name.
-    pub name: String,
-    /// Sampling parameters the run used.
-    pub period: u64,
-    /// Warmup instructions per window.
-    pub warmup: u64,
-    /// Measured instructions per window.
-    pub window: u64,
-    /// Measured windows, in sampling order.
-    pub windows: Vec<WindowRow>,
-    /// Total functionally executed (and warmed) instructions.
-    pub ff_insts: u64,
-    /// Total instructions committed by the detailed pipeline
-    /// (warmup + measured).
-    pub detailed_insts: u64,
-    /// Measured (post-warmup) detailed instructions only.
-    pub measured_insts: u64,
-    /// Whether the program halted within the sampled budget.
-    pub halted: bool,
-    /// IPC estimate across windows. Aggregated SMARTS-style: the
-    /// per-window *CPI* values (a per-instruction quantity over
-    /// equal-instruction windows) are averaged and the mean inverted —
-    /// averaging IPC directly would overweight fast windows and bias
-    /// the estimate high on phase-heterogeneous programs.
-    pub ipc: Estimate,
-    /// Reuse-rate estimate across windows.
-    pub reuse_rate: Estimate,
-    /// CI-exploited-fraction estimate across windows.
-    pub ci_exploited: Estimate,
-    /// Summed stats deltas of all measured windows (counters only;
-    /// histograms / per-branch scorecards stay empty — the sampling
-    /// object is the sampled run's headline payload).
-    pub stats: SimStats,
-}
-
-fn to_sample_estimate(e: &Estimate) -> SampleEstimate {
-    SampleEstimate {
-        n: e.n as u64,
-        mean: e.mean,
-        half_width: e.half_width,
-    }
-}
-
-impl SampledRun {
-    /// The schema-v7 `sampling` object for this run's snapshot.
-    pub fn info(&self) -> SamplingInfo {
-        SamplingInfo {
-            period: self.period,
-            warmup: self.warmup,
-            window: self.window,
-            ff_insts: self.ff_insts,
-            detailed_insts: self.detailed_insts,
-            halted: self.halted,
-            ipc: to_sample_estimate(&self.ipc),
-            reuse_rate: to_sample_estimate(&self.reuse_rate),
-            ci_exploited: to_sample_estimate(&self.ci_exploited),
-            windows: self
-                .windows
-                .iter()
-                .map(|w| SampleWindow {
-                    start_inst: w.start_inst,
-                    checkpoint: w.checkpoint_id,
-                    committed: w.committed,
-                    cycles: w.cycles,
-                    ipc: w.ipc,
-                    reuse_rate: w.reuse_rate,
-                    ci_exploited: w.ci_exploited,
-                })
-                .collect(),
-        }
-    }
-
-    /// Render the run as a schema-v7 snapshot document.
-    pub fn snapshot_json(&self, label: &str) -> String {
-        run_json_sampled(&self.name, label, &self.stats, Some(&self.info()))
-    }
-}
-
-/// The u64 counters that delta/accumulate window-wise. Histograms,
-/// intervals, per-branch scorecards and the bottleneck report are not
-/// meaningfully subtractable and stay at their defaults in window
-/// deltas.
-macro_rules! counter_fields {
-    ($cb:ident) => {
-        $cb!(
-            cycles,
-            committed,
-            committed_reuse,
-            squashed,
-            replicas_executed,
-            replicas_created,
-            branches,
-            mispredicts,
-            validation_failures,
-            commit_check_failures,
-            stores,
-            store_conflicts,
-            loads,
-            reg_occupancy_sum,
-            strided_pc_dropped,
-            strided_pc_sum,
-            strided_pc_samples,
-            vectorizations,
-            l1d_accesses,
-            l1d_misses,
-            l1d_writebacks,
-            l1i_accesses,
-            l1i_misses,
-            l2_accesses,
-            l2_misses,
-            l3_accesses,
-            l3_misses,
-            mem_accesses,
-            fetched,
-            specmem_copies,
-            squash_reuse_hits,
-            lifecycle_records,
-            lifecycle_dropped
-        );
-    };
-}
-
-/// Counter-wise `after - before` of two stats snapshots of the *same*
-/// pipeline (so every counter of `after` dominates `before`).
-fn delta_stats(before: &SimStats, after: &SimStats) -> SimStats {
-    let mut d = SimStats::default();
-    macro_rules! sub {
-        ($($f:ident),* $(,)?) => { $( d.$f = after.$f - before.$f; )* };
-    }
-    counter_fields!(sub);
-    for (i, slot) in d.valfail_reasons.iter_mut().enumerate() {
-        *slot = after.valfail_reasons[i] - before.valfail_reasons[i];
-    }
-    for cause in ALL_CAUSES {
-        d.stall
-            .charge(cause, after.stall.get(cause) - before.stall.get(cause));
-    }
-    d.reg_high_water = after.reg_high_water;
-    d
-}
-
-/// Accumulate a window delta into the run total.
-fn acc_stats(acc: &mut SimStats, d: &SimStats) {
-    macro_rules! add {
-        ($($f:ident),* $(,)?) => { $( acc.$f += d.$f; )* };
-    }
-    counter_fields!(add);
-    for (i, slot) in acc.valfail_reasons.iter_mut().enumerate() {
-        *slot += d.valfail_reasons[i];
-    }
-    for cause in ALL_CAUSES {
-        acc.stall.charge(cause, d.stall.get(cause));
-    }
-    acc.reg_high_water = acc.reg_high_water.max(d.reg_high_water);
 }
 
 /// Replay one detailed region (warmup + measured window) from a
@@ -292,7 +108,7 @@ pub fn replay_window(
         halted = matches!(p.run(), RunExit::Halted);
     }
     let s1 = p.stats.clone();
-    let delta = delta_stats(&s0, &s1);
+    let delta = s1.delta_since(&s0);
     let (_, _, reu0) = s0.events.counts();
     let (_, _, reu1) = s1.events.counts();
     let d_misp = s1.events.total_mispredictions - s0.events.total_mispredictions;
@@ -403,7 +219,7 @@ pub fn run_sampled(
         let rep = replay_window(prog, &ckpt, &cfg, meas_start - warm_start, scfg.window);
         detailed_insts += rep.warmup_committed + rep.row.committed;
         if rep.row.committed > 0 {
-            acc_stats(&mut acc, &rep.delta);
+            acc.accumulate(&rep.delta);
             windows.push(rep.row);
         }
         if rep.halted {

@@ -6,7 +6,10 @@
 //! two-sided 95% quantile. Degenerate cases are explicit rather than
 //! silent: fewer than two windows cannot bound anything (`reliable()`
 //! is false and the half-width is 0), and zero-variance windows yield
-//! a zero-width interval.
+//! a zero-width interval. The [`Estimate`] record itself, with its
+//! accuracy rule, lives beside its writer in `cfir_sim::snapshot`.
+
+use cfir_sim::Estimate;
 
 /// Two-sided 95% Student-t quantiles for 1..=30 degrees of freedom;
 /// beyond that the normal approximation (1.96) is used.
@@ -24,55 +27,6 @@ fn t95(df: usize) -> f64 {
         T95[df - 1]
     } else {
         1.96
-    }
-}
-
-/// A mean with its 95% confidence half-width over `n` samples.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Estimate {
-    /// Number of samples (windows).
-    pub n: usize,
-    /// Sample mean (0 when `n == 0`).
-    pub mean: f64,
-    /// Half-width of the 95% CI (0 when `n < 2`: no bound exists).
-    pub half_width: f64,
-}
-
-impl Estimate {
-    /// Lower CI bound.
-    pub fn lo(&self) -> f64 {
-        self.mean - self.half_width
-    }
-
-    /// Upper CI bound.
-    pub fn hi(&self) -> f64 {
-        self.mean + self.half_width
-    }
-
-    /// Whether `v` lies inside the interval. Always false when the
-    /// estimate is not [`reliable`](Estimate::reliable) — an unbounded
-    /// interval must not be mistaken for an all-covering one.
-    pub fn contains(&self, v: f64) -> bool {
-        self.reliable() && v >= self.lo() && v <= self.hi()
-    }
-
-    /// True when enough windows exist for the interval to mean
-    /// anything (`n >= 2`).
-    pub fn reliable(&self) -> bool {
-        self.n >= 2
-    }
-
-    /// Relative error of the mean against a reference value.
-    pub fn rel_error(&self, reference: f64) -> f64 {
-        if reference == 0.0 {
-            if self.mean == 0.0 {
-                0.0
-            } else {
-                f64::INFINITY
-            }
-        } else {
-            (self.mean - reference).abs() / reference.abs()
-        }
     }
 }
 
@@ -182,13 +136,5 @@ mod tests {
             );
             prev = e.half_width;
         }
-    }
-
-    #[test]
-    fn relative_error_helper() {
-        let e = mean_ci95(&[2.0, 2.0]);
-        assert!((e.rel_error(2.5) - 0.2).abs() < 1e-12);
-        assert_eq!(e.rel_error(0.0), f64::INFINITY);
-        assert_eq!(mean_ci95(&[]).rel_error(0.0), 0.0);
     }
 }

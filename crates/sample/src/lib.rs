@@ -47,7 +47,8 @@ pub mod driver;
 pub mod estimate;
 pub mod warm;
 
+pub use cfir_sim::{Estimate, SampledRun, WindowRow};
 pub use checkpoint::{Checkpoint, FORMAT_VERSION};
-pub use driver::{replay_window, run_sampled, SampledRun, SamplingConfig, WindowRow};
-pub use estimate::{mean_ci95, Estimate};
+pub use driver::{replay_window, run_sampled, SamplingConfig};
+pub use estimate::mean_ci95;
 pub use warm::WarmingEmulator;

@@ -266,11 +266,6 @@ impl Pipeline<'_> {
             if e.in_lsq {
                 self.lsq.pop_committed(e.seq);
             }
-            if e.is_cond_branch() {
-                if let Some(m) = &mut self.mech {
-                    m.nrbq.retire_through(e.seq);
-                }
-            }
 
             self.obs.commit(&e, self.cycle);
 
@@ -369,7 +364,6 @@ impl Pipeline<'_> {
         // speculative state matches the restart point.
         self.gshare.restore_history(self.arch_ghist);
         if let Some(mut m) = self.mech.take() {
-            m.nrbq.clear();
             m.crp.deactivate();
             m.clear_squash_buf();
             // Entries created by any squashed (uncommitted) instruction

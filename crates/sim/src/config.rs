@@ -35,7 +35,7 @@ impl Mode {
         matches!(self, Mode::Ci | Mode::Vect)
     }
 
-    /// Whether the CI selection machinery (MBS/NRBQ/CRP) is active.
+    /// Whether the CI selection machinery (MBS/CRP) is active.
     pub fn selects_ci(self) -> bool {
         matches!(self, Mode::Ci | Mode::CiIw)
     }

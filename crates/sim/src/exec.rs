@@ -394,7 +394,7 @@ impl Pipeline<'_> {
         let actual_target = self.rob[i].actual_target;
         let is_cond = self.rob[i].is_cond_branch();
 
-        // Mechanism: event + CRP activation + NRBQ/SRSMT recovery.
+        // Mechanism: event + CRP activation + SRSMT recovery.
         self.mech_on_mispredict(i, bseq, bpc, is_cond);
 
         // Squash younger instructions.

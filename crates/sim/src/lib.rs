@@ -52,7 +52,5 @@ pub use config::{Mode, RegFileSize, SimConfig};
 pub use observe::CommitRecord;
 pub use pipeline::{Pipeline, PipelineSnapshot, RunExit, WarmStart};
 pub use prof::{BranchProf, BranchScore};
-pub use snapshot::{
-    run_json, run_json_sampled, SampleEstimate, SampleWindow, SamplingInfo, SCHEMA_VERSION,
-};
+pub use snapshot::{run_json, Estimate, SampledRun, WindowRow, SCHEMA_VERSION};
 pub use stats::{harmonic_mean, SimStats};

@@ -1,7 +1,7 @@
 //! Mechanism state bundle: the paper's tables plus the replica engine
 //! records, owned by the pipeline when the mode uses them.
 
-use cfir_core::{Crp, Mbs, MechConfig, Nrbq, SpecMem, Srsmt};
+use cfir_core::{Crp, Mbs, MechConfig, SpecMem, Srsmt};
 use cfir_isa::Inst;
 use cfir_predict::StridePredictor;
 use std::collections::VecDeque;
@@ -199,8 +199,6 @@ pub struct Mech {
     pub cfg: MechConfig,
     /// Mispredicted Branch Status table.
     pub mbs: Mbs,
-    /// Not-Retired Branch Queue.
-    pub nrbq: Nrbq,
     /// Current Re-convergent Point register.
     pub crp: Crp,
     /// Stride predictor (with the `S` selection flags).
@@ -245,7 +243,6 @@ impl Mech {
             .map(|n| SpecMem::new(n, cfg.specmem_latency));
         Mech {
             mbs: Mbs::new(cfg.mbs_sets, cfg.mbs_ways),
-            nrbq: Nrbq::new(cfg.nrbq_entries),
             crp: Crp::new(),
             stride: StridePredictor::new(cfg.stride_sets, cfg.stride_ways),
             srsmt: Srsmt::new(cfg.srsmt_sets, cfg.srsmt_ways, cfg.daec_threshold),
@@ -323,7 +320,6 @@ mod tests {
         let m = Mech::new(MechConfig::paper(), 64);
         assert!(m.specmem.is_none());
         assert!(!m.crp.active);
-        assert!(m.nrbq.is_empty());
         assert_eq!(m.sel_event.len(), 64);
         assert_eq!(m.misspec_count.len(), 64);
         assert_eq!(m.squash_buf.len(), 64);

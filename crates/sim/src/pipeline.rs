@@ -13,7 +13,7 @@
 //! 4. `replica_pump` — the CI replica engine uses *leftover* issue
 //!    bandwidth, FUs and ports (§2.4.1: lower priority);
 //! 5. `dispatch` — rename + window insertion, mechanism decode hooks
-//!    (validation, vectorization, NRBQ/CRP bookkeeping);
+//!    (validation, vectorization, CRP bookkeeping);
 //! 6. `fetch` — gshare-directed instruction fetch (≤ 8, one taken
 //!    branch), I-cache latency modelled.
 

@@ -10,7 +10,7 @@ use crate::prof::BranchScore;
 use crate::stats::SimStats;
 use cfir_obs::critpath::{CpiStack, ALL_CLASSES};
 use cfir_obs::stall::ALL_CAUSES;
-use cfir_obs::{Hist, JsonWriter};
+use cfir_obs::{Hist, JsonValue, JsonWriter};
 
 /// Version stamped into every snapshot (`"schema_version"` field).
 ///
@@ -51,25 +51,81 @@ use cfir_obs::{Hist, JsonWriter};
 ///   unchanged, so v6 consumers can read v7 documents.
 pub const SCHEMA_VERSION: u32 = 7;
 
-/// One `{n, mean, half_width}` estimate inside the `sampling` object.
+/// A mean with its 95% confidence half-width over `n` samples: one
+/// `{n, mean, half_width}` estimate of the `sampling` object.
+///
+/// [`rel_error`](Estimate::rel_error) and
+/// [`contains`](Estimate::contains) are the one accuracy rule a sampled
+/// estimate is judged by against a full detailed run (the
+/// `exp_sampling` gate and `cfir report sampling` both use them).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SampleEstimate {
-    /// Number of measurement windows the estimate aggregates.
-    pub n: u64,
-    /// Sample mean.
+pub struct Estimate {
+    /// Number of samples (windows).
+    pub n: usize,
+    /// Sample mean (0 when `n == 0`).
     pub mean: f64,
-    /// Half-width of the 95% confidence interval (0 when `n < 2`).
+    /// Half-width of the 95% CI (0 when `n < 2`: no bound exists).
     pub half_width: f64,
 }
 
-/// One measurement window inside the `sampling` object.
+impl Estimate {
+    /// Read an estimate back from its `{n, mean, half_width}` object;
+    /// a missing or mistyped field reads as 0.
+    pub fn from_json(v: &JsonValue) -> Estimate {
+        let f = |k: &str| v.get(k).and_then(|x| x.as_f64()).unwrap_or(0.0);
+        Estimate {
+            n: v.get("n").and_then(|x| x.as_u64()).unwrap_or(0) as usize,
+            mean: f("mean"),
+            half_width: f("half_width"),
+        }
+    }
+
+    /// Lower CI bound.
+    pub fn lo(&self) -> f64 {
+        self.mean - self.half_width
+    }
+
+    /// Upper CI bound.
+    pub fn hi(&self) -> f64 {
+        self.mean + self.half_width
+    }
+
+    /// Whether `v` lies inside the interval. Always false when the
+    /// estimate is not [`reliable`](Estimate::reliable) — an unbounded
+    /// interval must not be mistaken for an all-covering one.
+    pub fn contains(&self, v: f64) -> bool {
+        self.reliable() && v >= self.lo() && v <= self.hi()
+    }
+
+    /// True when enough windows exist for the interval to mean
+    /// anything (`n >= 2`).
+    pub fn reliable(&self) -> bool {
+        self.n >= 2
+    }
+
+    /// Relative error of the mean against a reference value; infinite
+    /// when the reference is 0 and the mean is not.
+    pub fn rel_error(&self, reference: f64) -> f64 {
+        if reference == 0.0 {
+            if self.mean == 0.0 {
+                0.0
+            } else {
+                f64::INFINITY
+            }
+        } else {
+            (self.mean - reference).abs() / reference.abs()
+        }
+    }
+}
+
+/// One measured window of a sampled run.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SampleWindow {
-    /// Retired-instruction position of the checkpoint the window
-    /// started from.
+pub struct WindowRow {
+    /// Retired-instruction position of the checkpoint the window's
+    /// pipeline started from (start of the warmup).
     pub start_inst: u64,
-    /// Content id of that checkpoint (FNV-1a of its serialized bytes).
-    pub checkpoint: u64,
+    /// Content id of that checkpoint.
+    pub checkpoint_id: u64,
     /// Instructions committed inside the measured window.
     pub committed: u64,
     /// Cycles the measured window took.
@@ -82,32 +138,89 @@ pub struct SampleWindow {
     pub ci_exploited: f64,
 }
 
-/// Everything the `sampling` object of a sampled run's snapshot
-/// carries (schema v7). Produced by `cfir-sample`; plain data so the
-/// dependency arrow stays sample → sim.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SamplingInfo {
-    /// Instructions between successive window starts.
+/// A completed sampled run: per-window rows, per-metric estimates and
+/// the summed measured-portion statistics. `cfir-sample` computes it
+/// (and re-exports the type); [`SampledRun::snapshot_json`] writes it.
+/// Plain data, so the dependency arrow stays sample → sim.
+#[derive(Debug, Clone)]
+pub struct SampledRun {
+    /// Workload name.
+    pub name: String,
+    /// Sampling parameters the run used.
     pub period: u64,
-    /// Detailed warmup instructions per window (excluded from stats).
+    /// Warmup instructions per window.
     pub warmup: u64,
-    /// Measured detailed instructions per window.
+    /// Measured instructions per window.
     pub window: u64,
-    /// Total functionally fast-forwarded (and warmed) instructions.
+    /// Measured windows, in sampling order.
+    pub windows: Vec<WindowRow>,
+    /// Total functionally executed (and warmed) instructions.
     pub ff_insts: u64,
     /// Total instructions committed by the detailed pipeline
-    /// (warmup + measured, across all windows).
+    /// (warmup + measured).
     pub detailed_insts: u64,
-    /// Whether the program halted during the sampled run.
+    /// Measured (post-warmup) detailed instructions only.
+    pub measured_insts: u64,
+    /// Whether the program halted within the sampled budget.
     pub halted: bool,
-    /// IPC estimate across windows.
-    pub ipc: SampleEstimate,
+    /// IPC estimate across windows. Aggregated SMARTS-style: the
+    /// per-window *CPI* values (a per-instruction quantity over
+    /// equal-instruction windows) are averaged and the mean inverted —
+    /// averaging IPC directly would overweight fast windows and bias
+    /// the estimate high on phase-heterogeneous programs.
+    pub ipc: Estimate,
     /// Reuse-rate estimate across windows.
-    pub reuse_rate: SampleEstimate,
+    pub reuse_rate: Estimate,
     /// CI-exploited-fraction estimate across windows.
-    pub ci_exploited: SampleEstimate,
-    /// Per-window measurements, in sampling order.
-    pub windows: Vec<SampleWindow>,
+    pub ci_exploited: Estimate,
+    /// Summed stats deltas of all measured windows (counters only;
+    /// histograms / per-branch scorecards stay empty — the sampling
+    /// object is the sampled run's headline payload).
+    pub stats: SimStats,
+}
+
+impl SampledRun {
+    /// Render the run as a schema-v7 snapshot document: the
+    /// [`run_json`] keys of the summed window stats, then the
+    /// `sampling` object.
+    pub fn snapshot_json(&self, label: &str) -> String {
+        let est = |w: &mut JsonWriter, key: &str, e: &Estimate| {
+            w.key(key).begin_obj();
+            w.field_u64("n", e.n as u64)
+                .field_f64("mean", e.mean)
+                .field_f64("half_width", e.half_width);
+            w.end_obj();
+        };
+        let mut w = JsonWriter::new();
+        w.begin_obj();
+        write_run(&mut w, &self.name, label, &self.stats);
+        w.key("sampling").begin_obj();
+        w.field_u64("period", self.period)
+            .field_u64("warmup", self.warmup)
+            .field_u64("window", self.window)
+            .field_u64("ff_insts", self.ff_insts)
+            .field_u64("detailed_insts", self.detailed_insts)
+            .field_bool("halted", self.halted);
+        est(&mut w, "ipc", &self.ipc);
+        est(&mut w, "reuse_rate", &self.reuse_rate);
+        est(&mut w, "ci_exploited", &self.ci_exploited);
+        w.key("windows").begin_arr();
+        for win in &self.windows {
+            w.begin_obj()
+                .field_u64("start_inst", win.start_inst)
+                .field_str("checkpoint", &format!("{:016x}", win.checkpoint_id))
+                .field_u64("committed", win.committed)
+                .field_u64("cycles", win.cycles)
+                .field_f64("ipc", win.ipc)
+                .field_f64("reuse_rate", win.reuse_rate)
+                .field_f64("ci_exploited", win.ci_exploited)
+                .end_obj();
+        }
+        w.end_arr();
+        w.end_obj();
+        w.end_obj();
+        w.finish()
+    }
 }
 
 fn write_hist(w: &mut JsonWriter, key: &str, h: &Hist) {
@@ -133,22 +246,18 @@ fn write_hist(w: &mut JsonWriter, key: &str, h: &Hist) {
 /// `name` is the workload, `label` the machine variant (mode). The
 /// stall-breakdown invariant (buckets sum to `cycles × commit_width`)
 /// has already been checked by `finalize_stats` when this is called
-/// on a finished run.
+/// on a finished run. Sampled runs add their `sampling` object through
+/// [`SampledRun::snapshot_json`].
 pub fn run_json(name: &str, label: &str, stats: &SimStats) -> String {
-    run_json_sampled(name, label, stats, None)
-}
-
-/// [`run_json`] plus the optional schema-v7 `sampling` object. Pass
-/// `Some(info)` for runs produced by the statistical-sampling driver;
-/// `None` yields exactly the document `run_json` produces.
-pub fn run_json_sampled(
-    name: &str,
-    label: &str,
-    stats: &SimStats,
-    sampling: Option<&SamplingInfo>,
-) -> String {
     let mut w = JsonWriter::new();
     w.begin_obj();
+    write_run(&mut w, name, label, stats);
+    w.end_obj();
+    w.finish()
+}
+
+/// Write every key of a run's document into the object `w` has open.
+fn write_run(w: &mut JsonWriter, name: &str, label: &str, stats: &SimStats) {
     w.field_u64("schema_version", SCHEMA_VERSION as u64)
         .field_str("name", name)
         .field_str("mode", label)
@@ -211,10 +320,10 @@ pub fn run_json_sampled(
     w.end_obj();
 
     w.key("histograms").begin_obj();
-    write_hist(&mut w, "load_to_use", &stats.h_load_to_use);
-    write_hist(&mut w, "branch_resolve", &stats.h_branch_resolve);
-    write_hist(&mut w, "reuse_wait", &stats.h_reuse_wait);
-    write_hist(&mut w, "flush_recovery", &stats.h_flush_recovery);
+    write_hist(w, "load_to_use", &stats.h_load_to_use);
+    write_hist(w, "branch_resolve", &stats.h_branch_resolve);
+    write_hist(w, "reuse_wait", &stats.h_reuse_wait);
+    write_hist(w, "flush_recovery", &stats.h_flush_recovery);
     w.end_obj();
 
     w.key("intervals").begin_arr();
@@ -247,7 +356,7 @@ pub fn run_json_sampled(
     w.key("branches").begin_arr();
     for (pc, score) in prof.sorted() {
         w.begin_obj().field_u64("pc", pc as u64);
-        write_score_fields(&mut w, &score);
+        write_score_fields(w, &score);
         w.field_f64("ci_exploited_rate", score.ci_exploited_rate());
         // Static oracle truth (schema v3); keys omitted when the
         // analyzer had nothing for this PC (e.g. synthetic tests).
@@ -344,45 +453,6 @@ pub fn run_json_sampled(
         w.end_arr();
     }
     w.end_obj();
-
-    // Statistical-sampling summary (schema v7); only present on runs
-    // produced by the `cfir-sample` driver.
-    if let Some(s) = sampling {
-        let est = |w: &mut JsonWriter, key: &str, e: &SampleEstimate| {
-            w.key(key).begin_obj();
-            w.field_u64("n", e.n)
-                .field_f64("mean", e.mean)
-                .field_f64("half_width", e.half_width);
-            w.end_obj();
-        };
-        w.key("sampling").begin_obj();
-        w.field_u64("period", s.period)
-            .field_u64("warmup", s.warmup)
-            .field_u64("window", s.window)
-            .field_u64("ff_insts", s.ff_insts)
-            .field_u64("detailed_insts", s.detailed_insts)
-            .field_bool("halted", s.halted);
-        est(&mut w, "ipc", &s.ipc);
-        est(&mut w, "reuse_rate", &s.reuse_rate);
-        est(&mut w, "ci_exploited", &s.ci_exploited);
-        w.key("windows").begin_arr();
-        for win in &s.windows {
-            w.begin_obj()
-                .field_u64("start_inst", win.start_inst)
-                .field_str("checkpoint", &format!("{:016x}", win.checkpoint))
-                .field_u64("committed", win.committed)
-                .field_u64("cycles", win.cycles)
-                .field_f64("ipc", win.ipc)
-                .field_f64("reuse_rate", win.reuse_rate)
-                .field_f64("ci_exploited", win.ci_exploited)
-                .end_obj();
-        }
-        w.end_arr();
-        w.end_obj();
-    }
-
-    w.end_obj();
-    w.finish()
 }
 
 /// Emit the counter fields of one [`BranchScore`] into the object the
@@ -580,39 +650,38 @@ mod tests {
 
     #[test]
     fn sampling_object_round_trips() {
-        let info = SamplingInfo {
+        let est = |n, mean, half_width| Estimate {
+            n,
+            mean,
+            half_width,
+        };
+        let run = SampledRun {
+            name: "gzip".into(),
             period: 50_000,
             warmup: 2_000,
             window: 3_000,
-            ff_insts: 900_000,
-            detailed_insts: 100_000,
-            halted: false,
-            ipc: SampleEstimate {
-                n: 20,
-                mean: 2.41,
-                half_width: 0.05,
-            },
-            reuse_rate: SampleEstimate {
-                n: 20,
-                mean: 0.12,
-                half_width: 0.01,
-            },
-            ci_exploited: SampleEstimate {
-                n: 20,
-                mean: 0.31,
-                half_width: 0.03,
-            },
-            windows: vec![SampleWindow {
+            windows: vec![WindowRow {
                 start_inst: 45_000,
-                checkpoint: 0xdead_beef_0000_0001,
+                checkpoint_id: 0xdead_beef_0000_0001,
                 committed: 3_000,
                 cycles: 1_250,
                 ipc: 2.4,
                 reuse_rate: 0.11,
                 ci_exploited: 0.30,
             }],
+            ff_insts: 900_000,
+            detailed_insts: 100_000,
+            measured_insts: 3_000,
+            halted: false,
+            ipc: est(20, 2.41, 0.05),
+            reuse_rate: est(20, 0.12, 0.01),
+            ci_exploited: est(20, 0.31, 0.03),
+            stats: SimStats::default(),
         };
-        let text = run_json_sampled("gzip", "scal", &SimStats::default(), Some(&info));
+        let text = run.snapshot_json("scal");
+        // Everything before the `sampling` object is the plain document.
+        let plain = run_json("gzip", "scal", &SimStats::default());
+        assert!(text.starts_with(plain.strip_suffix('}').unwrap()));
         let v = json::parse(&text).expect("sampled snapshot parses");
         assert_eq!(v.get("schema_version").unwrap().as_u64(), Some(7));
         let s = v.get("sampling").unwrap();
@@ -621,10 +690,13 @@ mod tests {
         assert_eq!(s.get("window").unwrap().as_u64(), Some(3_000));
         assert_eq!(s.get("ff_insts").unwrap().as_u64(), Some(900_000));
         assert_eq!(s.get("halted"), Some(&json::JsonValue::Bool(false)));
-        let ipc = s.get("ipc").unwrap();
-        assert_eq!(ipc.get("n").unwrap().as_u64(), Some(20));
-        assert!((ipc.get("mean").unwrap().as_f64().unwrap() - 2.41).abs() < 1e-12);
-        assert!((ipc.get("half_width").unwrap().as_f64().unwrap() - 0.05).abs() < 1e-12);
+        for (key, e) in [
+            ("ipc", run.ipc),
+            ("reuse_rate", run.reuse_rate),
+            ("ci_exploited", run.ci_exploited),
+        ] {
+            assert_eq!(Estimate::from_json(s.get(key).unwrap()), e);
+        }
         let wins = s.get("windows").unwrap().as_arr().unwrap();
         assert_eq!(wins.len(), 1);
         assert_eq!(wins[0].get("start_inst").unwrap().as_u64(), Some(45_000));
@@ -633,6 +705,21 @@ mod tests {
             Some("deadbeef00000001")
         );
         assert_eq!(wins[0].get("cycles").unwrap().as_u64(), Some(1_250));
+    }
+
+    #[test]
+    fn accuracy_rule_edge_cases() {
+        let e = |n, mean, half_width| Estimate {
+            n,
+            mean,
+            half_width,
+        };
+        assert!((e(2, 2.0, 0.0).rel_error(2.5) - 0.2).abs() < 1e-12);
+        // A zero reference bounds nothing unless the mean is zero too.
+        assert_eq!(e(2, 0.1, 0.0).rel_error(0.0), f64::INFINITY);
+        assert_eq!(e(0, 0.0, 0.0).rel_error(0.0), 0.0);
+        // Coverage is inclusive at both bounds.
+        assert!(e(5, 1.0, 0.5).contains(0.5) && e(5, 1.0, 0.5).contains(1.5));
     }
 
     #[test]

@@ -4,6 +4,7 @@
 use crate::prof::BranchProf;
 use cfir_core::srsmt::SrsmtStats;
 use cfir_core::EventStats;
+use cfir_obs::stall::ALL_CAUSES;
 use cfir_obs::{BottleneckReport, Hist, StallBreakdown};
 
 /// One point of the interval time series (see
@@ -150,7 +151,97 @@ pub struct SimStats {
     pub bottleneck: Option<BottleneckReport>,
 }
 
+/// The plain `u64` counters of [`SimStats`] that a sampled run takes
+/// window by window ([`SimStats::delta_since`]) and sums across
+/// windows ([`SimStats::accumulate`]); `valfail_reasons` and the stall
+/// breakdown go the same way, and `reg_high_water` is maxed. Everything
+/// else (event and SRSMT statistics, the oracle counters, histograms,
+/// intervals, per-branch scorecards, the bottleneck report) is not
+/// meaningfully subtractable and stays at its default in a window
+/// delta. A new counter that should reach a sampled run's snapshot
+/// belongs in this list.
+macro_rules! window_counters {
+    ($cb:ident) => {
+        $cb!(
+            cycles,
+            committed,
+            committed_reuse,
+            squashed,
+            replicas_executed,
+            replicas_created,
+            branches,
+            mispredicts,
+            validation_failures,
+            commit_check_failures,
+            stores,
+            store_conflicts,
+            loads,
+            reg_occupancy_sum,
+            strided_pc_dropped,
+            strided_pc_sum,
+            strided_pc_samples,
+            vectorizations,
+            l1d_accesses,
+            l1d_misses,
+            l1d_writebacks,
+            l1i_accesses,
+            l1i_misses,
+            l2_accesses,
+            l2_misses,
+            l3_accesses,
+            l3_misses,
+            mem_accesses,
+            fetched,
+            specmem_copies,
+            squash_reuse_hits,
+            lifecycle_records,
+            lifecycle_dropped
+        );
+    };
+}
+
 impl SimStats {
+    /// Counter-wise `self - before` over the window counters, for two
+    /// snapshots of the *same* pipeline (every counter of `self`
+    /// dominates `before`). `reg_high_water` is carried over from
+    /// `self`.
+    pub fn delta_since(&self, before: &SimStats) -> SimStats {
+        let mut d = SimStats::default();
+        macro_rules! sub {
+            ($($f:ident),*) => { $( d.$f = self.$f - before.$f; )* };
+        }
+        window_counters!(sub);
+        for (slot, (a, b)) in d
+            .valfail_reasons
+            .iter_mut()
+            .zip(self.valfail_reasons.iter().zip(&before.valfail_reasons))
+        {
+            *slot = a - b;
+        }
+        for cause in ALL_CAUSES {
+            d.stall
+                .charge(cause, self.stall.get(cause) - before.stall.get(cause));
+        }
+        d.reg_high_water = self.reg_high_water;
+        d
+    }
+
+    /// Add a window delta ([`delta_since`](SimStats::delta_since))
+    /// into a run total: counters summed, register high-water maxed.
+    pub fn accumulate(&mut self, d: &SimStats) {
+        macro_rules! add {
+            ($($f:ident),*) => { $( self.$f += d.$f; )* };
+        }
+        window_counters!(add);
+        for (slot, v) in self.valfail_reasons.iter_mut().zip(d.valfail_reasons) {
+            *slot += v;
+        }
+        for cause in ALL_CAUSES {
+            self.stall.charge(cause, d.stall.get(cause));
+        }
+        self.reg_high_water = self.reg_high_water.max(d.reg_high_water);
+    }
+
     /// Instructions per cycle.
     pub fn ipc(&self) -> f64 {
         if self.cycles == 0 {
@@ -262,6 +353,31 @@ mod tests {
             ..Default::default()
         };
         assert!((s.wrong_path_fraction() - 0.3).abs() < 1e-12);
+    }
+
+    #[test]
+    fn window_deltas_sum_back_to_the_run() {
+        let at = |k: u64| {
+            let mut s = SimStats {
+                cycles: 100 * k,
+                committed: 250 * k,
+                lifecycle_dropped: k,
+                reg_high_water: 10 * k,
+                ..Default::default()
+            };
+            s.valfail_reasons[4] = 3 * k;
+            s.stall.charge(cfir_obs::StallCause::Useful, 800 * k);
+            s
+        };
+        let (s0, s1, s2) = (at(0), at(1), at(3));
+        let mut acc = SimStats::default();
+        acc.accumulate(&s1.delta_since(&s0));
+        acc.accumulate(&s2.delta_since(&s1));
+        assert_eq!((acc.cycles, acc.committed), (300, 750));
+        assert_eq!(acc.lifecycle_dropped, 3);
+        assert_eq!(acc.valfail_reasons[4], 9);
+        assert_eq!(acc.stall.get(cfir_obs::StallCause::Useful), 2400);
+        assert_eq!(acc.reg_high_water, 30, "high-water is maxed, not summed");
     }
 
     #[test]

@@ -79,7 +79,7 @@ impl Pipeline<'_> {
         let inst = e.inst;
         let mode = self.cfg.mode;
 
-        // --- CRP / NRBQ tracking (§2.3.2), ci and ci-iw modes ---
+        // --- CRP tracking (§2.3.2), ci and ci-iw modes ---
         let mut is_ci = false;
         if mode.selects_ci() {
             let reached = m.crp.on_fetch(pc);
@@ -108,12 +108,7 @@ impl Pipeline<'_> {
                     }
                 }
             }
-            if inst.is_cond_branch() {
-                let rcp = cfir_core::rcp::estimate(self.prog, pc).unwrap_or(pc + 1);
-                m.nrbq.on_branch_decode(e.seq, pc, rcp);
-            }
             if let Some(d) = inst.dest() {
-                m.nrbq.on_dest_write(d);
                 m.crp.on_dest_write(d, is_ci);
             }
         }
@@ -1096,11 +1091,11 @@ impl Pipeline<'_> {
                         .note_rcp_check(bpc, rcp_est == truth.rcp);
                 }
                 if let Some(rcp) = rcp_est {
-                    // The NRBQ OR (kept for the or_masks_from API and its
-                    // tests) over-taints when the wrong path runs past the
-                    // re-convergent point; the window walk computes the
-                    // §2.3.2 quantity — writes after the branch and
-                    // *before the RCP is reached* — exactly.
+                    // ORing the paper's NRBQ masks over-taints when the
+                    // wrong path runs past the re-convergent point; the
+                    // window walk computes the §2.3.2 quantity — writes
+                    // after the branch and *before the RCP is reached* —
+                    // exactly.
                     let mask = self.wrong_path_mask(rob_idx, rcp);
                     m.crp.activate(rcp, mask, event);
                     if mode == Mode::CiIw {
@@ -1111,7 +1106,6 @@ impl Pipeline<'_> {
                 self.stats.events.mispredict_without_event();
             }
         }
-        m.nrbq.squash_younger(bseq);
         // Entries whose creating instruction is being squashed lose
         // their instance alignment.
         self.teardown_created_after(&mut m, bseq);

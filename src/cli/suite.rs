@@ -4,7 +4,7 @@
 //! Every figure/table/ablation is declared as data in
 //! `cfir_bench::experiments`; this subcommand schedules any subset of
 //! that matrix on the `cfir-harness` work-stealing pool, with per-job
-//! panic isolation, bounded retries, a wall-clock watchdog, and a
+//! panic isolation, a wall-clock watchdog, and a
 //! content-addressed result cache so `--resume` skips every point that
 //! already ran. Aggregation reduces results in job-definition order,
 //! so the artifacts under `results/` are byte-identical for `--jobs 1`
@@ -36,7 +36,6 @@ usage: cfir suite [experiments..] [flags]
   --profile NAME    smoke | figures | ablations | extras | all
   --jobs N          worker threads (default: available parallelism)
   --resume          reuse cached results for unchanged points
-  --retries N       extra attempts per failing job (default 0)
   --timeout SECS    per-job wall-clock budget (default 600, 0 = none)
   --cache-dir PATH  result cache (default target/cfir-suite-cache)
   --out-dir PATH    artifact directory (default results/)
@@ -129,7 +128,6 @@ pub fn main(args: Vec<String>) {
                 names.extend(p.iter().map(|s| s.to_string()));
             }
             "--jobs" => opts.jobs = a.num("--jobs"),
-            "--retries" => opts.retries = a.num("--retries"),
             "--timeout" => {
                 let secs: u64 = a.num("--timeout");
                 opts.timeout = (secs > 0).then(|| Duration::from_secs(secs));

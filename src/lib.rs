@@ -10,7 +10,7 @@
 //! | [`emu`] | functional (golden-model) emulator, paged word memory |
 //! | [`mem`] | L1I/L1D/L2/L3 cache hierarchy, wide-bus geometry |
 //! | [`predict`] | gshare branch predictor, stride predictor |
-//! | [`core`] | the paper's mechanism: MBS, NRBQ, CRP, SRSMT, spec memory |
+//! | [`core`] | the paper's mechanism: MBS, CRP, SRSMT, spec memory |
 //! | [`analyze`] | static CFG / post-dominator analysis, RCP oracle, lints |
 //! | [`sim`] | execution-driven out-of-order superscalar pipeline |
 //! | [`workloads`] | 12 synthetic SpecInt2000-like kernels |

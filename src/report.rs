@@ -11,6 +11,7 @@
 //! `results/baselines/`.
 
 use cfir_obs::json::{self, JsonValue};
+use cfir_sim::Estimate;
 use std::fmt::Write as _;
 
 /// How a metric's movement is judged.
@@ -628,11 +629,21 @@ pub fn render_cidi(doc: &JsonValue) -> Result<String, String> {
 
 /// Pretty-print the statistical-sampling view of a document: per-run
 /// sampling parameters, window tables and mean ± 95% CI estimates
-/// (the schema-v7 `sampling` object). When `full` is given, sampled
-/// runs are matched against its runs by `(name, mode)` and a
-/// full-vs-sampled error table is appended: relative error of each
-/// estimate against the full detailed value and whether the CI covers
-/// it.
+/// (the schema-v7 `sampling` object). Sampled runs are matched by
+/// `(name, mode)` against the full detailed runs of `full` (or, with
+/// no second document, of `doc` itself), and each estimate row gains
+/// the full value, `err%` ([`Estimate::rel_error`], infinite when the
+/// full value is 0 and the mean is not) and `covered`
+/// ([`Estimate::contains`]) — the rule the `exp_sampling` gate applies.
+///
+/// The `full` column reads `ipc`, `reuse_fraction` and
+/// `branch_prof.ci_exploited_fraction`. The last is *not* the formula
+/// the sampled `CI exploited` estimate averages: each window divides
+/// reused events by every recovered conditional misprediction,
+/// wrong-path ones included (Figure 5's "≥1 reuse" denominator),
+/// while `ci_exploited_fraction` divides by committed mispredictions
+/// and can exceed 1. That row's `err%` measures the gap between the
+/// two formulas, not the sampling error.
 pub fn render_sampling(doc: &JsonValue, full: Option<&JsonValue>) -> Result<String, String> {
     let runs: Vec<&JsonValue> = match doc.get("runs").and_then(|r| r.as_arr()) {
         Some(rs) => rs.iter().collect(),
@@ -694,17 +705,6 @@ pub fn render_sampling(doc: &JsonValue, full: Option<&JsonValue>) -> Result<Stri
             }
         );
 
-        // est name -> (n, mean, half_width)
-        let est = |k: &str| -> (u64, f64, f64) {
-            let Some(e) = sam.get(k) else {
-                return (0, 0.0, 0.0);
-            };
-            (
-                e.get("n").and_then(|x| x.as_u64()).unwrap_or(0),
-                e.get("mean").and_then(|x| x.as_f64()).unwrap_or(0.0),
-                e.get("half_width").and_then(|x| x.as_f64()).unwrap_or(0.0),
-            )
-        };
         let full_vals = full_runs
             .iter()
             .find(|(n, m, ..)| n == s("name") && m == s("mode"));
@@ -726,20 +726,19 @@ pub fn render_sampling(doc: &JsonValue, full: Option<&JsonValue>) -> Result<Stri
             ("reuse rate", "reuse_rate", 1),
             ("CI exploited", "ci_exploited", 2),
         ] {
-            let (n, mean, hw) = est(key);
-            let _ = write!(out, "  {label:<13} {n:>3} {mean:>9.4} {hw:>9.4}");
+            let e = Estimate::from_json(sam.get(key).unwrap_or(&JsonValue::Null));
+            let _ = write!(
+                out,
+                "  {label:<13} {:>3} {:>9.4} {:>9.4}",
+                e.n, e.mean, e.half_width
+            );
             if let Some((_, _, fi, fr, fc)) = full_vals {
                 let fv = [*fi, *fr, *fc][pick];
-                let err = if fv != 0.0 {
-                    (mean - fv).abs() / fv.abs() * 100.0
-                } else {
-                    0.0
-                };
-                let covered = n >= 2 && (fv - mean).abs() <= hw;
                 let _ = write!(
                     out,
-                    "  {fv:>8.4} {err:>6.2}%  {}",
-                    if covered { "yes" } else { "no" }
+                    "  {fv:>8.4} {:>6.2}%  {}",
+                    e.rel_error(fv) * 100.0,
+                    if e.contains(fv) { "yes" } else { "no" }
                 );
             }
             let _ = writeln!(out);
@@ -1117,6 +1116,31 @@ mod tests {
         // A document with no dataflow_oracle objects at all is an error.
         let v5 = parse_doc(&bsnap("b", "ci", 0, 2000, 500, 1.4)).unwrap();
         assert!(render_cidi(&v5).is_err());
+    }
+
+    #[test]
+    fn sampling_render_judges_estimates_by_the_gate_rule() {
+        let est = |n, mean, hw| format!(r#"{{"n":{n},"mean":{mean},"half_width":{hw}}}"#);
+        let sampled = format!(
+            r#"{{"schema_version":7,"name":"mcf","mode":"ci","sampling":{{
+                 "period":10,"warmup":1,"window":2,"ff_insts":10,"detailed_insts":3,
+                 "halted":false,"ipc":{},"reuse_rate":{},"ci_exploited":{},
+                 "windows":[]}}}}"#,
+            est(4, 2.6, 0.2),
+            est(4, 0.02, 0.01),
+            est(1, 0.5, 0.0)
+        );
+        let full = parse_doc(
+            r#"{"schema_version":7,"name":"mcf","mode":"ci","ipc":2.5,
+               "reuse_fraction":0,"branch_prof":{"ci_exploited_fraction":0.5}}"#,
+        )
+        .unwrap();
+        let out = render_sampling(&parse_doc(&sampled).unwrap(), Some(&full)).unwrap();
+        assert!(out.contains("  2.5000   4.00%  yes"), "{out}");
+        // A zero full value bounds nothing unless the mean is zero too.
+        assert!(out.contains("  0.0000    inf%  no"), "{out}");
+        // One window never covers, even at zero error.
+        assert!(out.contains("  0.5000   0.00%  no"), "{out}");
     }
 
     #[test]

@@ -48,6 +48,8 @@ fn bad_arguments_exit_2_with_usage_on_every_subcommand() {
         ("stress", &["abc"]),
         ("suite", &["--bogus"]),
         ("suite", &["--jobs", "x"]),
+        // A retired flag is an unknown flag.
+        ("suite", &["--retries", "1"]),
         ("suite", &["sweep", "--regs", "x"]),
     ];
     for (sub, args) in cases {

@@ -80,7 +80,7 @@ fn stride_predictor_never_lies_about_trust() {
 fn write_masks_cover_every_written_register() {
     let mut rng = Rng64::seed_from_u64(0x3A5C);
     for _ in 0..100 {
-        // The NRBQ/CRP mask discipline: after writes, every written
+        // The CRP mask discipline: after writes, every written
         // register must test non-CI and untouched ones CI.
         let n = rng.gen_range(1, 40) as usize;
         let dests: Vec<u8> = (0..n).map(|_| rng.gen_range(1, 64) as u8).collect();
