@@ -44,7 +44,7 @@ pub use hist::Hist;
 pub use json::{JsonValue, JsonWriter};
 pub use lifecycle::{
     parse_konata, render_timeline, Fate, InstLane, InstRecord, LifecycleLog, ParsedTrace,
-    PipeviewSpec, TimelineOpts, WaitEdge, WaitEdgeKind,
+    PipeviewSpec, TimelineOpts, WaitDetail, WaitEdge, WaitEdgeKind,
 };
 pub use rng::Rng64;
 pub use stall::{StallBreakdown, StallCause};

@@ -90,9 +90,10 @@ pub enum WaitEdgeKind {
     /// producer's lifecycle id).
     Producer,
     /// A data-cache miss; `detail` names the level that served it
-    /// (`l2` / `l3` / `mem`).
+    /// ([`WaitDetail::L2`] / [`WaitDetail::L3`] / [`WaitDetail::Mem`]).
     CacheMiss,
-    /// Port/bank contention; `detail` names the resource (`dports`).
+    /// Port/bank contention; `detail` names the resource
+    /// ([`WaitDetail::DPorts`]).
     Port,
     /// An older store whose address (or data) is not known yet
     /// (`target` is the store's lifecycle id when identifiable).
@@ -126,20 +127,64 @@ impl WaitEdgeKind {
     }
 }
 
+/// Kind-specific detail of a wait-edge: the cache level that served a
+/// miss or the contended port. A closed set, so an edge stores one byte
+/// instead of a string slice.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WaitDetail {
+    /// No detail.
+    None,
+    /// A miss served by the L2.
+    L2,
+    /// A miss served by the L3.
+    L3,
+    /// A miss served by main memory.
+    Mem,
+    /// D-cache port/bank contention.
+    DPorts,
+}
+
+impl WaitDetail {
+    /// Stable key used in the trace metadata (empty for
+    /// [`WaitDetail::None`]).
+    pub fn key(self) -> &'static str {
+        match self {
+            WaitDetail::None => "",
+            WaitDetail::L2 => "l2",
+            WaitDetail::L3 => "l3",
+            WaitDetail::Mem => "mem",
+            WaitDetail::DPorts => "dports",
+        }
+    }
+}
+
 /// One coalesced wait-edge: `cycles` observations of the same condition
 /// starting at `first_cycle`.
+///
+/// Packed to 24 bytes: most records carry a few edges and the retired
+/// ring holds every record of the run. The cycle fields are `u32`,
+/// under the same `u32::MAX - 1` bound as the record's stage
+/// timestamps; the observation count saturates.
 #[derive(Debug, Clone)]
 pub struct WaitEdge {
+    /// Lifecycle id of the thing waited on; 0 when none is identifiable
+    /// (lids start at 1). See [`WaitEdge::target`].
+    target: u64,
+    /// Cycles this condition was observed (consecutive or not).
+    pub cycles: u32,
+    /// First cycle it was observed.
+    pub first_cycle: u32,
     /// What was waited on.
     pub kind: WaitEdgeKind,
+    /// Kind-specific detail (cache level, port).
+    pub detail: WaitDetail,
+}
+
+impl WaitEdge {
     /// Lifecycle id of the thing waited on, when identifiable.
-    pub target: Option<u64>,
-    /// Kind-specific detail (cache level, port name); empty when none.
-    pub detail: &'static str,
-    /// Cycles this condition was observed (consecutive or not).
-    pub cycles: u64,
-    /// First cycle it was observed.
-    pub first_cycle: u64,
+    pub fn target(&self) -> Option<u64> {
+        (self.target != 0).then_some(self.target)
+    }
 }
 
 /// Sentinel for an absent stage timestamp / edge cycle. Record
@@ -463,7 +508,11 @@ impl LifecycleLog {
         &self.totals
     }
 
-    /// Every retained record, oldest first (retired, then in-flight).
+    /// Every retained record: the retired ring in retirement order,
+    /// then the in-flight records in lid order. Retirement order is not
+    /// lid order (a squash retires younger records before an older
+    /// long-latency load commits), which is why the bottleneck analysis
+    /// places records by lid rather than walking this sequence.
     pub fn records(&self) -> impl Iterator<Item = &InstRecord> {
         // `active` slots are already in lid order: no sort, no staging
         // allocation.
@@ -641,19 +690,21 @@ impl LifecycleLog {
         lid: u64,
         kind: WaitEdgeKind,
         target: Option<u64>,
-        detail: &'static str,
+        detail: WaitDetail,
         cycle: u64,
     ) {
+        debug_assert_ne!(target, Some(0), "lids start at 1");
         let Some(slot) = self.active_idx(lid) else {
             return;
         };
         let r = self.active[slot].as_mut().unwrap();
+        let target = target.unwrap_or(0);
         let cycle32 = pack_cycle(cycle);
         let (last_idx, last) = self.active_edge[slot];
         if last_idx != NO_CYCLE {
             if let Some(e) = r.edges.get_mut(last_idx as usize) {
-                if e.kind == kind && e.target == target && u64::from(last) < cycle {
-                    e.cycles += 1;
+                if e.kind == kind && e.target == target && last < cycle32 {
+                    e.cycles = e.cycles.saturating_add(1);
                     self.active_edge[slot] = (last_idx, cycle32);
                     return;
                 }
@@ -667,16 +718,16 @@ impl LifecycleLog {
             .enumerate()
             .find(|(_, e)| e.kind == kind && e.target == target)
         {
-            e.cycles += 1;
+            e.cycles = e.cycles.saturating_add(1);
             self.active_edge[slot] = (idx as u32, cycle32);
             return;
         }
         r.edges.push(WaitEdge {
-            kind,
             target,
-            detail,
             cycles: 1,
-            first_cycle: cycle,
+            first_cycle: cycle32,
+            kind,
+            detail,
         });
         self.active_edge[slot] = ((r.edges.len() - 1) as u32, cycle32);
     }
@@ -735,8 +786,8 @@ impl LifecycleLog {
                 push(e, 3, format!("E\t{sid}\t0\t{name}"));
             }
             for edge in &r.edges {
-                if let (WaitEdgeKind::Producer, Some(t)) = (edge.kind, edge.target) {
-                    push(edge.first_cycle, 4, format!("W\t{sid}\t{t}\t0"));
+                if let (WaitEdgeKind::Producer, Some(t)) = (edge.kind, edge.target()) {
+                    push(u64::from(edge.first_cycle), 4, format!("W\t{sid}\t{t}\t0"));
                 }
             }
             if let Some(retire) = r.retire() {
@@ -867,10 +918,10 @@ fn metadata_line(r: &InstRecord) -> String {
             edges.push(',');
         }
         let _ = write!(edges, "{}", e.kind.key());
-        if !e.detail.is_empty() {
-            let _ = write!(edges, "[{}]", e.detail);
+        if e.detail != WaitDetail::None {
+            let _ = write!(edges, "[{}]", e.detail.key());
         }
-        if let Some(t) = e.target {
+        if let Some(t) = e.target() {
             let _ = write!(edges, ">{t}");
         }
         let _ = write!(edges, ":{}@{}", e.cycles, e.first_cycle);
@@ -1377,11 +1428,11 @@ mod tests {
         log.note_dispatch(w, 3, 3);
         log.note_dispatch(u, 4, 3);
         log.note_issue(p, 3);
-        log.edge(p, WaitEdgeKind::CacheMiss, None, "l2", 3);
-        log.edge(p, WaitEdgeKind::CacheMiss, None, "l2", 4);
+        log.edge(p, WaitEdgeKind::CacheMiss, None, WaitDetail::L2, 3);
+        log.edge(p, WaitEdgeKind::CacheMiss, None, WaitDetail::L2, 4);
         for cyc in 3..9 {
             log.charge(Some(p), StallCause::DCacheMiss, 8);
-            log.edge(c, WaitEdgeKind::Producer, Some(p), "", cyc);
+            log.edge(c, WaitEdgeKind::Producer, Some(p), WaitDetail::None, cyc);
         }
         log.note_complete(p, 9);
         log.note_commit(p, 10);
@@ -1419,7 +1470,7 @@ mod tests {
         assert_eq!(c.edges[0].cycles, 6);
         assert_eq!(c.edges[0].first_cycle, 3);
         let p = log.records().find(|r| r.pc() == 4).unwrap();
-        assert_eq!(p.edges[0].detail, "l2");
+        assert_eq!(p.edges[0].detail, WaitDetail::L2);
         assert_eq!(p.edges[0].cycles, 2);
     }
 

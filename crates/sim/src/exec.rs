@@ -3,7 +3,7 @@
 use crate::pipeline::Pipeline;
 use crate::rob::RobState;
 use cfir_isa::{FuClass, Inst, Program};
-use cfir_obs::{EventKind, Subsystem, WaitEdgeKind};
+use cfir_obs::{EventKind, Subsystem, WaitDetail, WaitEdgeKind};
 
 /// Result of an ALU-class instruction (`Alu`, `AluImm`, `Fp`) on
 /// source values `a` and `b`; `None` for any other instruction.
@@ -90,18 +90,18 @@ impl Pipeline<'_> {
         Some(lat)
     }
 
-    /// Which hierarchy level served a data access of latency `lat`
-    /// (the lifecycle cache-miss wait-edge detail).
-    pub(crate) fn miss_level(&self, lat: u32) -> &'static str {
+    /// Which hierarchy level served a data access of latency `lat`, as
+    /// the lifecycle cache-miss wait-edge detail; `None` for an L1 hit.
+    pub(crate) fn miss_level(&self, lat: u32) -> Option<WaitDetail> {
         let h = &self.cfg.hierarchy;
         if lat <= h.l1_hit {
-            "l1"
+            None
         } else if lat <= h.l2_hit {
-            "l2"
+            Some(WaitDetail::L2)
         } else if lat <= h.l3_hit {
-            "l3"
+            Some(WaitDetail::L3)
         } else {
-            "mem"
+            Some(WaitDetail::Mem)
         }
     }
 
@@ -143,7 +143,7 @@ impl Pipeline<'_> {
                                         rob.iter().find(|e| e.seq == s).map(|e| e.lid)
                                     })
                                 },
-                                "",
+                                WaitDetail::None,
                                 self.cycle,
                             );
                             continue;
@@ -163,22 +163,21 @@ impl Pipeline<'_> {
                                     lid,
                                     WaitEdgeKind::Port,
                                     || None,
-                                    "dports",
+                                    WaitDetail::DPorts,
                                     self.cycle,
                                 );
                                 continue;
                             };
                             let v = self.mem.read(addr);
                             self.stats.h_load_to_use.record(lat as u64);
-                            let miss = lat > self.cfg.hierarchy.l1_hit;
                             let level = self.miss_level(lat);
                             let e = &mut self.rob[i];
                             e.addr = Some(addr);
                             e.value = v;
                             e.state = RobState::Executing;
                             e.done_at = self.cycle + lat as u64;
-                            e.dcache_miss = miss;
-                            if miss {
+                            e.dcache_miss = level.is_some();
+                            if let Some(level) = level {
                                 let lid = e.lid;
                                 self.obs.wait_edge(
                                     lid,

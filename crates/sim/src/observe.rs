@@ -13,7 +13,7 @@ use crate::rob::RobEntry;
 use crate::stats::SimStats;
 use cfir_isa::Inst;
 use cfir_obs::{
-    EventKind, LifecycleLog, PipeviewSpec, StallCause, Subsystem, Tracer, WaitEdgeKind,
+    EventKind, LifecycleLog, PipeviewSpec, StallCause, Subsystem, Tracer, WaitDetail, WaitEdgeKind,
 };
 use std::collections::VecDeque;
 
@@ -161,8 +161,13 @@ impl Observers {
         };
         for p in srcs.into_iter().flatten() {
             if let Some(&plid) = r.prod_lid.get(p as usize).filter(|&&l| l != 0) {
-                r.log
-                    .edge(lid, WaitEdgeKind::Producer, Some(plid), "", cycle);
+                r.log.edge(
+                    lid,
+                    WaitEdgeKind::Producer,
+                    Some(plid),
+                    WaitDetail::None,
+                    cycle,
+                );
             }
         }
         if let Some(p) = dest {
@@ -181,7 +186,7 @@ impl Observers {
         lid: u64,
         kind: WaitEdgeKind,
         target: impl FnOnce() -> Option<u64>,
-        detail: &'static str,
+        detail: WaitDetail,
         cycle: u64,
     ) {
         if let Some(r) = &mut self.recorder {
@@ -286,7 +291,7 @@ impl Observers {
         };
         r.log.charge(head, cause, slots);
         if let (Some(lid), Some((kind, target))) = (head, edge()) {
-            r.log.edge(lid, kind, target, "", cycle);
+            r.log.edge(lid, kind, target, WaitDetail::None, cycle);
         }
     }
 

@@ -995,10 +995,8 @@ impl Pipeline<'_> {
             // Lifecycle: the replica issued this cycle; a load that ran
             // longer than an L1 hit also gets a cache-miss wait-edge.
             let lat = done_at.saturating_sub(self.cycle) as u32;
-            let miss = addr.is_some() && lat > self.cfg.hierarchy.l1_hit;
             self.obs.issue(rep.lid, self.cycle);
-            if miss {
-                let level = self.miss_level(lat);
+            if let Some(level) = addr.and(self.miss_level(lat)) {
                 self.obs
                     .wait_edge(rep.lid, WaitEdgeKind::CacheMiss, || None, level, self.cycle);
             }

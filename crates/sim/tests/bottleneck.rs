@@ -4,6 +4,7 @@
 //! perfect-branch-prediction projection must land within a documented
 //! tolerance of an *actual* oracle-BP simulation of the same workload.
 
+use cfir_obs::BottleneckReport;
 use cfir_sim::{Mode, Pipeline, RegFileSize, SimConfig, SimStats};
 use cfir_workloads::{by_name, WorkloadSpec};
 
@@ -25,7 +26,9 @@ const WIDTH: u64 = 8;
 const ORACLE_RATIO_HIGH: f64 = 1.25;
 const ORACLE_RATIO_LOW: f64 = 0.125;
 
-fn run_cfg(bench: &str, mode: Mode, lifecycle: bool, oracle_bp: bool) -> SimStats {
+/// Run `bench` for 30k instructions; `lifecycle` is the recorder's
+/// ring cap (`None` = no recording, `Some(0)` = unbounded).
+fn run_cfg(bench: &str, mode: Mode, lifecycle: Option<usize>, oracle_bp: bool) -> SimStats {
     let spec = WorkloadSpec {
         iters: 1 << 30,
         elems: 1024,
@@ -37,11 +40,52 @@ fn run_cfg(bench: &str, mode: Mode, lifecycle: bool, oracle_bp: bool) -> SimStat
         .with_regs(RegFileSize::Finite(512))
         .with_max_insts(30_000);
     cfg.cosim_check = false;
-    cfg.record_lifecycle = lifecycle;
     cfg.perfect_branch_prediction = oracle_bp;
     let mut p = Pipeline::new(&w.prog, w.mem.clone(), cfg);
+    if let Some(cap) = lifecycle {
+        p.enable_lifecycle(cap);
+    }
     p.run();
     p.stats.clone()
+}
+
+/// The invariants every recorded run's report keeps, capped ring or
+/// not: the per-class attribution tiles the span, every projection
+/// bounds the measured run, and zero-set supersets are monotone.
+fn assert_report_consistent<'a>(label: &str, s: &'a SimStats) -> &'a BottleneckReport {
+    let b = s
+        .bottleneck
+        .as_ref()
+        .unwrap_or_else(|| panic!("{label}: lifecycle run must yield a report"));
+    let attributed: u64 = b.crit.classes.iter().sum();
+    assert_eq!(attributed, b.crit.span, "{label}: tiling");
+    assert!(b.crit.span <= s.cycles, "{label}");
+    let get = |k: &str| {
+        b.whatif
+            .iter()
+            .find(|r| r.scenario == k)
+            .unwrap_or_else(|| panic!("{label}: missing scenario {k}"))
+            .projected_cycles
+    };
+    for row in &b.whatif {
+        assert!(
+            row.projected_cycles <= s.cycles,
+            "{label} {}: {} > measured {}",
+            row.scenario,
+            row.projected_cycles,
+            s.cycles
+        );
+    }
+    assert!(get("perfect_everything") <= get("perfect_bp"), "{label}");
+    assert!(
+        get("perfect_everything") <= get("perfect_ci_reuse"),
+        "{label}"
+    );
+    assert!(
+        get("perfect_ci_reuse") <= get("infinite_replica_buffer"),
+        "{label}"
+    );
+    b
 }
 
 #[test]
@@ -52,63 +96,36 @@ fn critical_path_tiles_and_projections_bound_the_run() {
         ("mcf", Mode::Ci),
         ("twolf", Mode::Vect),
     ] {
-        let s = run_cfg(bench, mode, true, false);
-        let b = s
-            .bottleneck
-            .as_ref()
-            .unwrap_or_else(|| panic!("{bench} {mode:?}: lifecycle run must yield a report"));
-        assert_eq!(s.lifecycle_dropped, 0, "{bench} {mode:?}: unbounded ring");
-        assert!(s.lifecycle_records > 0, "{bench} {mode:?}");
-
-        // Exact tiling: the per-class attribution sums to the span.
-        let attributed: u64 = b.crit.classes.iter().sum();
-        assert_eq!(attributed, b.crit.span, "{bench} {mode:?}: tiling");
-        assert!(b.crit.span <= s.cycles, "{bench} {mode:?}");
-        assert!(!b.crit.top.is_empty(), "{bench} {mode:?}");
-
-        // Every projection bounds the measured run; zero-set supersets
-        // are monotone.
-        let get = |k: &str| {
-            b.whatif
-                .iter()
-                .find(|r| r.scenario == k)
-                .unwrap_or_else(|| panic!("{bench} {mode:?}: missing scenario {k}"))
-                .projected_cycles
-        };
+        let s = run_cfg(bench, mode, Some(0), false);
+        let label = format!("{bench} {mode:?}");
+        let b = assert_report_consistent(&label, &s);
+        assert_eq!(s.lifecycle_dropped, 0, "{label}: unbounded ring");
+        assert!(s.lifecycle_records > 0, "{label}");
+        assert!(!b.crit.top.is_empty(), "{label}");
+        // The commit-bandwidth floor keeps projections physical.
         for row in &b.whatif {
             assert!(
-                row.projected_cycles <= s.cycles,
-                "{bench} {mode:?} {}: {} > measured {}",
-                row.scenario,
-                row.projected_cycles,
-                s.cycles
-            );
-            // The commit-bandwidth floor keeps projections physical.
-            assert!(
                 row.projected_cycles >= s.committed / WIDTH,
-                "{bench} {mode:?} {}",
+                "{label} {}",
                 row.scenario
             );
         }
-        assert!(
-            get("perfect_everything") <= get("perfect_bp"),
-            "{bench} {mode:?}"
-        );
-        assert!(
-            get("perfect_everything") <= get("perfect_ci_reuse"),
-            "{bench} {mode:?}"
-        );
-        assert!(
-            get("perfect_ci_reuse") <= get("infinite_replica_buffer"),
-            "{bench} {mode:?}"
-        );
     }
+}
+
+#[test]
+fn capped_ring_keeps_the_report_consistent() {
+    // `CFIR_PIPEVIEW`'s bounded ring: most records are dropped, so the
+    // analysed DAG starts late, has holes and ends in flight.
+    let s = run_cfg("bzip2", Mode::Ci, Some(3000), false);
+    assert!(s.lifecycle_dropped > 0, "the ring must overflow");
+    assert_report_consistent("bzip2 Ci cap=3000", &s);
 }
 
 #[test]
 fn perfect_bp_projection_validates_against_a_real_oracle_run() {
     for bench in ["bzip2", "mcf"] {
-        let measured = run_cfg(bench, Mode::WideBus, true, false);
+        let measured = run_cfg(bench, Mode::WideBus, Some(0), false);
         let projected = measured
             .bottleneck
             .as_ref()
@@ -118,7 +135,7 @@ fn perfect_bp_projection_validates_against_a_real_oracle_run() {
             .find(|r| r.scenario == "perfect_bp")
             .expect("perfect_bp scenario present")
             .projected_cycles;
-        let oracle = run_cfg(bench, Mode::WideBus, false, true);
+        let oracle = run_cfg(bench, Mode::WideBus, None, true);
         eprintln!(
             "[validate] {bench}: measured={} projected_bp={} oracle_bp={} ratio={:.3}",
             measured.cycles,
