@@ -74,7 +74,10 @@ impl RenameExt {
     /// Propagate for an arithmetic destination: union of the sources'
     /// strided sets, truncated to `cap` slots. Returns how many PCs
     /// were dropped by the truncation (the Figure 4 loss metric).
-    pub fn propagate_from(sources: &[&RenameExt], cap: usize) -> (RenameExt, usize) {
+    pub fn propagate_from<'a>(
+        sources: impl IntoIterator<Item = &'a RenameExt>,
+        cap: usize,
+    ) -> (RenameExt, usize) {
         let cap = cap.min(MAX_STRIDED_SLOTS);
         let mut out = RenameExt::new();
         let mut dropped = 0usize;
@@ -113,7 +116,7 @@ mod tests {
         a.set_strided_load(0x40);
         let mut b = RenameExt::new();
         b.set_strided_load(0x40);
-        let (u, dropped) = RenameExt::propagate_from(&[&a, &b], 4);
+        let (u, dropped) = RenameExt::propagate_from([&a, &b], 4);
         assert_eq!(u.strided_pcs(), &[0x40]);
         assert_eq!(dropped, 0);
     }
@@ -124,10 +127,10 @@ mod tests {
         a.set_strided_load(0x10);
         let mut b = RenameExt::new();
         b.set_strided_load(0x20);
-        let (u2, d2) = RenameExt::propagate_from(&[&a, &b], 2);
+        let (u2, d2) = RenameExt::propagate_from([&a, &b], 2);
         assert_eq!(u2.len(), 2);
         assert_eq!(d2, 0);
-        let (u1, d1) = RenameExt::propagate_from(&[&a, &b], 1);
+        let (u1, d1) = RenameExt::propagate_from([&a, &b], 1);
         assert_eq!(u1.strided_pcs(), &[0x10]);
         assert_eq!(d1, 1);
     }
@@ -139,9 +142,9 @@ mod tests {
         r3.set_strided_load(0xA0);
         let mut r4 = RenameExt::new();
         r4.set_strided_load(0xB0);
-        let (r5, _) = RenameExt::propagate_from(&[&r3, &r4], 4);
+        let (r5, _) = RenameExt::propagate_from([&r3, &r4], 4);
         // r6 <- r5 + r3 : still {A0, B0}
-        let (r6, d) = RenameExt::propagate_from(&[&r5, &r3], 4);
+        let (r6, d) = RenameExt::propagate_from([&r5, &r3], 4);
         let mut pcs = r6.strided_pcs().to_vec();
         pcs.sort_unstable();
         assert_eq!(pcs, vec![0xA0, 0xB0]);
@@ -173,7 +176,7 @@ mod tests {
     fn cap_above_max_is_clamped() {
         let mut a = RenameExt::new();
         a.set_strided_load(1);
-        let (u, _) = RenameExt::propagate_from(&[&a], 100);
+        let (u, _) = RenameExt::propagate_from([&a], 100);
         assert_eq!(u.len(), 1);
     }
 }
@@ -184,8 +187,8 @@ mod checkpoint_tests {
 
     #[test]
     fn rename_ext_is_copy_for_cheap_checkpoints() {
-        // The pipeline snapshots [RenameExt; 64] per branch; Copy keeps
-        // that a memcpy.
+        // Every renamed destination keeps its previous extension in its
+        // window entry for squash recovery; Copy keeps that a memcpy.
         fn assert_copy<T: Copy>() {}
         assert_copy::<RenameExt>();
         let mut a = RenameExt::new();
@@ -200,11 +203,11 @@ mod checkpoint_tests {
 
     #[test]
     fn propagate_from_empty_sources() {
-        let (x, d) = RenameExt::propagate_from(&[], 4);
+        let (x, d) = RenameExt::propagate_from(std::iter::empty(), 4);
         assert!(x.is_empty());
         assert_eq!(d, 0);
         let e = RenameExt::new();
-        let (x, d) = RenameExt::propagate_from(&[&e, &e], 2);
+        let (x, d) = RenameExt::propagate_from([&e, &e], 2);
         assert!(x.is_empty());
         assert_eq!(d, 0);
     }
@@ -213,7 +216,7 @@ mod checkpoint_tests {
     fn cap_zero_drops_everything() {
         let mut a = RenameExt::new();
         a.set_strided_load(0x10);
-        let (x, d) = RenameExt::propagate_from(&[&a], 0);
+        let (x, d) = RenameExt::propagate_from([&a], 0);
         assert!(x.is_empty());
         assert_eq!(d, 1, "the dropped PC is counted for Figure 4");
     }

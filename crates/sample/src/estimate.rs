@@ -7,7 +7,7 @@
 //! silent: fewer than two windows cannot bound anything (`reliable()`
 //! is false and the half-width is 0), and zero-variance windows yield
 //! a zero-width interval. The [`Estimate`] record itself, with its
-//! accuracy rule, lives beside its writer in `cfir_sim::snapshot`.
+//! accuracy rule, lives beside its writer, `cfir_sim::SampledRun`.
 
 use cfir_sim::Estimate;
 

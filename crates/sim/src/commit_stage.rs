@@ -263,7 +263,7 @@ impl Pipeline<'_> {
             } else {
                 e.pc + 1
             };
-            if e.in_lsq {
+            if e.inst.is_load() || e.inst.is_store() {
                 self.lsq.pop_committed(e.seq);
             }
 
@@ -310,11 +310,7 @@ impl Pipeline<'_> {
         if matches_entry {
             let ent = m.srsmt.get_mut(pr.srsmt_idx).unwrap();
             let storage = ent.advance_commit();
-            if let Some(sm) = &mut m.specmem {
-                sm.release(storage.0);
-            } else {
-                self.rf.free(storage.0);
-            }
+            self.free_storage(&mut m, &[storage]);
         }
         self.mech = Some(m);
     }
@@ -334,11 +330,7 @@ impl Pipeline<'_> {
             let ent = m.srsmt.get_mut(idx).unwrap();
             if ent.commit < ent.decode {
                 let storage = ent.advance_commit();
-                if let Some(sm) = &mut m.specmem {
-                    sm.release(storage.0);
-                } else {
-                    self.rf.free(storage.0);
-                }
+                self.free_storage(&mut m, &[storage]);
             }
         }
         self.mech = Some(m);
@@ -349,8 +341,7 @@ impl Pipeline<'_> {
     /// store-coherence squash (§2.4.3) and the commit-time validation
     /// repair. Replicas are *not* squashed (§2.4.4).
     pub(crate) fn full_flush(&mut self, resume_pc: u32) {
-        let squashed = self.squash_window(0);
-        self.lsq.clear();
+        let squashed = self.squash_window(0, resume_pc);
         self.obs
             .trace(Subsystem::Flush, resume_pc as u64, self.cycle, || {
                 EventKind::RepairFlush {
@@ -358,7 +349,8 @@ impl Pipeline<'_> {
                     squashed,
                 }
             });
-        self.rmap = self.arch_map;
+        // Undoing every in-flight rename lands on the committed map.
+        debug_assert_eq!(self.rmap, self.arch_map);
         self.ext = [RenameExt::new(); NUM_LOGICAL_REGS];
         // Resume with the committed branch history so the predictor's
         // speculative state matches the restart point.
@@ -366,28 +358,12 @@ impl Pipeline<'_> {
         if let Some(mut m) = self.mech.take() {
             m.crp.deactivate();
             m.clear_squash_buf();
-            // Entries created by any squashed (uncommitted) instruction
-            // lose their instance alignment.
+            // A full flush is a recovery action: every uncommitted
+            // creator died with the window.
             let last_committed = self.last_committed_seq;
-            self.teardown_created_after(&mut m, last_committed);
-            // A full flush is a recovery action: decode <- commit (all
-            // in-flight validations died with the window) + DAEC tick.
-            let released = m.srsmt.recovery();
-            for ent in released {
-                for (id, _g) in ent.unconsumed_storage() {
-                    if let Some(sm) = &mut m.specmem {
-                        sm.release(id);
-                    } else {
-                        self.rf.free(id);
-                    }
-                }
-                self.reap_replicas(|r| r.pc == ent.pc && r.gen == ent.gen);
-            }
+            self.srsmt_recovery(&mut m, last_committed);
             self.mech = Some(m);
         }
-        self.fetch_pc = resume_pc;
-        self.fetch_halted = false;
-        self.fetch_wait_until = self.cycle + 1;
         // Perfect-branch-prediction oracle: rebuild it from committed
         // architectural state so it stays in step with the new fetch
         // stream (flushes are rare; the memory clone is acceptable).

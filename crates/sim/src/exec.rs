@@ -305,7 +305,6 @@ impl Pipeline<'_> {
             }
             let inst = self.rob[i].inst;
             if matches!(inst, Inst::Br { .. } | Inst::Jr { .. }) {
-                self.rob[i].resolved = true;
                 let wait = self.cycle.saturating_sub(self.rob[i].dispatched_at);
                 self.stats.h_branch_resolve.record(wait);
                 if let Inst::Jr { .. } = inst {
@@ -358,18 +357,23 @@ impl Pipeline<'_> {
     }
 
     /// Squash every window entry younger than the `keep` oldest, then
-    /// the whole decode queue: the squash half of both recovery paths
-    /// ([`recover`](Self::recover) and [`full_flush`](Self::full_flush)).
-    /// The window goes youngest first, freeing each destination
-    /// register, closing its lifecycle record and killing any self-loop
-    /// entry it was to seed; then the decode queue, oldest first.
-    /// Marks the cycle as flushed and returns the number squashed.
-    pub(crate) fn squash_window(&mut self, keep: usize) -> u64 {
+    /// the whole decode queue, and restart fetch at `resume_pc`: the one
+    /// squash routine of both recovery paths ([`recover`](Self::recover)
+    /// and [`full_flush`](Self::full_flush)). The window goes youngest
+    /// first, freeing each destination register, undoing its rename
+    /// (`rmap` and `ext` of the destination back to the entry's
+    /// `old_phys`/`old_ext`), closing its lifecycle record and killing
+    /// any self-loop entry it was to seed; then the decode queue, oldest
+    /// first; then the LSQ entries of everything squashed. Marks the
+    /// cycle as flushed and returns the number squashed.
+    pub(crate) fn squash_window(&mut self, keep: usize, resume_pc: u32) -> u64 {
         let mut squashed = 0u64;
         while self.rob.len() > keep {
             let e = self.rob.pop_back().unwrap();
-            if let Some(p) = e.new_phys {
+            if let (Some(d), Some(p), Some(old)) = (e.ldest, e.new_phys, e.old_phys) {
                 self.rf.free(p);
+                self.rmap[d as usize] = old;
+                self.ext[d as usize] = e.old_ext;
             }
             self.obs.squash(e.lid, self.cycle);
             self.kill_seed_waiter(e.seq);
@@ -380,6 +384,11 @@ impl Pipeline<'_> {
             self.obs.squash(f.lid, self.cycle);
         }
         self.decode_q.clear();
+        let last_kept = self.rob.back().map_or(self.last_committed_seq, |e| e.seq);
+        self.lsq.squash_younger(last_kept);
+        self.fetch_pc = resume_pc;
+        self.fetch_halted = false;
+        self.fetch_wait_until = self.cycle + 1;
         self.stats.squashed += squashed;
         self.flushed_this_cycle = true;
         self.last_flush_cycle = Some(self.cycle);
@@ -396,27 +405,16 @@ impl Pipeline<'_> {
         // Mechanism: event + CRP activation + SRSMT recovery.
         self.mech_on_mispredict(i, bseq, bpc, is_cond);
 
-        // Squash younger instructions.
-        let squashed = self.squash_window(i + 1);
+        // Squash younger instructions, undoing their renames.
+        let squashed = self.squash_window(i + 1, actual_target);
         debug_assert_eq!(self.rob.back().map(|e| e.seq), Some(bseq));
-        self.lsq.squash_younger(bseq);
 
-        // Restore rename state from the branch's checkpoint.
-        let cp = self.rob[i]
-            .checkpoint
-            .take()
-            .expect("control instruction without checkpoint");
-        self.rmap = cp.rmap;
-        self.ext = cp.ext;
-        self.gshare.restore_history(cp.ghist);
+        // Restart the speculative history at the branch, with its
+        // resolved direction.
+        self.gshare.restore_history(self.rob[i].ghist);
         if is_cond {
             self.gshare.push(actual_taken);
         }
-
-        // Redirect fetch.
-        self.fetch_pc = actual_target;
-        self.fetch_halted = false;
-        self.fetch_wait_until = self.cycle + 1;
 
         // Fix SRSMT decode counters for validations that survived.
         self.recount_srsmt_decode();

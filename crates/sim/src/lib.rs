@@ -5,8 +5,8 @@
 //! González, Valero — IPDPS 2005). It models the Table-1 machine:
 //!
 //! * 8-wide fetch (gshare-directed, ≤ 1 taken branch, I-cache latency),
-//! * register renaming over a bounded/unbounded physical register file
-//!   with per-branch checkpoints,
+//! * register renaming over a bounded/unbounded physical register file,
+//!   undone on a squash by walking the squashed window youngest first,
 //! * a 256-entry instruction window (growing with the register file,
 //!   §3.2), 64-entry LSQ with store→load forwarding,
 //! * Table-1 functional units and latencies, 1–2 L1D ports, wide-bus
@@ -33,20 +33,20 @@
 //! assert_eq!(pipe.arch_reg(3), 5);
 //! ```
 
-pub mod commit_stage;
-pub mod config;
-pub mod exec;
-pub mod lsq;
-pub mod mech;
+mod commit_stage;
+mod config;
+mod exec;
+mod lsq;
+mod mech;
 mod observe;
-pub mod pipeline;
-pub mod prof;
-pub mod regfile;
-pub mod rob;
-pub mod snapshot;
-pub mod stall_attr;
-pub mod stats;
-pub mod vec_engine;
+mod pipeline;
+mod prof;
+mod regfile;
+mod rob;
+mod snapshot;
+mod stall_attr;
+mod stats;
+mod vec_engine;
 
 pub use config::{Mode, RegFileSize, SimConfig};
 pub use observe::CommitRecord;

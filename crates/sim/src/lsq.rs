@@ -59,12 +59,6 @@ impl Lsq {
         self.q.len()
     }
 
-    /// Whether empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.q.is_empty()
-    }
-
     /// Append a memory instruction at dispatch (program order).
     ///
     /// # Panics
@@ -96,11 +90,6 @@ impl Lsq {
         if let Some(e) = self.find_mut(seq) {
             e.data = Some(data);
         }
-    }
-
-    /// Entry lookup (diagnostics / commit).
-    pub fn get(&self, seq: u64) -> Option<&LsqEntry> {
-        self.q.iter().find(|e| e.seq == seq)
     }
 
     /// Decide what the load `seq` at `addr` should do, scanning older
@@ -185,11 +174,6 @@ impl Lsq {
                 break;
             }
         }
-    }
-
-    /// Clear everything (full flush).
-    pub fn clear(&mut self) {
-        self.q.clear();
     }
 }
 
@@ -296,7 +280,7 @@ mod tests {
         l.pop_committed(1);
         assert_eq!(l.len(), 1);
         l.pop_committed(2);
-        assert!(l.is_empty());
+        assert_eq!(l.len(), 0);
     }
 
     #[test]

@@ -171,18 +171,6 @@ impl std::ops::IndexMut<usize> for ReplicaArena {
     }
 }
 
-/// Pending register-file copy injected by a validation in the
-/// speculative-data-memory mode (§2.4.6).
-#[derive(Debug, Clone, Copy)]
-pub struct PendingCopy {
-    /// Destination physical register.
-    pub phys: u32,
-    /// Value being moved from the speculative memory.
-    pub value: u64,
-    /// Cycle at which the value lands in the register file.
-    pub ready_at: u64,
-}
-
 /// A value harvested from the squashed wrong path (ci-iw mode).
 #[derive(Debug, Clone, Copy)]
 pub struct SquashReuse {
@@ -195,8 +183,6 @@ pub struct SquashReuse {
 /// All mechanism state.
 #[derive(Debug)]
 pub struct Mech {
-    /// Mechanism configuration.
-    pub cfg: MechConfig,
     /// Mispredicted Branch Status table.
     pub mbs: Mbs,
     /// Current Re-convergent Point register.
@@ -237,7 +223,7 @@ impl Mech {
     /// Build the mechanism state from its configuration. `prog_len`
     /// (program length in instructions) sizes the dense PC-indexed
     /// tables.
-    pub fn new(cfg: MechConfig, prog_len: usize) -> Self {
+    pub fn new(cfg: &MechConfig, prog_len: usize) -> Self {
         let specmem = cfg
             .specmem_positions
             .map(|n| SpecMem::new(n, cfg.specmem_latency));
@@ -251,7 +237,6 @@ impl Mech {
             seed_waiters: Vec::new(),
             misspec_count: vec![0; prog_len],
             squash_buf: vec![VecDeque::new(); prog_len],
-            cfg,
         }
     }
 
@@ -317,7 +302,7 @@ mod tests {
 
     #[test]
     fn builds_from_paper_config() {
-        let m = Mech::new(MechConfig::paper(), 64);
+        let m = Mech::new(&MechConfig::paper(), 64);
         assert!(m.specmem.is_none());
         assert!(!m.crp.active);
         assert_eq!(m.sel_event.len(), 64);
@@ -327,13 +312,13 @@ mod tests {
 
     #[test]
     fn specmem_configured_when_requested() {
-        let m = Mech::new(MechConfig::paper_with_specmem(256), 16);
+        let m = Mech::new(&MechConfig::paper_with_specmem(256), 16);
         assert_eq!(m.specmem.as_ref().unwrap().capacity(), 256);
     }
 
     #[test]
     fn sel_event_round_trips_including_zero() {
-        let mut m = Mech::new(MechConfig::paper(), 8);
+        let mut m = Mech::new(&MechConfig::paper(), 8);
         assert_eq!(m.sel_event(4), None);
         m.set_sel_event(4, 0); // event ids start at 0
         assert_eq!(m.sel_event(4), Some(0));
@@ -344,7 +329,7 @@ mod tests {
 
     #[test]
     fn seed_waiters_add_take_semantics() {
-        let mut m = Mech::new(MechConfig::paper(), 4);
+        let mut m = Mech::new(&MechConfig::paper(), 4);
         m.add_seed_waiter(10, 3, 1);
         m.add_seed_waiter(11, 4, 2);
         assert_eq!(m.take_seed_waiter(12), None);
@@ -356,7 +341,7 @@ mod tests {
 
     #[test]
     fn misspec_counters_saturate_and_age() {
-        let mut m = Mech::new(MechConfig::paper(), 4);
+        let mut m = Mech::new(&MechConfig::paper(), 4);
         assert_eq!(m.misspec(8), 0);
         for _ in 0..300 {
             m.bump_misspec(8);

@@ -22,7 +22,7 @@ use crate::lsq::Lsq;
 use crate::mech::{Mech, ReplicaArena};
 use crate::observe::{CommitRecord, Observers};
 use crate::regfile::{PhysId, PhysRegFile};
-use crate::rob::{Checkpoint, ReuseInfo, RobEntry, RobState};
+use crate::rob::{ReuseInfo, RobEntry, RobState};
 use crate::stall_attr::DispatchBlock;
 use crate::stats::SimStats;
 use cfir_core::RenameExt;
@@ -44,7 +44,6 @@ pub(crate) const JR_BTB_EMPTY: u32 = u32::MAX;
 pub(crate) struct Fetched {
     pub pc: u32,
     pub inst: Inst,
-    pub pred_taken: bool,
     pub pred_target: u32,
     /// Gshare history *before* this branch's prediction was shifted in.
     pub ghist: u64,
@@ -222,7 +221,7 @@ impl<'a> Pipeline<'a> {
             let _ = r;
         }
         let mech = if cfg.mode.vectorizes() || cfg.mode.selects_ci() {
-            Some(Mech::new(cfg.mech.clone(), prog.insts.len()))
+            Some(Mech::new(&cfg.mech, prog.insts.len()))
         } else {
             None
         };
@@ -637,7 +636,6 @@ impl<'a> Pipeline<'a> {
             self.decode_q.push_back(Fetched {
                 pc,
                 inst,
-                pred_taken,
                 pred_target,
                 ghist,
                 ready_at,
@@ -691,7 +689,6 @@ impl<'a> Pipeline<'a> {
             self.next_seq += 1;
             let mut e = RobEntry::new(seq, f.pc, f.inst);
             e.lid = f.lid;
-            e.pred_taken = f.pred_taken;
             e.pred_target = f.pred_target;
             e.ghist = f.ghist;
             e.dispatched_at = self.cycle;
@@ -704,18 +701,12 @@ impl<'a> Pipeline<'a> {
             for (i, s) in f.inst.sources().iter().enumerate() {
                 e.src_phys[i] = s.map(|r| self.rmap[r as usize]);
             }
-            // Checkpoint for everything that can redirect (Br, Jr).
-            if matches!(f.inst, Inst::Br { .. } | Inst::Jr { .. }) {
-                e.checkpoint = Some(Box::new(Checkpoint {
-                    rmap: self.rmap,
-                    ext: self.ext,
-                    ghist: f.ghist,
-                }));
-            }
-            // Rename destination.
+            // Rename destination, keeping the previous mapping and
+            // extension so a squash can undo it.
             if let Some(d) = f.inst.dest() {
                 let p = self.rf.alloc().expect("checked above");
                 e.old_phys = Some(self.rmap[d as usize]);
+                e.old_ext = self.ext[d as usize];
                 e.new_phys = Some(p);
                 e.ldest = Some(d);
                 self.rmap[d as usize] = p;
@@ -728,7 +719,6 @@ impl<'a> Pipeline<'a> {
             // Memory instructions enter the LSQ.
             if is_mem {
                 self.lsq.push(seq, f.inst.is_store());
-                e.in_lsq = true;
             }
             // Vectorization triggers run post-rename (the destination
             // register seeds loop-carried self-dependences); skipped
@@ -763,11 +753,10 @@ impl<'a> Pipeline<'a> {
                 Inst::Alu { .. } | Inst::AluImm { .. } | Inst::Fp { .. } => {
                     let cap = self.cfg.mech.strided_pc_slots;
                     let srcs = e.inst.sources();
-                    let mut refs: Vec<&RenameExt> = Vec::with_capacity(2);
-                    for s in srcs.iter().flatten() {
-                        refs.push(&self.ext[*s as usize]);
-                    }
-                    let (x, dropped) = RenameExt::propagate_from(&refs, cap);
+                    let (x, dropped) = RenameExt::propagate_from(
+                        srcs.iter().flatten().map(|&s| &self.ext[s as usize]),
+                        cap,
+                    );
                     self.stats.strided_pc_dropped += dropped as u64;
                     if x.len() + dropped > 0 {
                         self.stats.strided_pc_sum += (x.len() + dropped) as u64;
@@ -822,7 +811,6 @@ impl<'a> Pipeline<'a> {
                 e.state = RobState::Done;
                 e.actual_taken = true;
                 e.actual_target = target;
-                e.resolved = true;
             }
             _ => {}
         }

@@ -1,8 +1,11 @@
-//! Reorder-buffer entry types and rename checkpoints.
+//! Reorder-buffer entry types. The window is also the undo log for
+//! rename state: each entry keeps the destination's previous physical
+//! register and rename extension, and a squash restores them youngest
+//! first (`Pipeline::squash_window`).
 
 use crate::regfile::PhysId;
 use cfir_core::RenameExt;
-use cfir_isa::{Inst, NUM_LOGICAL_REGS};
+use cfir_isa::Inst;
 
 /// Execution state of a window entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,17 +56,6 @@ pub struct ProbeInfo {
     pub verified: bool,
 }
 
-/// Rename checkpoint taken at every predicted branch.
-#[derive(Debug, Clone)]
-pub struct Checkpoint {
-    /// Logical → physical map.
-    pub rmap: [PhysId; NUM_LOGICAL_REGS],
-    /// Mechanism rename extensions (stridedPC sets, V/S, Seq).
-    pub ext: [RenameExt; NUM_LOGICAL_REGS],
-    /// Gshare speculative history at the branch.
-    pub ghist: u64,
-}
-
 /// One reorder-buffer entry.
 #[derive(Debug, Clone)]
 pub struct RobEntry {
@@ -82,26 +74,25 @@ pub struct RobEntry {
     pub done_at: u64,
     /// Physical destination, if the instruction writes a register.
     pub new_phys: Option<PhysId>,
-    /// Previous mapping of the destination (freed at commit).
+    /// Previous mapping of the destination (freed at commit, restored
+    /// by a squash).
     pub old_phys: Option<PhysId>,
+    /// Previous rename extension of the destination (restored by a
+    /// squash).
+    pub old_ext: RenameExt,
     /// Logical destination.
     pub ldest: Option<u8>,
     /// Physical sources (post-rename).
     pub src_phys: [Option<PhysId>; 2],
-    /// Predicted direction for conditional branches.
-    pub pred_taken: bool,
     /// Predicted next PC (for any control instruction).
     pub pred_target: u32,
-    /// Gshare history snapshot at prediction time (for training).
+    /// Gshare history before this instruction's prediction (training,
+    /// and the history a misprediction recovery restarts from).
     pub ghist: u64,
     /// Resolved actual direction.
     pub actual_taken: bool,
     /// Resolved actual next PC.
     pub actual_target: u32,
-    /// Whether the branch has resolved.
-    pub resolved: bool,
-    /// Rename checkpoint (branches only).
-    pub checkpoint: Option<Box<Checkpoint>>,
     /// Effective address (memory instructions, once computed).
     pub addr: Option<u64>,
     /// Value this instruction produced / will store (set at execute,
@@ -111,8 +102,6 @@ pub struct RobEntry {
     pub reuse: Option<ReuseInfo>,
     /// Probe bookkeeping (unconfirmed validations).
     pub probe: Option<ProbeInfo>,
-    /// Whether this entry occupies an LSQ slot.
-    pub in_lsq: bool,
     /// Cycle the entry entered the window (latency histograms).
     pub dispatched_at: u64,
     /// Whether this load missed in the L1D (stall attribution).
@@ -131,20 +120,17 @@ impl RobEntry {
             done_at: 0,
             new_phys: None,
             old_phys: None,
+            old_ext: RenameExt::new(),
             ldest: None,
             src_phys: [None, None],
-            pred_taken: false,
             pred_target: pc + 1,
             ghist: 0,
             actual_taken: false,
             actual_target: pc + 1,
-            resolved: false,
-            checkpoint: None,
             addr: None,
             value: 0,
             reuse: None,
             probe: None,
-            in_lsq: false,
             dispatched_at: 0,
             dcache_miss: false,
         }
@@ -185,5 +171,13 @@ mod tests {
             },
         );
         assert!(e.is_cond_branch());
+    }
+
+    #[test]
+    fn entry_stays_small() {
+        // Every in-flight instruction carries one, rename undo state
+        // (`old_phys`, `old_ext`) included, and issue and writeback
+        // scan the whole window every cycle.
+        assert!(std::mem::size_of::<RobEntry>() <= 264);
     }
 }

@@ -10,7 +10,7 @@ use crate::rob::{ReuseInfo, RobEntry, RobState};
 use cfir_core::srsmt::{AllocOutcome, SeqId, SrsmtEntry, StorageId, VecKind};
 use cfir_isa::{Inst, Program};
 use cfir_obs::{EventKind, Subsystem, WaitEdgeKind};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Human-readable labels for the `valfail_reasons` buckets (§2.3.4
 /// validation failure taxonomy). Index k labels `valfail_reasons[k]`.
@@ -540,7 +540,9 @@ impl Pipeline<'_> {
         }
     }
 
-    fn free_storage(&mut self, m: &mut Mech, storage: &[(StorageId, u32)]) {
+    /// Return replica storage to its pool: the register file, or the
+    /// speculative data memory when configured.
+    pub(crate) fn free_storage(&mut self, m: &mut Mech, storage: &[(StorageId, u32)]) {
         for &(id, _g) in storage {
             if let Some(sm) = &mut m.specmem {
                 sm.release(id);
@@ -550,10 +552,13 @@ impl Pipeline<'_> {
         }
     }
 
-    /// Tear down every entry created by an instruction younger than
-    /// `seq` (the creator was squashed, so the entry's instance
-    /// numbering no longer matches the dynamic stream).
-    pub(crate) fn teardown_created_after(&mut self, m: &mut Mech, seq: u64) {
+    /// The SRSMT half of a recovery (§2.4.4) that squashes every
+    /// instruction younger than `seq`: tear down the entries those
+    /// instructions created (their instance numbering no longer matches
+    /// the dynamic stream), then `decode ← commit` for every entry —
+    /// replicas are *not* squashed — and the DAEC tick (§2.4.2), which
+    /// releases idle entries.
+    pub(crate) fn srsmt_recovery(&mut self, m: &mut Mech, seq: u64) {
         let victims: Vec<usize> = m
             .srsmt
             .iter_valid()
@@ -563,24 +568,34 @@ impl Pipeline<'_> {
         for v in victims {
             self.teardown_srsmt(m, v, "creator_squashed");
         }
+        for ent in m.srsmt.recovery() {
+            self.release_entry(m, &ent);
+        }
     }
 
-    /// Tear down an SRSMT entry: free unconsumed storage and drop its
-    /// in-flight replicas. `reason` labels the teardown in the trace.
+    /// Tear down an SRSMT entry and release it. `reason` labels the
+    /// teardown in the trace.
     pub(crate) fn teardown_srsmt(&mut self, m: &mut Mech, idx: usize, reason: &'static str) {
         let Some(ent) = m.srsmt.invalidate(idx) else {
             return;
         };
-        let storage = ent.unconsumed_storage();
         // SRSMT stores byte PCs; the trace uses word PCs.
         self.obs.trace(Subsystem::Vec, ent.pc >> 2, self.cycle, || {
             EventKind::Teardown {
                 reason,
-                entries: storage.len() as u32,
+                entries: ent.head - ent.commit,
             }
         });
-        self.free_storage(m, &storage);
-        self.reap_replicas(|r| r.srsmt_idx == idx && r.pc == ent.pc && r.gen == ent.gen);
+        self.release_entry(m, &ent);
+    }
+
+    /// Release an entry already removed from the SRSMT (torn down,
+    /// evicted or DAEC-released): free the storage of its unconsumed
+    /// instances and drop its in-flight replicas. Generations are
+    /// table-unique, so `(pc, gen)` names exactly this entry's replicas.
+    fn release_entry(&mut self, m: &mut Mech, ent: &SrsmtEntry) {
+        self.free_storage(m, &ent.unconsumed_storage());
+        self.reap_replicas(|r| r.pc == ent.pc && r.gen == ent.gen);
     }
 
     /// Drop every replica matching `pred`, closing its lifecycle record
@@ -633,9 +648,7 @@ impl Pipeline<'_> {
         match m.srsmt.alloc(ent) {
             AllocOutcome::Placed { idx, evicted } => {
                 if let Some(old) = evicted {
-                    let s = old.unconsumed_storage();
-                    self.free_storage(m, &s);
-                    self.reap_replicas(|r| r.pc == old.pc && r.gen == old.gen);
+                    self.release_entry(m, &old);
                 }
                 self.stats.vectorizations += 1;
                 self.obs.trace(Subsystem::Vec, pc32 as u64, self.cycle, || {
@@ -729,9 +742,7 @@ impl Pipeline<'_> {
         match m.srsmt.alloc(ent) {
             AllocOutcome::Placed { idx, evicted } => {
                 if let Some(old) = evicted {
-                    let s = old.unconsumed_storage();
-                    self.free_storage(m, &s);
-                    self.reap_replicas(|r| r.pc == old.pc && r.gen == old.gen);
+                    self.release_entry(m, &old);
                 }
                 if wants_seed {
                     let gen = m.srsmt.get(idx).unwrap().gen;
@@ -1104,17 +1115,7 @@ impl Pipeline<'_> {
                 self.stats.events.mispredict_without_event();
             }
         }
-        // Entries whose creating instruction is being squashed lose
-        // their instance alignment.
-        self.teardown_created_after(&mut m, bseq);
-        // §2.4.4: decode <- commit for every entry; replicas are NOT
-        // squashed. §2.4.2: DAEC ticks, idle entries torn down.
-        let released = m.srsmt.recovery();
-        for ent in released {
-            let storage = ent.unconsumed_storage();
-            self.free_storage(&mut m, &storage);
-            self.reap_replicas(|r| r.pc == ent.pc && r.gen == ent.gen);
-        }
+        self.srsmt_recovery(&mut m, bseq);
         self.mech = Some(m);
     }
 
@@ -1170,7 +1171,9 @@ impl Pipeline<'_> {
         let Some(mut m) = self.mech.take() else {
             return;
         };
-        let mut counts: HashMap<usize, u32> = HashMap::new();
+        // Slot order: `get_mut` stamps LRU, so the order must not
+        // depend on a hash seed.
+        let mut counts: BTreeMap<usize, u32> = BTreeMap::new();
         for e in &self.rob {
             if let Some(r) = &e.reuse {
                 if let Some(idx) = r.srsmt_idx {

@@ -180,3 +180,29 @@ fn snapshots_are_byte_identical_to_committed_baselines() {
         drifted.join("\n")
     );
 }
+
+/// A run depends on its configuration alone. Off the default 64×4
+/// SRSMT, several vectorized PCs share a set, so the order in which a
+/// recovery touches their entries (each touch stamps LRU) decides later
+/// evictions. That order must not come from a hash seed, which differs
+/// from map to map: identical runs in one process must agree.
+#[test]
+fn small_srsmt_runs_are_deterministic() {
+    let w = by_name("perlbmk", spec()).expect("known kernel");
+    let snapshot = || {
+        let mut cfg = gate_config(Mode::Ci).with_max_insts(5_000);
+        cfg.record_lifecycle = false;
+        cfg.mech.srsmt_sets = 1;
+        cfg.mech.srsmt_ways = 4;
+        let mut p = Pipeline::new(&w.prog, w.mem.clone(), cfg);
+        p.run();
+        run_json(w.name, Mode::Ci.label(), &p.stats)
+    };
+    let first = snapshot();
+    for run in 2..=4 {
+        assert!(
+            snapshot() == first,
+            "perlbmk/ci with a 1x4 SRSMT: run {run} differs from run 1"
+        );
+    }
+}
