@@ -29,6 +29,8 @@
 //!   Figure 5 classification (no CI found / selected but no reuse /
 //!   at least one reuse).
 //! * [`storage`] — the §3.1 extra-hardware byte accounting (39 KB).
+//! * [`BitSet`] — a fixed-size index set: the SRSMT's live ways, and
+//!   the window slots `cfir-sim`'s issue stage walks.
 //!
 //! The replica execution engine itself (dispatching the speculative
 //! instances into the issue queue, executing them at low priority, and
@@ -65,6 +67,7 @@
 //! assert!(!crp.is_control_independent([Some(2), None]));
 //! ```
 
+pub mod bitset;
 pub mod config;
 pub mod crp;
 pub mod events;
@@ -75,6 +78,7 @@ pub mod specmem;
 pub mod srsmt;
 pub mod storage;
 
+pub use bitset::BitSet;
 pub use config::MechConfig;
 pub use crp::Crp;
 pub use events::{EventOutcome, EventStats};

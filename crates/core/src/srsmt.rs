@@ -37,6 +37,7 @@
 //! The replica *execution* engine lives in `cfir-sim`; this module owns
 //! the architectural state machine.
 
+use crate::BitSet;
 use cfir_isa::Inst;
 
 /// Identifier of a replica's destination storage: a physical register
@@ -408,6 +409,10 @@ pub struct SrsmtStats {
 #[derive(Debug, Clone)]
 pub struct Srsmt {
     ways: Vec<Option<SrsmtEntry>>,
+    /// The ways holding an entry. Every walk over the table (the
+    /// replica pump's, recovery's, the store check's) visits only
+    /// these: a few of the 256 ways are live at a time.
+    live: BitSet,
     stamps: Vec<u64>,
     sets: usize,
     assoc: usize,
@@ -424,6 +429,7 @@ impl Srsmt {
         assert!(sets.is_power_of_two() && sets > 0 && assoc > 0);
         Srsmt {
             ways: vec![None; sets * assoc],
+            live: BitSet::new(sets * assoc),
             stamps: vec![0; sets * assoc],
             sets,
             assoc,
@@ -472,8 +478,9 @@ impl Srsmt {
         entry.gen = self.clock as u32;
         let base = self.set_of(entry.pc) * self.assoc;
         let range = base..base + self.assoc;
-        if let Some(i) = range.clone().find(|&i| self.ways[i].is_none()) {
+        if let Some(i) = range.clone().find(|&i| !self.live.contains(i)) {
             self.ways[i] = Some(entry);
+            self.live.insert(i);
             self.stamps[i] = self.clock;
             self.stats.allocs += 1;
             return AllocOutcome::Placed {
@@ -506,6 +513,7 @@ impl Srsmt {
     /// Remove the entry at `idx`, returning it so the caller can free
     /// its storage.
     pub fn invalidate(&mut self, idx: usize) -> Option<SrsmtEntry> {
+        self.live.remove(idx);
         self.ways[idx].take()
     }
 
@@ -515,11 +523,11 @@ impl Srsmt {
     /// down; they are returned so the caller releases their storage.
     pub fn recovery(&mut self) -> Vec<SrsmtEntry> {
         let mut released = Vec::new();
-        for i in 0..self.ways.len() {
+        let mut next = self.next_valid(0);
+        while let Some(i) = next {
+            next = self.next_valid(i + 1);
             let tear_down = {
-                let Some(e) = self.ways[i].as_mut() else {
-                    continue;
-                };
+                let e = self.ways[i].as_mut().expect("live way holds an entry");
                 if e.used {
                     e.daec = 0;
                 } else {
@@ -531,7 +539,7 @@ impl Srsmt {
             };
             if tear_down {
                 self.stats.daec_releases += 1;
-                released.push(self.ways[i].take().unwrap());
+                released.push(self.invalidate(i).expect("live way holds an entry"));
             }
         }
         released
@@ -542,32 +550,42 @@ impl Srsmt {
     /// invalidate them and squash the conventional window.
     pub fn store_check(&mut self, addr: u64) -> Vec<usize> {
         let hits: Vec<usize> = self
-            .ways
-            .iter()
-            .enumerate()
-            .filter_map(|(i, w)| {
-                let e = w.as_ref()?;
-                match e.live_range() {
-                    Some((lo, hi)) if lo <= addr && addr <= hi => Some(i),
-                    _ => None,
-                }
+            .iter_valid()
+            .filter_map(|(i, e)| match e.live_range() {
+                Some((lo, hi)) if lo <= addr && addr <= hi => Some(i),
+                _ => None,
             })
             .collect();
         self.stats.store_conflicts += hits.len() as u64;
         hits
     }
 
-    /// Iterate over valid entries (diagnostics and the replica pump).
+    /// Iterate over valid entries in way order.
     pub fn iter_valid(&self) -> impl Iterator<Item = (usize, &SrsmtEntry)> {
-        self.ways
+        self.live
             .iter()
-            .enumerate()
-            .filter_map(|(i, w)| w.as_ref().map(|e| (i, e)))
+            .map(|i| (i, self.ways[i].as_ref().expect("live way holds an entry")))
+    }
+
+    /// Index of the first valid entry at way `from` or later: a walk
+    /// that may change entries between steps (the replica pump's).
+    #[inline]
+    pub fn next_valid(&self, from: usize) -> Option<usize> {
+        self.live.iter_in(from, self.ways.len()).next()
     }
 
     /// Number of valid entries.
     pub fn occupancy(&self) -> usize {
-        self.ways.iter().filter(|w| w.is_some()).count()
+        self.live.len()
+    }
+
+    /// Whether the live-way set agrees with a walk of every way (the
+    /// reference the pipeline's debug builds check it against).
+    pub fn live_set_is_exact(&self) -> bool {
+        self.ways
+            .iter()
+            .enumerate()
+            .all(|(i, w)| w.is_some() == self.live.contains(i))
     }
 }
 
@@ -795,6 +813,59 @@ mod tests {
         assert_eq!(t.store_check(5000), vec![b]);
         assert!(t.store_check(2000).is_empty());
         assert_eq!(t.stats.store_conflicts, 2);
+    }
+
+    /// `iter_valid` and `occupancy` agree with a walk of every way.
+    fn assert_live_set_matches_ways(t: &Srsmt) {
+        let walk: Vec<usize> = (0..t.ways.len()).filter(|&i| t.ways[i].is_some()).collect();
+        let live: Vec<usize> = t.iter_valid().map(|(i, _)| i).collect();
+        assert_eq!(live, walk);
+        assert_eq!(t.occupancy(), walk.len());
+        assert!(t.live_set_is_exact());
+    }
+
+    #[test]
+    fn live_set_follows_every_way_change() {
+        // 2 sets x 2 ways: PCs 0x00, 0x08 and 0x10 share set 0.
+        let mut t = Srsmt::new(2, 2, 2);
+        assert_live_set_matches_ways(&t);
+        for pc in [0x00, 0x04, 0x08] {
+            t.alloc(grown(pc, 2, 2));
+            assert_live_set_matches_ways(&t);
+        }
+        // LRU eviction: set 0 is full, so 0x10 displaces 0x00.
+        let AllocOutcome::Placed { evicted, .. } = t.alloc(grown(0x10, 2, 2)) else {
+            panic!("an idle entry must be reclaimed");
+        };
+        assert_eq!(evicted.unwrap().pc, 0x00);
+        assert_live_set_matches_ways(&t);
+        // Invalidate, then invalidate the emptied way again.
+        let i = t.find(0x04).unwrap();
+        assert!(t.invalidate(i).is_some());
+        assert_live_set_matches_ways(&t);
+        assert!(t.invalidate(i).is_none());
+        assert_live_set_matches_ways(&t);
+        // DAEC release: 0x08 validates before each recovery, 0x10 never
+        // does and goes on the second one.
+        let used = t.find(0x08).unwrap();
+        for released in [0, 1] {
+            t.get_mut(used).unwrap().advance_decode();
+            assert_eq!(t.recovery().len(), released);
+            assert_live_set_matches_ways(&t);
+        }
+        assert!(t.find(0x10).is_none());
+        // Store check over the one live load entry, then the teardown
+        // the pipeline makes of every hit.
+        t.get_mut(used).unwrap().complete_replica(0, 0, Some(2000));
+        t.get_mut(used).unwrap().complete_replica(1, 0, Some(2008));
+        assert!(t.store_check(9000).is_empty());
+        assert_live_set_matches_ways(&t);
+        let hits = t.store_check(2004);
+        assert_eq!(hits, vec![used]);
+        assert_live_set_matches_ways(&t);
+        t.invalidate(hits[0]);
+        assert_live_set_matches_ways(&t);
+        assert_eq!(t.occupancy(), 0);
     }
 
     #[test]

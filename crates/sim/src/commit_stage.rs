@@ -34,7 +34,7 @@ impl Pipeline<'_> {
         let mut slots = self.cfg.commit_width;
         while slots > 0 {
             let Some(head) = self.rob.front() else { break };
-            if head.state != RobState::Done {
+            if head.state() != RobState::Done {
                 break;
             }
             let is_store = head.inst.is_store();

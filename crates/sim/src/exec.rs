@@ -109,13 +109,15 @@ impl Pipeline<'_> {
     // Issue
     // ----------------------------------------------------------------
 
+    /// Oldest-first select over the window's `Dispatched` entries. The
+    /// walk follows the dispatched-slot set, so entries already
+    /// executing or done are never visited; readiness is still checked
+    /// per entry, in window order, so the selection is that of a scan.
     pub(crate) fn issue(&mut self) {
-        for i in 0..self.rob.len() {
+        let mut walk = self.rob.walk_dispatched();
+        while let Some(i) = self.rob.next_dispatched(&mut walk) {
             if self.res.issue == 0 {
                 break;
-            }
-            if self.rob[i].state != RobState::Dispatched {
-                continue;
             }
             // Operand readiness.
             let srcs = self.rob[i].src_phys;
@@ -153,8 +155,7 @@ impl Pipeline<'_> {
                             let e = &mut self.rob[i];
                             e.addr = Some(addr);
                             e.value = v;
-                            e.state = RobState::Executing;
-                            e.done_at = self.cycle + 1;
+                            self.rob.set_state(i, RobState::Executing, self.cycle + 1);
                         }
                         crate::lsq::LoadSearch::CacheAccess => {
                             let Some(lat) = self.arbitrate_load(addr) else {
@@ -174,11 +175,11 @@ impl Pipeline<'_> {
                             let e = &mut self.rob[i];
                             e.addr = Some(addr);
                             e.value = v;
-                            e.state = RobState::Executing;
-                            e.done_at = self.cycle + lat as u64;
                             e.dcache_miss = level.is_some();
+                            let lid = e.lid;
+                            self.rob
+                                .set_state(i, RobState::Executing, self.cycle + lat as u64);
                             if let Some(level) = level {
-                                let lid = e.lid;
                                 self.obs.wait_edge(
                                     lid,
                                     WaitEdgeKind::CacheMiss,
@@ -203,8 +204,7 @@ impl Pipeline<'_> {
                     let e = &mut self.rob[i];
                     e.addr = Some(addr);
                     e.value = v2;
-                    e.state = RobState::Executing;
-                    e.done_at = self.cycle + 1;
+                    self.rob.set_state(i, RobState::Executing, self.cycle + 1);
                     self.res.issue -= 1;
                 }
                 Inst::Br { cond, target, .. } => {
@@ -215,8 +215,7 @@ impl Pipeline<'_> {
                     let e = &mut self.rob[i];
                     e.actual_taken = taken;
                     e.actual_target = if taken { target } else { e.pc + 1 };
-                    e.state = RobState::Executing;
-                    e.done_at = self.cycle + 1;
+                    self.rob.set_state(i, RobState::Executing, self.cycle + 1);
                     self.res.issue -= 1;
                 }
                 Inst::Jr { .. } => {
@@ -226,8 +225,7 @@ impl Pipeline<'_> {
                     let e = &mut self.rob[i];
                     e.actual_taken = true;
                     e.actual_target = v1 as u32;
-                    e.state = RobState::Executing;
-                    e.done_at = self.cycle + 1;
+                    self.rob.set_state(i, RobState::Executing, self.cycle + 1);
                     self.res.issue -= 1;
                 }
                 Inst::Alu { .. } | Inst::AluImm { .. } | Inst::Fp { .. } => {
@@ -235,20 +233,18 @@ impl Pipeline<'_> {
                     if !self.take_fu(class) {
                         continue;
                     }
-                    let e = &mut self.rob[i];
-                    e.value = alu_result(inst, v1, v2).unwrap();
-                    e.state = RobState::Executing;
-                    e.done_at = self.cycle + class.latency().unwrap() as u64;
+                    self.rob[i].value = alu_result(inst, v1, v2).expect("an ALU-class instruction");
+                    let done_at =
+                        self.cycle + class.latency().expect("ALU classes have a latency") as u64;
+                    self.rob.set_state(i, RobState::Executing, done_at);
                     self.res.issue -= 1;
                 }
                 Inst::Li { imm, .. } => {
                     if !self.take_fu(FuClass::IntAlu) {
                         continue;
                     }
-                    let e = &mut self.rob[i];
-                    e.value = imm as u64;
-                    e.state = RobState::Executing;
-                    e.done_at = self.cycle + 1;
+                    self.rob[i].value = imm as u64;
+                    self.rob.set_state(i, RobState::Executing, self.cycle + 1);
                     self.res.issue -= 1;
                 }
                 Inst::Nop | Inst::Halt | Inst::Jmp { .. } => {
@@ -258,7 +254,7 @@ impl Pipeline<'_> {
             // Was `Dispatched` at the top of the iteration (all the
             // resource-fail paths `continue` before this), so a state
             // change means the instruction issued this cycle.
-            if self.rob[i].state == RobState::Executing {
+            if self.rob[i].state() == RobState::Executing {
                 self.obs.issue(self.rob[i].lid, self.cycle);
             }
         }
@@ -273,13 +269,14 @@ impl Pipeline<'_> {
         // completed since they dispatched; fall back to normal
         // execution when the entry/replica died under them.
         self.poll_pending_reuses();
-        // Complete scalar instructions.
+        // Complete scalar instructions: those the completion heap has
+        // due by now, in window order.
+        let due = self.rob.take_due(self.cycle);
+        #[cfg(debug_assertions)]
+        self.rob.check_due(self.cycle, &due);
         let mut mispredicted: Option<usize> = None;
-        for i in 0..self.rob.len() {
-            if self.rob[i].state != RobState::Executing || self.rob[i].done_at > self.cycle {
-                continue;
-            }
-            self.rob[i].state = RobState::Done;
+        for &i in &due {
+            self.rob.set_state(i, RobState::Done, 0);
             self.obs.complete(self.rob[i].lid, self.cycle);
             if let Some(pr) = self.rob[i].probe {
                 if !pr.verified {
@@ -317,6 +314,7 @@ impl Pipeline<'_> {
                 }
             }
         }
+        self.rob.recycle_due(due);
         // Complete replicas.
         self.complete_replicas();
         // Recover from the oldest misprediction resolved this cycle.
@@ -437,12 +435,18 @@ impl Pipeline<'_> {
         if self.mech.is_none() {
             return;
         }
-        for i in 0..self.rob.len() {
-            let Some(r) = self.rob[i].reuse else { continue };
-            if !r.pending || self.rob[i].state != RobState::Executing {
+        // Walk the window's pending list oldest first. Each step either
+        // leaves entry `i` waiting (`k` moves on) or moves it out of the
+        // pending state, which removes it from the list.
+        let mut k = 0;
+        while let Some(i) = self.rob.pending(k) {
+            let r = self.rob[i]
+                .reuse
+                .expect("the pending list holds validations only");
+            let Some(idx) = r.srsmt_idx else {
+                k += 1;
                 continue;
-            }
-            let Some(idx) = r.srsmt_idx else { continue };
+            };
             let bpc = Program::byte_pc(self.rob[i].pc);
             #[derive(PartialEq)]
             enum Poll {
@@ -483,7 +487,7 @@ impl Pipeline<'_> {
                                 (Some(x), Some(a)) if x != a => Poll::Mismatch,
                                 _ => Poll::Deliver(ent.value_of(r.replica), addr),
                             }
-                        } else if self.cycle.saturating_sub(self.rob[i].done_at) > 64 {
+                        } else if self.cycle.saturating_sub(self.rob[i].done_at()) > 64 {
                             // A stuck chain must not block the ROB head.
                             Poll::Fallback
                         } else {
@@ -494,7 +498,7 @@ impl Pipeline<'_> {
                 }
             };
             match poll {
-                Poll::Wait => {}
+                Poll::Wait => k += 1,
                 Poll::Fallback | Poll::Mismatch => {
                     // Execute normally, but keep owning the consumed
                     // slot as a probe so the entry's instance accounting
@@ -507,9 +511,9 @@ impl Pipeline<'_> {
                         verified: true, // value came from a real validation
                     });
                     e.reuse = None;
-                    e.state = RobState::Dispatched;
-                    e.done_at = 0;
-                    self.obs.reused(e.lid, false);
+                    let lid = e.lid;
+                    self.rob.set_state(i, RobState::Dispatched, 0);
+                    self.obs.reused(lid, false);
                     if poll == Poll::Mismatch {
                         let mut m = self.mech.take().unwrap();
                         if let Some(ent) = m.srsmt.get_mut(idx) {
@@ -519,19 +523,17 @@ impl Pipeline<'_> {
                     }
                 }
                 Poll::Deliver(value, addr) => {
-                    let waited = self.cycle.saturating_sub(self.rob[i].done_at);
+                    let waited = self.cycle.saturating_sub(self.rob[i].done_at());
                     self.stats.h_reuse_wait.record(waited);
                     self.obs
                         .trace(Subsystem::Vec, self.rob[i].pc as u64, self.cycle, || {
                             EventKind::Reuse { value, waited }
                         });
-                    let mut e = self.rob[i].clone();
-                    self.deliver_reuse_value(&mut e, value);
+                    self.deliver_reuse_value(i, value);
                     if let Some(a) = addr {
-                        e.addr = Some(a);
-                        self.lsq.set_addr(e.seq, a);
+                        self.rob[i].addr = Some(a);
+                        self.lsq.set_addr(self.rob[i].seq, a);
                     }
-                    self.rob[i] = e;
                 }
             }
         }

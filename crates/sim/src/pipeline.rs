@@ -6,9 +6,11 @@
 //!
 //! 1. `commit` — in-order retire (≤ 8), store write-back + coherence,
 //!    reuse finalisation, golden-model check;
-//! 2. `writeback` — finish executing instructions & replicas, resolve
-//!    branches (misprediction recovery happens here);
-//! 3. `issue` — oldest-first out-of-order select (≤ 8) over the window,
+//! 2. `writeback` — finish the instructions a completion heap says are
+//!    due, and the replicas; resolve branches (misprediction recovery
+//!    happens here);
+//! 3. `issue` — oldest-first out-of-order select (≤ 8) over the
+//!    window's `Dispatched` entries (a slot set, not a window scan),
 //!    constrained by FUs, D-cache ports, the wide bus and MSHRs;
 //! 4. `replica_pump` — the CI replica engine uses *leftover* issue
 //!    bandwidth, FUs and ports (§2.4.1: lower priority);
@@ -22,7 +24,7 @@ use crate::lsq::Lsq;
 use crate::mech::{Mech, ReplicaArena};
 use crate::observe::{CommitRecord, Observers};
 use crate::regfile::{PhysId, PhysRegFile};
-use crate::rob::{ReuseInfo, RobEntry, RobState};
+use crate::rob::{ReuseInfo, RobEntry, RobState, Window};
 use crate::stall_attr::DispatchBlock;
 use crate::stats::SimStats;
 use cfir_core::RenameExt;
@@ -158,7 +160,7 @@ pub struct Pipeline<'a> {
     pub(crate) arch_ghist: u64,
 
     // Window.
-    pub(crate) rob: VecDeque<RobEntry>,
+    pub(crate) rob: Window,
     pub(crate) lsq: Lsq,
 
     // Memory system.
@@ -177,8 +179,9 @@ pub struct Pipeline<'a> {
     /// sentinel is unambiguous.
     pub(crate) jr_btb: Vec<u32>,
 
-    // Mechanism.
-    pub(crate) mech: Option<Mech>,
+    // Mechanism. Boxed: every hook takes it out of the `Option` and
+    // puts it back, which moves a pointer rather than the whole state.
+    pub(crate) mech: Option<Box<Mech>>,
     pub(crate) replicas: ReplicaArena,
 
     // Golden model.
@@ -221,7 +224,7 @@ impl<'a> Pipeline<'a> {
             let _ = r;
         }
         let mech = if cfg.mode.vectorizes() || cfg.mode.selects_ci() {
-            Some(Mech::new(&cfg.mech, prog.insts.len()))
+            Some(Box::new(Mech::new(&cfg.mech, prog.insts.len())))
         } else {
             None
         };
@@ -256,7 +259,7 @@ impl<'a> Pipeline<'a> {
             arch_regs: [0; NLR],
             arch_pc: 0,
             arch_ghist: 0,
-            rob: VecDeque::with_capacity(cfg.window as usize),
+            rob: Window::new(cfg.window as usize),
             lsq,
             mem,
             hier,
@@ -393,7 +396,7 @@ impl<'a> Pipeline<'a> {
             rob_done: self
                 .rob
                 .iter()
-                .filter(|e| e.state == RobState::Done)
+                .filter(|e| e.state() == RobState::Done)
                 .count(),
             lsq: self.lsq.len(),
             regs_in_use: self.rf.in_use(),
@@ -477,6 +480,8 @@ impl<'a> Pipeline<'a> {
         self.flushed_this_cycle = false;
         self.dispatch_block = None;
         let committed_before = self.stats.committed;
+        #[cfg(debug_assertions)]
+        self.check_work_lists();
 
         self.commit();
         if !self.halted {
@@ -524,6 +529,16 @@ impl<'a> Pipeline<'a> {
                 rob_occupancy: self.rob.len() as u32,
                 regs_in_use: self.rf.in_use() as u32,
             });
+        }
+    }
+
+    /// Debug cross-check, every cycle: the window's work lists and the
+    /// SRSMT's live ways against the full scans they replace.
+    #[cfg(debug_assertions)]
+    fn check_work_lists(&self) {
+        self.rob.check_work_lists();
+        if let Some(m) = &self.mech {
+            assert!(m.srsmt.live_set_is_exact(), "SRSMT live ways out of step");
         }
     }
 
@@ -669,7 +684,7 @@ impl<'a> Pipeline<'a> {
                 self.dispatch_block = Some(DispatchBlock::DecodeWait);
                 break;
             }
-            if self.rob.len() >= self.cfg.window as usize {
+            if self.rob.is_full() {
                 self.dispatch_block = Some(DispatchBlock::RobFull);
                 break;
             }
@@ -726,24 +741,28 @@ impl<'a> Pipeline<'a> {
             if reuse.is_none() {
                 self.mech_vectorize(&e);
             }
-            // Rename-extension propagation + reuse wiring.
-            self.update_ext_and_state(&mut e, reuse);
-
-            self.rob.push_back(e);
+            // Enter the window, then propagate the rename extension and
+            // wire the reuse.
+            self.rob.push(e);
+            self.update_ext_and_state(self.rob.len() - 1, reuse);
         }
     }
 
-    /// Apply the stridedPC/V-S propagation rules to the destination and
-    /// wire a validated reuse into the entry.
-    fn update_ext_and_state(&mut self, e: &mut RobEntry, reuse: Option<ReuseInfo>) {
+    /// Apply the stridedPC/V-S propagation rules to the destination of
+    /// the window entry at `i` and wire a validated reuse into it.
+    fn update_ext_and_state(&mut self, i: usize, reuse: Option<ReuseInfo>) {
+        let (pc, inst, ldest) = {
+            let e = &self.rob[i];
+            (e.pc, e.inst, e.ldest)
+        };
         // Destination extension update.
-        if let Some(d) = e.ldest {
+        if let Some(d) = ldest {
             let d = d as usize;
-            match e.inst {
+            match inst {
                 Inst::Ld { .. } => {
                     let mut x = RenameExt::new();
                     if let Some(m) = &self.mech {
-                        let bpc = Program::byte_pc(e.pc);
+                        let bpc = Program::byte_pc(pc);
                         if m.stride.is_strided(bpc) {
                             x.set_strided_load(bpc);
                         }
@@ -752,7 +771,7 @@ impl<'a> Pipeline<'a> {
                 }
                 Inst::Alu { .. } | Inst::AluImm { .. } | Inst::Fp { .. } => {
                     let cap = self.cfg.mech.strided_pc_slots;
-                    let srcs = e.inst.sources();
+                    let srcs = inst.sources();
                     let (x, dropped) = RenameExt::propagate_from(
                         srcs.iter().flatten().map(|&s| &self.ext[s as usize]),
                         cap,
@@ -771,31 +790,38 @@ impl<'a> Pipeline<'a> {
             let vectorized = self
                 .mech
                 .as_ref()
-                .map(|m| m.srsmt.find(Program::byte_pc(e.pc)).is_some())
+                .map(|m| m.srsmt.find(Program::byte_pc(pc)).is_some())
                 .unwrap_or(false);
             if vectorized {
-                self.ext[d].set_vectorized(Program::byte_pc(e.pc));
+                self.ext[d].set_vectorized(Program::byte_pc(pc));
             } else {
                 self.ext[d].clear_vectorized();
             }
         }
 
         // Reuse wiring: the instruction does not execute.
+        let lid = self.rob[i].lid;
         if let Some(r) = reuse {
+            let e = &mut self.rob[i];
             e.value = r.value;
             e.reuse = Some(r);
-            self.obs.reused(e.lid, true);
+            self.obs.reused(lid, true);
             if r.pending {
                 // The replica is still executing; the validating
                 // instruction waits for the value (polled in writeback;
                 // `done_at` records when the wait started so a stuck
-                // chain can fall back to normal execution).
-                e.state = RobState::Executing;
-                e.done_at = self.cycle;
+                // chain can fall back to normal execution). Known
+                // defect, ROADMAP.md item 5: that same `done_at` makes
+                // the entry due at the next writeback, which completes
+                // it with the decode-time value after at most one
+                // cycle's wait, so the stuck-chain timeout never fires.
+                // The completion heap reproduces this exactly.
+                self.rob.set_state(i, RobState::Executing, self.cycle);
             } else {
                 self.stats.h_reuse_wait.record(0);
-                self.deliver_reuse_value(e, r.value);
+                self.deliver_reuse_value(i, r.value);
             }
+            let e = &self.rob[i];
             if e.inst.is_load() {
                 if let Some(a) = e.addr {
                     self.lsq.set_addr(e.seq, a);
@@ -805,31 +831,33 @@ impl<'a> Pipeline<'a> {
         }
 
         // Non-executing instructions are done at dispatch.
-        match e.inst {
-            Inst::Nop | Inst::Halt => e.state = RobState::Done,
+        match inst {
+            Inst::Nop | Inst::Halt => {}
             Inst::Jmp { target } => {
-                e.state = RobState::Done;
+                let e = &mut self.rob[i];
                 e.actual_taken = true;
                 e.actual_target = target;
             }
-            _ => {}
+            _ => return,
         }
-        if e.state == RobState::Done {
-            self.obs.complete(e.lid, self.cycle);
-        }
+        self.rob.set_state(i, RobState::Done, 0);
+        self.obs.complete(lid, self.cycle);
     }
 
-    /// Hand a (now available) replica value to a validating
-    /// instruction: immediately with a monolithic register file, or
-    /// through the §2.4.6 copy uop (2-cycle speculative memory, 2 read
-    /// ports per cycle) when the spec memory is configured.
-    pub(crate) fn deliver_reuse_value(&mut self, e: &mut RobEntry, value: u64) {
+    /// Hand a (now available) replica value to the validating
+    /// instruction at window index `i`: immediately with a monolithic
+    /// register file, or through the §2.4.6 copy uop (2-cycle
+    /// speculative memory, 2 read ports per cycle) when the spec memory
+    /// is configured.
+    pub(crate) fn deliver_reuse_value(&mut self, i: usize, value: u64) {
+        let e = &mut self.rob[i];
         e.value = value;
-        self.notify_seed(e.seq, value);
         if let Some(r) = &mut e.reuse {
             r.value = value;
             r.pending = false;
         }
+        let (seq, lid, new_phys) = (e.seq, e.lid, e.new_phys);
+        self.notify_seed(seq, value);
         let specmem_lat = self
             .mech
             .as_ref()
@@ -839,14 +867,14 @@ impl<'a> Pipeline<'a> {
             let port_penalty = if self.res.specmem_reads == 0 { 1 } else { 0 };
             self.res.specmem_reads = self.res.specmem_reads.saturating_sub(1);
             self.stats.specmem_copies += 1;
-            e.state = RobState::Executing;
-            e.done_at = self.cycle + lat as u64 + port_penalty;
+            let done_at = self.cycle + lat as u64 + port_penalty;
+            self.rob.set_state(i, RobState::Executing, done_at);
         } else {
-            if let Some(p) = e.new_phys {
+            if let Some(p) = new_phys {
                 self.rf.write(p, value);
             }
-            e.state = RobState::Done;
-            self.obs.complete(e.lid, self.cycle);
+            self.rob.set_state(i, RobState::Done, 0);
+            self.obs.complete(lid, self.cycle);
         }
     }
 }

@@ -91,7 +91,7 @@ impl Pipeline<'_> {
                 StallCause::IqFull
             };
         };
-        match head.state {
+        match head.state() {
             RobState::Done => StallCause::CommitBandwidth,
             RobState::Executing => {
                 if head.reuse.is_some_and(|r| r.pending) {

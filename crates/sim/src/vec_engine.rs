@@ -870,10 +870,12 @@ impl Pipeline<'_> {
 
     /// Grow windows (continuous re-dispatch, §2.3.3) and keep growing
     /// each entry until its window or the storage budget is exhausted.
+    /// Walks the live ways only; growing never adds or removes one.
     fn grow_pass(&mut self, m: &mut Mech) {
-        let idxs: Vec<usize> = m.srsmt.iter_valid().map(|(i, _)| i).collect();
-        for idx in idxs {
+        let mut next = m.srsmt.next_valid(0);
+        while let Some(idx) = next {
             while self.grow_one(m, idx) {}
+            next = m.srsmt.next_valid(idx + 1);
         }
     }
 
@@ -1139,7 +1141,7 @@ impl Pipeline<'_> {
             }
             let mut is_ci = false;
             if reached
-                && e.state == RobState::Done
+                && e.state() == RobState::Done
                 && e.reuse.is_none()
                 && e.ldest.is_some()
                 && !e.inst.is_control()
@@ -1174,7 +1176,7 @@ impl Pipeline<'_> {
         // Slot order: `get_mut` stamps LRU, so the order must not
         // depend on a hash seed.
         let mut counts: BTreeMap<usize, u32> = BTreeMap::new();
-        for e in &self.rob {
+        for e in self.rob.iter() {
             if let Some(r) = &e.reuse {
                 if let Some(idx) = r.srsmt_idx {
                     if let Some(ent) = m.srsmt.get(idx) {
