@@ -461,6 +461,13 @@ impl Srsmt {
         self.ways[idx].as_ref()
     }
 
+    /// The entry at `idx` if it is still generation `gen`: how a stale
+    /// reference (a replica, a validation's consumed slot, a seed
+    /// waiter) finds its entry. Does not touch LRU.
+    pub fn get_gen(&self, idx: usize, gen: u32) -> Option<&SrsmtEntry> {
+        self.ways[idx].as_ref().filter(|e| e.gen == gen)
+    }
+
     /// Mutable access to an entry; touches LRU.
     pub fn get_mut(&mut self, idx: usize) -> Option<&mut SrsmtEntry> {
         self.clock += 1;
@@ -765,9 +772,15 @@ mod tests {
         };
         assert!(evicted.is_none());
         assert_eq!(t.find(0x40), Some(idx));
+        let gen = t.get(idx).unwrap().gen;
+        let stamp = t.stamps[idx];
+        assert_eq!(t.get_gen(idx, gen).unwrap().pc, 0x40);
+        assert!(t.get_gen(idx, gen + 1).is_none(), "another generation");
+        assert_eq!(t.stamps[idx], stamp, "get_gen leaves LRU alone");
         let e = t.invalidate(idx).unwrap();
         assert_eq!(e.pc, 0x40);
         assert_eq!(t.find(0x40), None);
+        assert!(t.get_gen(idx, gen).is_none(), "entry gone");
     }
 
     #[test]

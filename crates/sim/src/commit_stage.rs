@@ -86,10 +86,9 @@ impl Pipeline<'_> {
                         Some(idx) => self
                             .mech
                             .as_ref()
-                            .and_then(|m| m.srsmt.get(idx))
+                            .and_then(|m| m.srsmt.get_gen(idx, r.gen))
                             .is_some_and(|ent| {
-                                ent.gen == r.gen
-                                    && r.replica < ent.head
+                                r.replica < ent.head
                                     && ent.is_complete(r.replica)
                                     && ent.value_of(r.replica) == r.value
                                     && !(0..ent.head).any(|k| {
@@ -127,9 +126,6 @@ impl Pipeline<'_> {
                     // misprediction as well: its recovery is the one
                     // this precomputed value survived.
                     self.stats.events.mark_reused_current();
-                    if let Some(idx) = r.srsmt_idx {
-                        self.finish_reuse_commit(&e, idx, r.gen);
-                    }
                 } else {
                     // The decode-time checks let a wrong value through;
                     // repair architecturally and flush the poisoned
@@ -178,12 +174,10 @@ impl Pipeline<'_> {
                 }
             }
 
-            // Probes consumed a slot; verify the entry's alignment
-            // against this architecturally-final result (confirming the
-            // entry or tearing it down), then release the slot like a
-            // verified reuse would (without the value benefit).
-            if let Some(pr) = e.probe {
-                self.finish_reuse_commit_probe(pr);
+            // A verified reuse and a probe both release the slot their
+            // validation consumed (a repair has torn the entry down).
+            if let Some((way, gen)) = e.consumed_slot() {
+                self.release_committed_slot(way, gen);
             }
 
             // --- Per-kind architectural action ---
@@ -297,41 +291,18 @@ impl Pipeline<'_> {
         }
     }
 
-    /// Probe variant of [`Pipeline::finish_reuse_commit`].
-    fn finish_reuse_commit_probe(&mut self, pr: crate::rob::ProbeInfo) {
+    /// Advance the SRSMT `commit` pointer past the slot a committing
+    /// validation consumed and free the slot's storage, if the entry is
+    /// still generation `gen`. Its `decode − commit` counts the window's
+    /// validations holding one of its slots (recovery recounts them),
+    /// so it is at least one here; `advance_commit` debug-asserts that.
+    fn release_committed_slot(&mut self, way: usize, gen: u32) {
         let Some(mut m) = self.mech.take() else {
             return;
         };
-        let matches_entry = m
-            .srsmt
-            .get(pr.srsmt_idx)
-            .map(|ent| ent.gen == pr.gen && ent.commit < ent.decode)
-            .unwrap_or(false);
-        if matches_entry {
-            let ent = m.srsmt.get_mut(pr.srsmt_idx).unwrap();
-            let storage = ent.advance_commit();
+        if m.srsmt.get_gen(way, gen).is_some() {
+            let storage = m.srsmt.get_mut(way).unwrap().advance_commit();
             self.free_storage(&mut m, &[storage]);
-        }
-        self.mech = Some(m);
-    }
-
-    /// Advance the SRSMT `commit` pointer for a verified reuse and free
-    /// the consumed replica's storage.
-    fn finish_reuse_commit(&mut self, e: &RobEntry, idx: usize, gen: u32) {
-        let Some(mut m) = self.mech.take() else {
-            return;
-        };
-        let matches_entry = m
-            .srsmt
-            .get(idx)
-            .map(|ent| ent.pc == Program::byte_pc(e.pc) && ent.gen == gen)
-            .unwrap_or(false);
-        if matches_entry {
-            let ent = m.srsmt.get_mut(idx).unwrap();
-            if ent.commit < ent.decode {
-                let storage = ent.advance_commit();
-                self.free_storage(&mut m, &[storage]);
-            }
         }
         self.mech = Some(m);
     }

@@ -2,7 +2,7 @@
 
 use crate::pipeline::Pipeline;
 use crate::rob::RobState;
-use cfir_isa::{FuClass, Inst, Program};
+use cfir_isa::{FuClass, Inst};
 use cfir_obs::{EventKind, Subsystem, WaitDetail, WaitEdgeKind};
 
 /// Result of an ALU-class instruction (`Alu`, `AluImm`, `Fp`) on
@@ -447,7 +447,6 @@ impl Pipeline<'_> {
                 k += 1;
                 continue;
             };
-            let bpc = Program::byte_pc(self.rob[i].pc);
             #[derive(PartialEq)]
             enum Poll {
                 Wait,
@@ -462,8 +461,8 @@ impl Pipeline<'_> {
             }
             let poll = {
                 let m = self.mech.as_ref().unwrap();
-                match m.srsmt.get(idx) {
-                    Some(ent) if ent.pc == bpc && ent.gen == r.gen && r.replica < ent.head => {
+                match m.srsmt.get_gen(idx, r.gen) {
+                    Some(ent) if r.replica < ent.head => {
                         if ent.is_dead(r.replica) || r.replica < ent.commit {
                             Poll::Fallback
                         } else if ent.is_complete(r.replica) {
@@ -556,37 +555,35 @@ impl Pipeline<'_> {
         let Some(mut m) = self.mech.take() else {
             return;
         };
+        let ent = m
+            .srsmt
+            .get_gen(pr.srsmt_idx, pr.gen)
+            .filter(|ent| pr.replica < ent.head);
         // Dataflow oracle: capture the CI event that owns the SRSMT
         // entry before any teardown below erases it.
-        let event = m.srsmt.get(pr.srsmt_idx).and_then(|ent| ent.event);
-        let verdict = {
-            match m.srsmt.get(pr.srsmt_idx) {
-                Some(ent) if ent.gen == pr.gen && pr.replica < ent.head => {
-                    if is_load {
-                        // Address comparison works even if the replica
-                        // has not completed (strided addresses are fixed
-                        // at creation).
-                        match ent.kind {
-                            cfir_core::srsmt::VecKind::Load { .. } => {
-                                Some(addr == Some(ent.addr_of(pr.replica)))
-                            }
-                            cfir_core::srsmt::VecKind::Op => {
-                                if ent.is_complete(pr.replica) {
-                                    Some(addr == Some(ent.addr_of(pr.replica)))
-                                } else {
-                                    None // cannot verify: leave unconfirmed
-                                }
-                            }
+        let event = ent.and_then(|ent| ent.event);
+        let verdict = ent.and_then(|ent| {
+            if is_load {
+                // Address comparison works even if the replica has not
+                // completed (strided addresses are fixed at creation).
+                match ent.kind {
+                    cfir_core::srsmt::VecKind::Load { .. } => {
+                        Some(addr == Some(ent.addr_of(pr.replica)))
+                    }
+                    cfir_core::srsmt::VecKind::Op => {
+                        if ent.is_complete(pr.replica) {
+                            Some(addr == Some(ent.addr_of(pr.replica)))
+                        } else {
+                            None // cannot verify: leave unconfirmed
                         }
-                    } else if ent.is_complete(pr.replica) {
-                        Some(value == ent.value_of(pr.replica))
-                    } else {
-                        None
                     }
                 }
-                _ => None,
+            } else if ent.is_complete(pr.replica) {
+                Some(value == ent.value_of(pr.replica))
+            } else {
+                None
             }
-        };
+        });
         // Dataflow oracle: a confirming probe is clean-reuse evidence
         // for the instruction at `pc`. A mismatching probe is not the
         // mirror image — the probe validates the replica's speculative

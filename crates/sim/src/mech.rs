@@ -1,8 +1,10 @@
-//! Mechanism state bundle: the paper's tables plus the replica engine
-//! records, owned by the pipeline when the mode uses them.
+//! Mechanism state bundle: the paper's tables, owned by the pipeline
+//! when the mode uses them, plus the record of a replica in flight.
+//! A replica names only its SRSMT slot — way, generation and instance
+//! index — and reads what it computes from that entry at issue, as the
+//! paper's one entry holds all the state of its replicas (§2.3.3).
 
 use cfir_core::{Crp, Mbs, MechConfig, SpecMem, Srsmt};
-use cfir_isa::Inst;
 use cfir_predict::StridePredictor;
 use std::collections::VecDeque;
 
@@ -10,44 +12,6 @@ use std::collections::VecDeque;
 /// sequential counters starting at 0, so `u64::MAX` can never be a
 /// real event.
 pub(crate) const SEL_EVENT_EMPTY: u64 = u64::MAX;
-
-/// A replica's source operand, resolved at batch-creation time.
-#[derive(Debug, Clone, Copy)]
-pub enum RepSrc {
-    /// Operand absent.
-    None,
-    /// Scalar value captured at vectorization time.
-    Val(u64),
-    /// The seed of a loop-carried self-dependence chain: read the own
-    /// entry's `seed_value` once the creating instruction delivers it.
-    SeedSelf,
-    /// Instance `idx` of the vectorized producer at `pc`.
-    Dep {
-        /// Producer instruction PC (SRSMT key).
-        pc: u64,
-        /// Producer generation expected.
-        gen: u32,
-        /// Producer instance index to consume.
-        idx: u32,
-    },
-}
-
-/// What the replica computes.
-#[derive(Debug, Clone, Copy)]
-pub enum RepKind {
-    /// Stride-generated load: the address is known at creation.
-    StridedLoad {
-        /// Effective address this instance reads.
-        addr: u64,
-    },
-    /// Replicated dependent instruction (ALU/FP/load-with-vector-base).
-    Op {
-        /// The instruction to evaluate.
-        inst: Inst,
-        /// Resolved sources.
-        srcs: [RepSrc; 2],
-    },
-}
 
 /// Execution state of one replica instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,114 +25,26 @@ pub enum RepState {
     },
 }
 
-/// One speculative replica in flight.
+/// One speculative replica in flight: instance `k` of the SRSMT entry
+/// at `way` with generation `gen`. Every removal of an entry reaps its
+/// replicas (`Pipeline::release_entry`), so that entry is live for as
+/// long as the record exists.
 #[derive(Debug, Clone, Copy)]
 pub struct Replica {
     /// Lifecycle id (0 when lifecycle tracing is off).
     pub lid: u64,
-    /// PC of the owning vectorized instruction (identity check against
-    /// the SRSMT entry, which may have been reallocated).
-    pub pc: u64,
-    /// SRSMT entry index this replica belongs to.
-    pub srsmt_idx: usize,
-    /// Entry generation it was created for.
+    /// SRSMT way of the owning entry.
+    pub way: usize,
+    /// Generation of the owning entry.
     pub gen: u32,
     /// Absolute instance index within the entry's replica stream.
-    pub idx: u32,
-    /// Work description.
-    pub kind: RepKind,
+    pub k: u32,
     /// Execution state.
     pub state: RepState,
     /// Value computed (valid once issued; delivered at `done_at`).
     pub value: u64,
     /// Memory address touched (loads), for the coherence range.
     pub addr: Option<u64>,
-}
-
-/// Free-list arena for in-flight replicas. Records live in a slab and
-/// never move; `order` holds slot ids in exactly the sequence the old
-/// `Vec<Replica>` held the records, so issue priority under bandwidth
-/// pressure is bit-for-bit unchanged (`reap` keeps relative order like
-/// `Vec::retain`, [`ReplicaArena::swap_remove`] performs the same
-/// last-into-hole permutation) — but removals now shift 4-byte ids
-/// instead of whole records, and freed slots are recycled without
-/// touching the allocator.
-#[derive(Debug, Default)]
-pub(crate) struct ReplicaArena {
-    slab: Vec<Replica>,
-    free: Vec<u32>,
-    order: Vec<u32>,
-    /// Scratch for [`ReplicaArena::reap`]'s killed-lid list, kept warm
-    /// across calls.
-    killed: Vec<u64>,
-}
-
-impl ReplicaArena {
-    pub(crate) fn len(&self) -> usize {
-        self.order.len()
-    }
-
-    /// Only test assertions need emptiness; the pipeline always works
-    /// from `len`/iteration.
-    #[cfg(test)]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.order.is_empty()
-    }
-
-    /// Append a replica at the back of the issue order.
-    pub(crate) fn push(&mut self, r: Replica) {
-        let id = match self.free.pop() {
-            Some(id) => {
-                self.slab[id as usize] = r;
-                id
-            }
-            None => {
-                self.slab.push(r);
-                (self.slab.len() - 1) as u32
-            }
-        };
-        self.order.push(id);
-    }
-
-    /// Remove the replica at order position `pos` with the same
-    /// last-into-hole permutation `Vec::swap_remove` used, recycling
-    /// its slot.
-    pub(crate) fn swap_remove(&mut self, pos: usize) {
-        let id = self.order.swap_remove(pos);
-        self.free.push(id);
-    }
-
-    /// Drop every replica matching `pred`, preserving the relative
-    /// order of survivors (exactly like `Vec::retain`). Returns the
-    /// lids of the dropped replicas for lifecycle close-out.
-    pub(crate) fn reap(&mut self, pred: impl Fn(&Replica) -> bool) -> &[u64] {
-        self.killed.clear();
-        let (slab, free, killed) = (&self.slab, &mut self.free, &mut self.killed);
-        self.order.retain(|&id| {
-            let r = &slab[id as usize];
-            if pred(r) {
-                killed.push(r.lid);
-                free.push(id);
-                false
-            } else {
-                true
-            }
-        });
-        &self.killed
-    }
-}
-
-impl std::ops::Index<usize> for ReplicaArena {
-    type Output = Replica;
-    fn index(&self, pos: usize) -> &Replica {
-        &self.slab[self.order[pos] as usize]
-    }
-}
-
-impl std::ops::IndexMut<usize> for ReplicaArena {
-    fn index_mut(&mut self, pos: usize) -> &mut Replica {
-        &mut self.slab[self.order[pos] as usize]
-    }
 }
 
 /// A value harvested from the squashed wrong path (ci-iw mode).

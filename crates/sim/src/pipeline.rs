@@ -21,7 +21,7 @@
 
 use crate::config::{RegFileSize, SimConfig};
 use crate::lsq::Lsq;
-use crate::mech::{Mech, ReplicaArena};
+use crate::mech::{Mech, Replica};
 use crate::observe::{CommitRecord, Observers};
 use crate::regfile::{PhysId, PhysRegFile};
 use crate::rob::{ReuseInfo, RobEntry, RobState, Window};
@@ -182,7 +182,8 @@ pub struct Pipeline<'a> {
     // Mechanism. Boxed: every hook takes it out of the `Option` and
     // puts it back, which moves a pointer rather than the whole state.
     pub(crate) mech: Option<Box<Mech>>,
-    pub(crate) replicas: ReplicaArena,
+    /// Replicas in flight, in issue priority order.
+    pub(crate) replicas: Vec<Replica>,
 
     // Golden model.
     pub(crate) emu: Option<Emulator>,
@@ -267,7 +268,7 @@ impl<'a> Pipeline<'a> {
             gshare,
             jr_btb: vec![JR_BTB_EMPTY; prog.insts.len()],
             mech,
-            replicas: ReplicaArena::default(),
+            replicas: Vec::new(),
             emu,
             oracle,
             res: CycleRes::default(),

@@ -161,6 +161,18 @@ impl RobEntry {
         self.state == RobState::Executing && self.reuse.is_some_and(|r| r.pending)
     }
 
+    /// The SRSMT slot this entry's validation consumed, as `(way,
+    /// gen)`: a reuse's or a probe's. An entry never holds both.
+    #[inline]
+    pub fn consumed_slot(&self) -> Option<(usize, u32)> {
+        debug_assert!(self.reuse.is_none() || self.probe.is_none());
+        match (self.reuse, self.probe) {
+            (Some(r), _) => r.srsmt_idx.map(|way| (way, r.gen)),
+            (None, Some(p)) => Some((p.srsmt_idx, p.gen)),
+            (None, None) => None,
+        }
+    }
+
     /// Whether this is a conditional branch entry.
     #[inline]
     pub fn is_cond_branch(&self) -> bool {

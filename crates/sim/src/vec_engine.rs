@@ -4,7 +4,7 @@
 
 use crate::config::Mode;
 use crate::exec::alu_result;
-use crate::mech::{Mech, RepKind, RepSrc, RepState, Replica, SquashReuse};
+use crate::mech::{Mech, RepState, Replica, SquashReuse};
 use crate::pipeline::Pipeline;
 use crate::rob::{ReuseInfo, RobEntry, RobState};
 use cfir_core::srsmt::{AllocOutcome, SeqId, SrsmtEntry, StorageId, VecKind};
@@ -244,10 +244,7 @@ impl Pipeline<'_> {
                                         self.free_storage(m, &freed);
                                         let gen = m.srsmt.get(idx).unwrap().gen;
                                         self.reap_replicas(|r| {
-                                            r.pc == bpc
-                                                && r.gen == gen
-                                                && r.idx >= from
-                                                && r.idx < k
+                                            r.gen == gen && (from..k).contains(&r.k)
                                         });
                                         self.teardown_consumers_of(m, bpc);
                                         if let Some(ent) = m.srsmt.get_mut(idx) {
@@ -393,7 +390,7 @@ impl Pipeline<'_> {
                     _ => false,
                 };
                 if se.trusted() && gate && m.srsmt.find(bpc).is_none() {
-                    self.vectorize_load(&mut m, bpc, pc, e.seq, inst, se.last_addr, se.stride);
+                    self.vectorize_load(&mut m, e, se.stride);
                 }
             }
         } else if matches!(
@@ -592,18 +589,25 @@ impl Pipeline<'_> {
     /// Release an entry already removed from the SRSMT (torn down,
     /// evicted or DAEC-released): free the storage of its unconsumed
     /// instances and drop its in-flight replicas. Generations are
-    /// table-unique, so `(pc, gen)` names exactly this entry's replicas.
+    /// table-unique, so `gen` names exactly this entry's replicas. Every
+    /// removal comes through here, so no replica outlives its entry.
     fn release_entry(&mut self, m: &mut Mech, ent: &SrsmtEntry) {
         self.free_storage(m, &ent.unconsumed_storage());
-        self.reap_replicas(|r| r.pc == ent.pc && r.gen == ent.gen);
+        self.reap_replicas(|r| r.gen == ent.gen);
     }
 
-    /// Drop every replica matching `pred`, closing its lifecycle record
-    /// (if recording is on) as squashed-undelivered.
-    pub(crate) fn reap_replicas(&mut self, pred: impl Fn(&Replica) -> bool) {
-        for &lid in self.replicas.reap(pred) {
-            self.obs.replica_end(lid, self.cycle, false);
-        }
+    /// Drop every replica matching `pred`, keeping the others in order,
+    /// and close each dropped one's lifecycle record (if recording is
+    /// on) as squashed-undelivered.
+    fn reap_replicas(&mut self, pred: impl Fn(&Replica) -> bool) {
+        let (obs, cycle) = (&mut self.obs, self.cycle);
+        self.replicas.retain(|r| {
+            let reap = pred(r);
+            if reap {
+                obs.replica_end(r.lid, cycle, false);
+            }
+            !reap
+        });
     }
 
     /// Whether the PC has mis-speculated at commit too often to be
@@ -613,38 +617,28 @@ impl Pipeline<'_> {
         m.misspec(bpc) >= self.cfg.mech.misspec_blacklist
     }
 
-    /// Vectorize a strided load (§2.3.3). The stride predictor trains
-    /// at commit, so `last_addr` is the last *committed* instance; the
-    /// instance being decoded sits one stride per in-flight instance
-    /// further on, and replicas cover the instances after it.
-    #[allow(clippy::too_many_arguments)] // the paper's trigger needs all of them
-    fn vectorize_load(
-        &mut self,
-        m: &mut Mech,
-        bpc: u64,
-        pc32: u32,
-        creator: u64,
-        inst: Inst,
-        last_addr: u64,
-        stride: i64,
-    ) {
+    /// Vectorize the strided load `e` (§2.3.3), whose trusted stride is
+    /// `stride`. The replicas cover the instances after the one being
+    /// decoded, whose address is the frontier: in-flight evidence when
+    /// the window has it, else the predictor's last *committed* address
+    /// (it trains at commit) plus one stride per in-flight instance.
+    fn vectorize_load(&mut self, m: &mut Mech, e: &RobEntry, stride: i64) {
+        let (pc32, bpc) = (e.pc, Program::byte_pc(e.pc));
         // Address of the instance being decoded (= "instance -1" of the
-        // replica stream), anchored on in-flight evidence when possible.
-        let base = self
-            .window_frontier_addr(pc32, stride)
-            .unwrap_or_else(|inflight| {
-                last_addr.wrapping_add((stride as u64).wrapping_mul(inflight + 1))
-            });
+        // replica stream); the caller's trusted stride makes it known.
+        let Some(base) = self.frontier_addr(m, pc32, stride) else {
+            return;
+        };
         let mut ent = SrsmtEntry::new(
             bpc,
-            inst,
+            e.inst,
             VecKind::Load { stride, base },
             self.cfg.mech.replicas_per_inst,
             SeqId::None,
             SeqId::None,
         );
         ent.event = m.sel_event(bpc);
-        ent.creator = creator;
+        ent.creator = e.seq;
         match m.srsmt.alloc(ent) {
             AllocOutcome::Placed { idx, evicted } => {
                 if let Some(old) = evicted {
@@ -770,6 +764,7 @@ impl Pipeline<'_> {
             return;
         };
         if let Some((idx, gen)) = m.take_seed_waiter(seq) {
+            // Known defect (ROADMAP item 5): may stamp a later entry's LRU.
             if let Some(ent) = m.srsmt.get_mut(idx) {
                 if ent.gen == gen {
                     ent.seed_value = Some(value);
@@ -787,7 +782,7 @@ impl Pipeline<'_> {
             return;
         };
         if let Some((idx, gen)) = m.take_seed_waiter(seq) {
-            if m.srsmt.get(idx).map(|e| e.gen == gen).unwrap_or(false) {
+            if m.srsmt.get_gen(idx, gen).is_some() {
                 self.teardown_srsmt(&mut m, idx, "seed_squashed");
             }
         }
@@ -807,58 +802,24 @@ impl Pipeline<'_> {
         if !ent.can_grow() {
             return false;
         }
-        let event = ent.event;
-        let (pc, gen, kind) = (ent.pc, ent.gen, ent.kind);
-        let inst = ent.inst;
-        let (seq1, seq2) = (ent.seq1, ent.seq2);
+        let (event, pc, inst) = (ent.event, ent.pc, ent.inst);
         let Some(storage) = self.alloc_one_storage(m) else {
             return false;
         };
         let ent = m.srsmt.get_mut(idx).unwrap();
         let k = ent.grow(storage);
-        let work = match kind {
-            VecKind::Load { .. } => {
-                let addr = ent.load_addr(k).unwrap();
-                ent.addrs[ent.slot(k)] = addr;
-                RepKind::StridedLoad { addr }
-            }
-            VecKind::Op => {
-                let own_gen = ent.gen;
-                let mut srcs = [RepSrc::None, RepSrc::None];
-                for (i, s) in [seq1, seq2].iter().enumerate() {
-                    srcs[i] = match *s {
-                        SeqId::None => RepSrc::None,
-                        SeqId::Scalar(v) => RepSrc::Val(v),
-                        SeqId::Vec { pc, gen, off } => RepSrc::Dep {
-                            pc,
-                            gen,
-                            idx: off + k,
-                        },
-                        SeqId::SelfLoop => {
-                            if k == 0 {
-                                RepSrc::SeedSelf
-                            } else {
-                                RepSrc::Dep {
-                                    pc,
-                                    gen: own_gen,
-                                    idx: k - 1,
-                                }
-                            }
-                        }
-                    };
-                }
-                RepKind::Op { inst, srcs }
-            }
-        };
+        if let Some(addr) = ent.load_addr(k) {
+            let s = ent.slot(k);
+            ent.addrs[s] = addr;
+        }
+        let gen = ent.gen;
         // SRSMT stores byte PCs; the lifecycle view uses word PCs.
         let lid = self.obs.replica_begin(pc / 4, inst, self.cycle);
         self.replicas.push(Replica {
             lid,
-            pc,
-            srsmt_idx: idx,
+            way: idx,
             gen,
-            idx: k,
-            kind: work,
+            k,
             state: RepState::Waiting,
             value: 0,
             addr: None,
@@ -892,66 +853,68 @@ impl Pipeline<'_> {
         self.mech = Some(m);
     }
 
+    /// Issue waiting replicas in list order. Instance `k` of an entry
+    /// computes what the entry says: a strided load reads
+    /// `load_addr(k)`; a dependent op evaluates `inst` on the sources
+    /// `seq1`/`seq2` name for instance `k` (a producer's instance
+    /// `off + k`, its own instance `k - 1` or seed on a self-loop, a
+    /// scalar read at vectorization).
     fn issue_replicas(&mut self, m: &mut Mech) {
         for ri in 0..self.replicas.len() {
             if self.res.issue == 0 {
                 break;
             }
-            if self.replicas[ri].state != RepState::Waiting {
+            let rep = self.replicas[ri];
+            if rep.state != RepState::Waiting {
                 continue;
             }
-            let rep = self.replicas[ri];
-            // Entry still alive and on the same generation?
-            let alive = m
+            let ent = m
                 .srsmt
-                .get(rep.srsmt_idx)
-                .map(|e| e.pc == rep.pc && e.gen == rep.gen)
-                .unwrap_or(false);
-            if !alive {
-                continue; // purged lazily in complete_replicas
-            }
-            // Resolve sources.
+                .get_gen(rep.way, rep.gen)
+                .expect("a replica outlived its entry");
+            let (inst, k) = (ent.inst, rep.k);
+            // Resolve sources (a strided load has none).
             let mut vals = [0u64; 2];
             let mut ready = true;
             let mut dead = false;
-            if let RepKind::Op { srcs, .. } = rep.kind {
-                for (k, s) in srcs.iter().enumerate() {
-                    match *s {
-                        RepSrc::None => {}
-                        RepSrc::Val(v) => vals[k] = v,
-                        RepSrc::SeedSelf => {
-                            match m.srsmt.get(rep.srsmt_idx).and_then(|e| e.seed_value) {
-                                Some(v) => vals[k] = v,
-                                None => ready = false,
-                            }
+            for (i, seq) in [ent.seq1, ent.seq2].into_iter().enumerate() {
+                let (pc, gen, idx) = match seq {
+                    SeqId::None => continue,
+                    SeqId::Scalar(v) => {
+                        vals[i] = v;
+                        continue;
+                    }
+                    SeqId::SelfLoop if k == 0 => {
+                        match ent.seed_value {
+                            Some(v) => vals[i] = v,
+                            None => ready = false,
                         }
-                        RepSrc::Dep { pc, gen, idx } => {
-                            match m.srsmt.find(pc).and_then(|i| m.srsmt.get(i)) {
-                                Some(p) if p.gen == gen => {
-                                    if idx < p.commit || idx >= p.head {
-                                        // Value recycled or never produced.
-                                        dead = idx < p.commit;
-                                        if idx >= p.head {
-                                            ready = false; // producer not grown yet
-                                        }
-                                    } else if p.is_dead(idx) {
-                                        dead = true;
-                                    } else if p.is_complete(idx) {
-                                        vals[k] = p.value_of(idx);
-                                    } else {
-                                        ready = false;
-                                    }
-                                }
-                                _ => dead = true,
+                        continue;
+                    }
+                    SeqId::SelfLoop => (ent.pc, ent.gen, k - 1),
+                    SeqId::Vec { pc, gen, off } => (pc, gen, off + k),
+                };
+                match m.srsmt.find(pc).and_then(|i| m.srsmt.get(i)) {
+                    Some(p) if p.gen == gen => {
+                        if idx < p.commit || idx >= p.head {
+                            // Value recycled or never produced.
+                            dead = idx < p.commit;
+                            if idx >= p.head {
+                                ready = false; // producer not grown yet
                             }
+                        } else if p.is_dead(idx) {
+                            dead = true;
+                        } else if p.is_complete(idx) {
+                            vals[i] = p.value_of(idx);
+                        } else {
+                            ready = false;
                         }
                     }
+                    _ => dead = true,
                 }
             }
             if dead {
-                if let Some(e) = m.srsmt.get_mut(rep.srsmt_idx) {
-                    e.kill_replica(rep.idx);
-                }
+                m.srsmt.get_mut(rep.way).unwrap().kill_replica(k);
                 // Reaped in complete_replicas (dead path).
                 self.replicas[ri].state = RepState::Exec { done_at: 0 };
                 continue;
@@ -960,32 +923,29 @@ impl Pipeline<'_> {
                 continue;
             }
             // Resources + compute.
-            let (value, addr, done_at) = match rep.kind {
-                RepKind::StridedLoad { addr } => {
-                    let Some(lat) = self.arbitrate_load(addr) else {
+            let addr = match (ent.load_addr(k), inst) {
+                (Some(a), _) => Some(a),
+                (None, Inst::Ld { offset, .. }) => Some(cfir_emu::MemImage::align(
+                    vals[0].wrapping_add(offset as u64),
+                )),
+                _ => None,
+            };
+            let (value, done_at) = match addr {
+                Some(a) => {
+                    let Some(lat) = self.arbitrate_load(a) else {
                         continue;
                     };
-                    (self.mem.read(addr), Some(addr), self.cycle + lat as u64)
+                    (self.mem.read(a), self.cycle + lat as u64)
                 }
-                RepKind::Op { inst, .. } => match inst {
-                    Inst::Ld { offset, .. } => {
-                        let a = cfir_emu::MemImage::align(vals[0].wrapping_add(offset as u64));
-                        let Some(lat) = self.arbitrate_load(a) else {
-                            continue;
-                        };
-                        (self.mem.read(a), Some(a), self.cycle + lat as u64)
+                None => {
+                    let Some(value) = alu_result(inst, vals[0], vals[1]) else {
+                        continue;
+                    };
+                    if !self.take_fu(inst.class()) {
+                        continue;
                     }
-                    _ => {
-                        let Some(value) = alu_result(inst, vals[0], vals[1]) else {
-                            continue;
-                        };
-                        if !self.take_fu(inst.class()) {
-                            continue;
-                        }
-                        let done_at = self.cycle + inst.class().latency().unwrap() as u64;
-                        (value, None, done_at)
-                    }
-                },
+                    (value, self.cycle + inst.class().latency().unwrap() as u64)
+                }
             };
             // Spec-memory write port (2 per cycle).
             if m.specmem.is_some() {
@@ -999,11 +959,10 @@ impl Pipeline<'_> {
             r.state = RepState::Exec { done_at };
             r.value = value;
             r.addr = addr;
-            if let Some(e) = m.srsmt.get_mut(rep.srsmt_idx) {
-                e.issue += 1;
-            }
+            let ent = m.srsmt.get_mut(rep.way).unwrap();
+            ent.issue += 1;
+            let event = ent.event;
             self.stats.replicas_executed += 1;
-            let event = m.srsmt.get(rep.srsmt_idx).and_then(|e| e.event);
             self.stats.branch_prof.note_replica_executed(event);
             // Lifecycle: the replica issued this cycle; a load that ran
             // longer than an L1 hit also gets a cache-miss wait-edge.
@@ -1025,41 +984,31 @@ impl Pipeline<'_> {
         let mut i = 0;
         while i < self.replicas.len() {
             let rep = self.replicas[i];
-            let done = matches!(rep.state, RepState::Exec { done_at } if done_at <= cycle);
-            let alive = m
-                .srsmt
-                .get(rep.srsmt_idx)
-                .map(|e| e.pc == rep.pc && e.gen == rep.gen)
-                .unwrap_or(false);
-            if !alive {
-                // Entry gone: drop the record (storage already freed).
-                self.replicas.swap_remove(i);
-                self.obs.replica_end(rep.lid, cycle, false);
+            debug_assert!(
+                m.srsmt.get_gen(rep.way, rep.gen).is_some(),
+                "a replica outlived its entry"
+            );
+            if !matches!(rep.state, RepState::Exec { done_at } if done_at <= cycle) {
+                i += 1;
                 continue;
             }
-            if done {
-                let ent = m.srsmt.get_mut(rep.srsmt_idx).unwrap();
-                if rep.idx < ent.commit || ent.is_dead(rep.idx) {
-                    // Slot recycled/skipped while executing.
-                    ent.issue = ent.issue.saturating_sub(1);
-                    self.replicas.swap_remove(i);
-                    self.obs.replica_end(rep.lid, cycle, false);
-                    continue;
-                }
-                ent.complete_replica(rep.idx, rep.value, rep.addr);
-                ent.issue = ent.issue.saturating_sub(1);
-                let s = ent.slot(rep.idx);
-                let storage = ent.regs[s];
+            let ent = m.srsmt.get_mut(rep.way).unwrap();
+            // Known defect (ROADMAP item 5): counts dead-source replicas too.
+            ent.issue = ent.issue.saturating_sub(1);
+            // Not delivered if its slot was recycled or skipped while it
+            // executed, or if a source died (`done_at: 0`).
+            let delivered = rep.k >= ent.commit && !ent.is_dead(rep.k);
+            if delivered {
+                ent.complete_replica(rep.k, rep.value, rep.addr);
+                let storage = ent.regs[ent.slot(rep.k)];
                 if let Some(sm) = &mut m.specmem {
                     sm.write(storage, rep.value);
                 } else {
                     self.rf.write(storage, rep.value);
                 }
-                self.replicas.swap_remove(i);
-                self.obs.replica_end(rep.lid, cycle, true);
-                continue;
             }
-            i += 1;
+            self.replicas.swap_remove(i);
+            self.obs.replica_end(rep.lid, cycle, delivered);
         }
         self.mech = Some(m);
     }
@@ -1177,20 +1126,9 @@ impl Pipeline<'_> {
         // depend on a hash seed.
         let mut counts: BTreeMap<usize, u32> = BTreeMap::new();
         for e in self.rob.iter() {
-            if let Some(r) = &e.reuse {
-                if let Some(idx) = r.srsmt_idx {
-                    if let Some(ent) = m.srsmt.get(idx) {
-                        if ent.pc == Program::byte_pc(e.pc) && ent.gen == r.gen {
-                            *counts.entry(idx).or_insert(0) += 1;
-                        }
-                    }
-                }
-            }
-            if let Some(pr) = &e.probe {
-                if let Some(ent) = m.srsmt.get(pr.srsmt_idx) {
-                    if ent.pc == Program::byte_pc(e.pc) && ent.gen == pr.gen {
-                        *counts.entry(pr.srsmt_idx).or_insert(0) += 1;
-                    }
+            if let Some((way, gen)) = e.consumed_slot() {
+                if m.srsmt.get_gen(way, gen).is_some() {
+                    *counts.entry(way).or_insert(0) += 1;
                 }
             }
         }
@@ -1206,6 +1144,7 @@ impl Pipeline<'_> {
 #[cfg(test)]
 mod tests {
     use crate::config::{Mode, RegFileSize, SimConfig};
+    use crate::mech::Replica;
     use crate::pipeline::Pipeline;
     use cfir_emu::MemImage;
     use cfir_isa::{assemble, Program};
@@ -1244,6 +1183,10 @@ mod tests {
     }
 
     fn run(mode: Mode) -> Pipeline<'static> {
+        run_with(mode, |_| {})
+    }
+
+    fn run_with(mode: Mode, tweak: impl FnOnce(&mut SimConfig)) -> Pipeline<'static> {
         let (p, mem) = hammock();
         let p: &'static Program = Box::leak(Box::new(p));
         let mut cfg = SimConfig::paper_baseline()
@@ -1251,6 +1194,7 @@ mod tests {
             .with_regs(RegFileSize::Finite(512))
             .with_max_insts(u64::MAX >> 1);
         cfg.cosim_check = true;
+        tweak(&mut cfg);
         let mut pipe = Pipeline::new(p, mem, cfg);
         pipe.run();
         pipe
@@ -1297,6 +1241,25 @@ mod tests {
                 e.head - e.commit <= e.nregs as u32,
                 "window never exceeds Nregs outstanding"
             );
+        }
+        // A replica names its slot and nothing more.
+        assert!(std::mem::size_of::<Replica>() <= 64);
+        // A one-way table evicts and DAEC-releases entries whose
+        // replicas are in flight. Each removal reaps them, so every
+        // replica still names a live entry of its generation (debug
+        // builds also assert this every cycle in issue and writeback).
+        // The run stops mid-program, with replicas in flight.
+        let pipe = run_with(Mode::Ci, |cfg| {
+            cfg.mech.srsmt_sets = 1;
+            cfg.mech.srsmt_ways = 1;
+            cfg.max_insts = 12_001;
+        });
+        let m = pipe.mech.as_ref().unwrap();
+        assert!(m.srsmt.stats.lru_evictions > 0, "{:?}", m.srsmt.stats);
+        assert!(m.srsmt.stats.daec_releases > 0, "{:?}", m.srsmt.stats);
+        assert!(!pipe.replicas.is_empty());
+        for r in &pipe.replicas {
+            assert!(m.srsmt.get_gen(r.way, r.gen).is_some());
         }
     }
 
