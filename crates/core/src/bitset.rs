@@ -1,7 +1,9 @@
 //! A fixed-size set of small indices, one bit each. The SRSMT keeps its
-//! live ways in one and the pipeline its `Dispatched` window slots, so
-//! the per-cycle walks over them visit only the members, in ascending
-//! order, instead of every way or every window entry.
+//! live ways in one and the pipeline its issuable window slots, so the
+//! per-cycle walks over them visit only the members, in ascending
+//! order, instead of every way or every window entry. [`BitRows`] is a
+//! table of such sets in one allocation: the window's per-register
+//! waiting sets and its per-cycle completion buckets.
 
 /// A set of indices below the size it was built with.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -110,6 +112,67 @@ pub struct Cursor {
     hi: usize,
 }
 
+/// Equal-width sets of indices `0..width`, one per row, in one flat
+/// allocation (`width / 64` words per row, rounded up).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct BitRows {
+    rows: usize,
+    row_words: usize,
+    words: Vec<u64>,
+}
+
+impl BitRows {
+    /// `rows` empty rows of indices `0..width`.
+    pub fn new(rows: usize, width: usize) -> Self {
+        let row_words = width.div_ceil(64);
+        BitRows {
+            rows,
+            row_words,
+            words: vec![0; rows * row_words],
+        }
+    }
+
+    /// Number of rows.
+    #[inline]
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Append empty rows until there are at least `rows`.
+    pub fn grow_to(&mut self, rows: usize) {
+        if rows > self.rows {
+            self.rows = rows;
+            self.words.resize(rows * self.row_words, 0);
+        }
+    }
+
+    /// Add `i` to row `row`.
+    #[inline]
+    pub fn insert(&mut self, row: usize, i: usize) {
+        self.words[row * self.row_words + i / 64] |= 1 << (i % 64);
+    }
+
+    /// Whether `i` is a member of row `row`.
+    #[inline]
+    pub fn contains(&self, row: usize, i: usize) -> bool {
+        self.words[row * self.row_words + i / 64] & (1 << (i % 64)) != 0
+    }
+
+    /// Empty row `row`, handing each of its members to `f` in ascending
+    /// order.
+    #[inline]
+    pub fn drain_row(&mut self, row: usize, mut f: impl FnMut(usize)) {
+        let at = row * self.row_words;
+        for w in 0..self.row_words {
+            let mut bits = std::mem::take(&mut self.words[at + w]);
+            while bits != 0 {
+                f(w * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
+    }
+}
+
 /// Iterator over a [`BitSet`]'s members in a range.
 #[derive(Debug, Clone)]
 pub struct Iter<'a> {
@@ -178,5 +241,27 @@ mod tests {
             "70 left before its word was read"
         );
         assert_eq!(s.step(&mut at), None);
+    }
+
+    #[test]
+    fn rows_are_independent_and_drain_in_ascending_order() {
+        let mut r = BitRows::new(3, 130);
+        assert_eq!(r.rows(), 3);
+        for i in [129, 0, 64] {
+            r.insert(1, i);
+        }
+        r.insert(2, 5);
+        assert!(r.contains(1, 64) && !r.contains(0, 64) && !r.contains(2, 64));
+        let mut got = Vec::new();
+        r.drain_row(1, |i| got.push(i));
+        assert_eq!(got, vec![0, 64, 129]);
+        r.drain_row(1, |_| panic!("a drained row is empty"));
+        assert!(r.contains(2, 5), "other rows untouched");
+        r.grow_to(5);
+        assert_eq!(r.rows(), 5);
+        r.insert(4, 129);
+        assert!(r.contains(4, 129) && r.contains(2, 5));
+        r.grow_to(2);
+        assert_eq!(r.rows(), 5, "never shrinks");
     }
 }

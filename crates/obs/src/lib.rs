@@ -16,8 +16,9 @@
 //! | [`json`] | hand-rolled JSON writer + minimal parser (no serde) |
 //! | [`rng`] | splitmix64 / xoshiro256** PRNG (replaces the `rand` crate) |
 //!
-//! It also holds [`fnv1a64`], the content-address hash shared by the
-//! harness's result cache and the sampler's checkpoints.
+//! It also holds [`fnv1a64`] (and its streaming form [`Fnv1a64`]), the
+//! content-address hash shared by the harness's result cache and the
+//! sampler's checkpoints.
 //!
 //! ## Zero overhead when disabled
 //!
@@ -53,12 +54,39 @@ pub use trace::Tracer;
 /// FNV-1a 64-bit hash: the content address of harness job
 /// fingerprints and sampling checkpoints, so it must never change.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut h = Fnv1a64::default();
+    h.write(bytes);
+    h.finish()
+}
+
+/// [`fnv1a64`] of a byte sequence fed in pieces: the digest of the
+/// pieces' concatenation, without building it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fnv1a64(u64);
+
+impl Default for Fnv1a64 {
+    fn default() -> Self {
+        Fnv1a64(0xcbf2_9ce4_8422_2325)
     }
-    h
+}
+
+impl Fnv1a64 {
+    /// Append `bytes` to the hashed sequence.
+    #[inline]
+    pub fn write(&mut self, bytes: &[u8]) {
+        let mut h = self.0;
+        for &b in bytes {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        self.0 = h;
+    }
+
+    /// The digest of everything written so far.
+    #[inline]
+    pub fn finish(self) -> u64 {
+        self.0
+    }
 }
 
 #[cfg(test)]
@@ -71,5 +99,14 @@ mod tests {
         assert_ne!(fnv1a64(b"a"), fnv1a64(b"b"));
         // Regression pin so cache file names never silently change.
         assert_eq!(fnv1a64(b"cfir"), 0xbcdc9d90ec62c887);
+    }
+
+    #[test]
+    fn streamed_pieces_hash_like_their_concatenation() {
+        let mut h = Fnv1a64::default();
+        for piece in [&b"cf"[..], b"", b"ir"] {
+            h.write(piece);
+        }
+        assert_eq!(h.finish(), fnv1a64(b"cfir"));
     }
 }

@@ -375,6 +375,9 @@ struct RecycledBufs {
 static BUF_POOL: Mutex<Vec<RecycledBufs>> = Mutex::new(Vec::new());
 const BUF_POOL_MAX: usize = 8;
 
+/// An empty slot of [`LifecycleLog`]'s intern table.
+const NOT_INTERNED: u32 = u32::MAX;
+
 /// The per-instruction lifecycle recorder.
 #[derive(Debug)]
 pub struct LifecycleLog {
@@ -406,11 +409,12 @@ pub struct LifecycleLog {
     totals: [u64; NUM_CAUSES],
     /// Charges made while no instruction was in the window.
     frontend: [u64; NUM_CAUSES],
-    /// Disassembly ids interned per `(word pc, lane)`: the text is a
-    /// pure function of the static instruction, so it is formatted
+    /// Disassembly ids interned per `(word pc, lane)`, at index
+    /// `pc * 2 + lane` ([`NOT_INTERNED`] until first seen): the text is
+    /// a pure function of the static instruction, so it is formatted
     /// once, stored in `strings`, and every dynamic record carries a
     /// 4-byte id.
-    interned: HashMap<(u32, u8), u32>,
+    interned: Vec<u32>,
     /// Interned disassembly texts, indexed by the records' ids.
     strings: Vec<Box<str>>,
 }
@@ -436,7 +440,7 @@ impl LifecycleLog {
             dropped: 0,
             totals: [0; NUM_CAUSES],
             frontend: [0; NUM_CAUSES],
-            interned: HashMap::new(),
+            interned: Vec::new(),
             strings: Vec::new(),
         }
     }
@@ -529,13 +533,15 @@ impl LifecycleLog {
     /// Interned disassembly id for `(pc, lane)`; `disasm` is only
     /// invoked the first time the static instruction is seen.
     fn intern(&mut self, pc: u64, lane: InstLane, disasm: impl FnOnce() -> String) -> u32 {
-        *self
-            .interned
-            .entry((pc as u32, lane as u8))
-            .or_insert_with(|| {
-                self.strings.push(disasm().into_boxed_str());
-                (self.strings.len() - 1) as u32
-            })
+        let at = pc as usize * 2 + lane as usize;
+        if at >= self.interned.len() {
+            self.interned.resize(at + 1, NOT_INTERNED);
+        }
+        if self.interned[at] == NOT_INTERNED {
+            self.interned[at] = self.strings.len() as u32;
+            self.strings.push(disasm().into_boxed_str());
+        }
+        self.interned[at]
     }
 
     /// The interned disassembly text of one of this log's records.
@@ -1447,6 +1453,25 @@ mod tests {
         log.note_issue(r, 7);
         log.finish_replica(r, 9, true);
         log
+    }
+
+    #[test]
+    fn disassembly_is_formatted_once_per_pc_and_lane() {
+        let mut log = LifecycleLog::new(0);
+        let mut formatted = 0;
+        let mut text = |s: &str| {
+            formatted += 1;
+            s.to_string()
+        };
+        log.begin_fetch(9, || text("nine"), 0, 1);
+        log.begin_fetch(2, || text("two"), 0, 1);
+        log.begin_fetch(9, || text("again"), 1, 2);
+        log.begin_replica(9, || text("nine'"), 1);
+        log.begin_replica(9, || text("again'"), 2);
+        let texts: Vec<&str> = log.records().map(|r| log.disasm(r)).collect();
+        assert_eq!(texts, ["nine", "two", "nine", "nine'", "nine'"]);
+        assert_eq!(formatted, 3);
+        assert_eq!(log.strings.len(), 3);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 use cfir_emu::MemImage;
 use cfir_isa::NUM_LOGICAL_REGS;
 use cfir_mem::{WarmCache, WarmHierarchy, WarmWay};
-use cfir_obs::fnv1a64;
+use cfir_obs::Fnv1a64;
 use cfir_sim::WarmStart;
 use std::path::{Path, PathBuf};
 
@@ -57,22 +57,41 @@ pub struct Checkpoint {
     pub pages: Vec<(u64, [u64; PAGE_WORDS])>,
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
+/// Where [`Checkpoint::encode`] puts the serialized bytes: a buffer
+/// ([`Checkpoint::to_bytes`]) or a running hash of them
+/// ([`Checkpoint::content_id`]).
+trait Sink {
+    fn put(&mut self, bytes: &[u8]);
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_cache(out: &mut Vec<u8>, c: &WarmCache) {
-    put_u64(out, c.ways.len() as u64);
-    for w in &c.ways {
-        put_u64(out, w.tag);
-        out.push(w.valid as u8 | (w.dirty as u8) << 1);
-        put_u64(out, w.stamp);
+    fn put_u32(&mut self, v: u32) {
+        self.put(&v.to_le_bytes());
     }
-    put_u64(out, c.clock);
+
+    fn put_u64(&mut self, v: u64) {
+        self.put(&v.to_le_bytes());
+    }
+}
+
+impl Sink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
+impl Sink for Fnv1a64 {
+    fn put(&mut self, bytes: &[u8]) {
+        self.write(bytes);
+    }
+}
+
+fn put_cache(out: &mut impl Sink, c: &WarmCache) {
+    out.put_u64(c.ways.len() as u64);
+    for w in &c.ways {
+        out.put_u64(w.tag);
+        out.put(&[w.valid as u8 | (w.dirty as u8) << 1]);
+        out.put_u64(w.stamp);
+    }
+    out.put_u64(c.clock);
 }
 
 /// Cursor-style reader over the serialized payload.
@@ -135,28 +154,34 @@ impl Checkpoint {
         let mut out = Vec::with_capacity(
             64 + self.gshare_table.len() + self.pages.len() * (8 + PAGE_WORDS * 8),
         );
-        out.extend_from_slice(MAGIC);
-        put_u32(&mut out, FORMAT_VERSION);
+        self.encode(&mut out);
+        out
+    }
+
+    /// Write the binary format to `out`: the one encoder of both
+    /// [`Checkpoint::to_bytes`] and [`Checkpoint::content_id`].
+    fn encode(&self, out: &mut impl Sink) {
+        out.put(MAGIC);
+        out.put_u32(FORMAT_VERSION);
         for r in self.regs {
-            put_u64(&mut out, r);
+            out.put_u64(r);
         }
-        put_u32(&mut out, self.pc);
-        put_u64(&mut out, self.retired);
-        put_u64(&mut out, self.ghist);
-        put_u64(&mut out, self.gshare_table.len() as u64);
-        out.extend_from_slice(&self.gshare_table);
-        put_u64(&mut out, self.gshare_history);
+        out.put_u32(self.pc);
+        out.put_u64(self.retired);
+        out.put_u64(self.ghist);
+        out.put_u64(self.gshare_table.len() as u64);
+        out.put(&self.gshare_table);
+        out.put_u64(self.gshare_history);
         for c in [&self.hier.l1i, &self.hier.l1d, &self.hier.l2, &self.hier.l3] {
-            put_cache(&mut out, c);
+            put_cache(out, c);
         }
-        put_u64(&mut out, self.pages.len() as u64);
+        out.put_u64(self.pages.len() as u64);
         for (id, words) in &self.pages {
-            put_u64(&mut out, *id);
+            out.put_u64(*id);
             for w in words {
-                put_u64(&mut out, *w);
+                out.put_u64(*w);
             }
         }
-        out
     }
 
     /// Decode a serialized checkpoint, validating magic, version and
@@ -222,8 +247,11 @@ impl Checkpoint {
 
     /// Content hash of the serialized payload — the checkpoint's
     /// identity for file naming, window RNG seeding and cache keys.
+    /// Hashes the bytes as they are encoded, without building them.
     pub fn content_id(&self) -> u64 {
-        fnv1a64(&self.to_bytes())
+        let mut h = Fnv1a64::default();
+        self.encode(&mut h);
+        h.finish()
     }
 
     /// Content-addressed file name (`<id:016x>.ckpt`).
@@ -287,6 +315,13 @@ mod tests {
         let back = Checkpoint::from_bytes(&bytes).unwrap();
         assert_eq!(back, c);
         assert_eq!(back.content_id(), c.content_id());
+    }
+
+    #[test]
+    fn content_id_hashes_exactly_the_serialized_bytes() {
+        let c = sample_checkpoint();
+        assert!(!c.pages.is_empty());
+        assert_eq!(c.content_id(), cfir_obs::fnv1a64(&c.to_bytes()));
     }
 
     #[test]

@@ -164,6 +164,7 @@ impl Pipeline<'_> {
                     }
                     if let Some(idx) = r.srsmt_idx {
                         let mut m = self.mech.take().unwrap();
+                        // Known defect (ROADMAP item 5): no `r.gen` check.
                         self.teardown_srsmt(&mut m, idx, "commit_repair");
                         // Confidence: repeated commit-time repairs
                         // blacklist the PC from re-vectorization.

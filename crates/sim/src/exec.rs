@@ -109,22 +109,18 @@ impl Pipeline<'_> {
     // Issue
     // ----------------------------------------------------------------
 
-    /// Oldest-first select over the window's `Dispatched` entries. The
-    /// walk follows the dispatched-slot set, so entries already
-    /// executing or done are never visited; readiness is still checked
-    /// per entry, in window order, so the selection is that of a scan.
+    /// Oldest-first select over the window's issuable entries:
+    /// `Dispatched` with every source ready, as register wakeup keeps
+    /// them, so entries still waiting for an operand are never visited
+    /// and the selection is that of a scan of the whole window.
     pub(crate) fn issue(&mut self) {
-        let mut walk = self.rob.walk_dispatched();
-        while let Some(i) = self.rob.next_dispatched(&mut walk) {
+        let mut walk = self.rob.walk_issuable();
+        while let Some(i) = self.rob.next_issuable(&mut walk) {
             if self.res.issue == 0 {
                 break;
             }
-            // Operand readiness.
             let srcs = self.rob[i].src_phys;
-            let ready = srcs.iter().flatten().all(|&p| self.rf.is_ready(p));
-            if !ready {
-                continue;
-            }
+            debug_assert!(srcs.iter().flatten().all(|&p| self.rf.is_ready(p)));
             let inst = self.rob[i].inst;
             let v1 = srcs[0].map(|p| self.rf.read(p)).unwrap_or(0);
             let v2 = srcs[1].map(|p| self.rf.read(p)).unwrap_or(0);
@@ -141,9 +137,8 @@ impl Pipeline<'_> {
                                 rob[i].lid,
                                 WaitEdgeKind::StoreDisambiguation,
                                 || {
-                                    lsq.blocking_store_for_load(seq, addr).and_then(|s| {
-                                        rob.iter().find(|e| e.seq == s).map(|e| e.lid)
-                                    })
+                                    let s = lsq.blocking_store_for_load(seq, addr)?;
+                                    rob.find_seq(s).map(|j| rob[j].lid)
                                 },
                                 WaitDetail::None,
                                 self.cycle,
@@ -269,8 +264,8 @@ impl Pipeline<'_> {
         // completed since they dispatched; fall back to normal
         // execution when the entry/replica died under them.
         self.poll_pending_reuses();
-        // Complete scalar instructions: those the completion heap has
-        // due by now, in window order.
+        // Complete scalar instructions: those the completion calendar
+        // has due by now, in window order.
         let due = self.rob.take_due(self.cycle);
         #[cfg(debug_assertions)]
         self.rob.check_due(self.cycle, &due);
@@ -295,7 +290,7 @@ impl Pipeline<'_> {
                 // or write here (spec-mem copy completion).
                 let v = self.rob[i].value;
                 if !self.rf.is_ready(p) {
-                    self.rf.write(p, v);
+                    self.write_dest(p, v);
                 }
                 let seq = self.rob[i].seq;
                 self.notify_seed(seq, v);
@@ -511,7 +506,7 @@ impl Pipeline<'_> {
                     });
                     e.reuse = None;
                     let lid = e.lid;
-                    self.rob.set_state(i, RobState::Dispatched, 0);
+                    self.rob.redispatch(i, &self.rf);
                     self.obs.reused(lid, false);
                     if poll == Poll::Mismatch {
                         let mut m = self.mech.take().unwrap();

@@ -74,8 +74,17 @@ impl Lsq {
         });
     }
 
+    /// The entry of instruction `seq` (the queue is in ascending `seq`
+    /// order).
     fn find_mut(&mut self, seq: u64) -> Option<&mut LsqEntry> {
-        self.q.iter_mut().find(|e| e.seq == seq)
+        let i = self.q.binary_search_by_key(&seq, |e| e.seq).ok()?;
+        Some(&mut self.q[i])
+    }
+
+    /// The stores older than instruction `seq`, youngest first.
+    fn older_stores(&self, seq: u64) -> impl Iterator<Item = &LsqEntry> {
+        let n = self.q.partition_point(|e| e.seq < seq);
+        self.q.range(..n).rev().filter(|e| e.store)
     }
 
     /// Record the computed effective address (word-aligned).
@@ -93,39 +102,21 @@ impl Lsq {
     }
 
     /// Decide what the load `seq` at `addr` should do, scanning older
-    /// stores youngest-first.
+    /// stores youngest-first. The first store with an unknown address
+    /// stalls the load: a match beyond it would be older than a store
+    /// that may yet write `addr`.
     pub fn search_for_load(&self, seq: u64, addr: u64) -> LoadSearch {
-        let mut unknown_older_addr = false;
-        let mut forward: Option<LoadSearch> = None;
-        for e in self.q.iter().rev() {
-            if e.seq >= seq || !e.store {
-                continue;
-            }
+        for e in self.older_stores(seq) {
             match e.addr {
-                None => {
-                    unknown_older_addr = true;
-                    // Keep scanning: a younger-than-this store match would
-                    // still be unsafe because this unknown store sits in
-                    // between only if it is *younger* than the match; since
-                    // we scan youngest-first, any match found later is older
-                    // than this unknown store, so bail out conservatively.
-                    break;
-                }
-                Some(a) if a == addr && forward.is_none() => {
-                    forward = Some(match e.data {
+                None => return LoadSearch::Stall,
+                Some(a) if a == addr => {
+                    return match e.data {
                         Some(d) => LoadSearch::Forwarded(d),
                         None => LoadSearch::Stall,
-                    });
-                    break;
+                    };
                 }
                 _ => {}
             }
-        }
-        if let Some(f) = forward {
-            return f;
-        }
-        if unknown_older_addr {
-            return LoadSearch::Stall;
         }
         LoadSearch::CacheAccess
     }
@@ -136,10 +127,7 @@ impl Lsq {
     /// data is not ready yet. `None` when nothing blocks (the
     /// disambiguation side of the lifecycle wait-edge taxonomy).
     pub fn blocking_store_for_load(&self, seq: u64, addr: u64) -> Option<u64> {
-        for e in self.q.iter().rev() {
-            if e.seq >= seq || !e.store {
-                continue;
-            }
+        for e in self.older_stores(seq) {
             match e.addr {
                 None => return Some(e.seq),
                 Some(a) if a == addr => {
@@ -297,5 +285,118 @@ mod tests {
         let mut l = Lsq::new(1);
         l.push(1, false);
         l.push(2, false);
+    }
+
+    /// The linear scans the binary searches replaced, kept as the
+    /// reference they are checked against.
+    mod reference {
+        use super::*;
+
+        pub fn find_mut(l: &mut Lsq, seq: u64) -> Option<&mut LsqEntry> {
+            l.q.iter_mut().find(|e| e.seq == seq)
+        }
+
+        pub fn search_for_load(l: &Lsq, seq: u64, addr: u64) -> LoadSearch {
+            for e in l.q.iter().rev() {
+                if e.seq >= seq || !e.store {
+                    continue;
+                }
+                match e.addr {
+                    None => return LoadSearch::Stall,
+                    Some(a) if a == addr => {
+                        return match e.data {
+                            Some(d) => LoadSearch::Forwarded(d),
+                            None => LoadSearch::Stall,
+                        };
+                    }
+                    _ => {}
+                }
+            }
+            LoadSearch::CacheAccess
+        }
+
+        pub fn blocking_store_for_load(l: &Lsq, seq: u64, addr: u64) -> Option<u64> {
+            for e in l.q.iter().rev() {
+                if e.seq >= seq || !e.store {
+                    continue;
+                }
+                match e.addr {
+                    None => return Some(e.seq),
+                    Some(a) if a == addr => return e.data.is_none().then_some(e.seq),
+                    _ => {}
+                }
+            }
+            None
+        }
+    }
+
+    fn contents(l: &Lsq) -> Vec<(u64, bool, Option<u64>, Option<u64>)> {
+        l.q.iter()
+            .map(|e| (e.seq, e.store, e.addr, e.data))
+            .collect()
+    }
+
+    #[test]
+    fn indexed_lookups_match_the_linear_scans() {
+        for seed in 0..40 {
+            let mut rng = cfir_obs::Rng64::seed_from_u64(seed);
+            // `fast` is driven through the indexed lookups, `slow`
+            // through the reference scans.
+            let (mut fast, mut slow) = (Lsq::new(16), Lsq::new(16));
+            let mut next_seq = 1u64;
+            for step in 0..400 {
+                let hi = next_seq + 2;
+                match rng.gen_range(0, 10) {
+                    0..=2 if fast.has_room() => {
+                        // Gaps in `seq`, as in the window: non-memory
+                        // instructions sit between LSQ entries.
+                        next_seq += rng.gen_range(1, 4);
+                        let store = rng.gen_bool(0.5);
+                        fast.push(next_seq, store);
+                        slow.push(next_seq, store);
+                    }
+                    3..=4 => {
+                        let (seq, addr) = (rng.gen_range(0, hi), 8 * rng.gen_range(0, 4));
+                        fast.set_addr(seq, addr);
+                        if let Some(e) = reference::find_mut(&mut slow, seq) {
+                            e.addr = Some(addr);
+                        }
+                    }
+                    5..=6 => {
+                        let (seq, data) = (rng.gen_range(0, hi), rng.next_u64());
+                        fast.set_data(seq, data);
+                        if let Some(e) = reference::find_mut(&mut slow, seq) {
+                            e.data = Some(data);
+                        }
+                    }
+                    7 => {
+                        let seq = rng.gen_range(0, hi);
+                        fast.squash_younger(seq);
+                        slow.squash_younger(seq);
+                    }
+                    _ => {
+                        if let Some(seq) = fast.q.front().map(|e| e.seq) {
+                            fast.pop_committed(seq);
+                            slow.pop_committed(seq);
+                        }
+                    }
+                }
+                assert_eq!(contents(&fast), contents(&slow), "seed {seed} step {step}");
+                for seq in 0..hi {
+                    for addr in [0, 8, 16, 24] {
+                        assert_eq!(
+                            fast.search_for_load(seq, addr),
+                            reference::search_for_load(&fast, seq, addr),
+                            "seed {seed} step {step}: load {seq} at {addr}"
+                        );
+                        assert_eq!(
+                            fast.blocking_store_for_load(seq, addr),
+                            reference::blocking_store_for_load(&fast, seq, addr),
+                            "seed {seed} step {step}: blocker of load {seq} at {addr}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -6,11 +6,13 @@
 //!
 //! 1. `commit` — in-order retire (≤ 8), store write-back + coherence,
 //!    reuse finalisation, golden-model check;
-//! 2. `writeback` — finish the instructions a completion heap says are
-//!    due, and the replicas; resolve branches (misprediction recovery
+//! 2. `writeback` — finish the instructions a completion calendar says
+//!    are due, and the replicas, waking the entries waiting on the
+//!    registers they write; resolve branches (misprediction recovery
 //!    happens here);
 //! 3. `issue` — oldest-first out-of-order select (≤ 8) over the
-//!    window's `Dispatched` entries (a slot set, not a window scan),
+//!    window's issuable entries (`Dispatched` with every source ready:
+//!    a slot set kept by register wakeup, not a window scan),
 //!    constrained by FUs, D-cache ports, the wide bus and MSHRs;
 //! 4. `replica_pump` — the CI replica engine uses *leftover* issue
 //!    bandwidth, FUs and ports (§2.4.1: lower priority);
@@ -216,6 +218,7 @@ impl<'a> Pipeline<'a> {
             RegFileSize::Infinite => None,
         };
         let mut rf = PhysRegFile::new(capacity);
+        let rf_rows = rf.registers();
         // Architectural mappings: r0 -> p0 (zero), r1..r63 -> fresh regs.
         let mut rmap = [0 as PhysId; NLR];
         for (r, slot) in rmap.iter_mut().enumerate().skip(1) {
@@ -260,7 +263,7 @@ impl<'a> Pipeline<'a> {
             arch_regs: [0; NLR],
             arch_pc: 0,
             arch_ghist: 0,
-            rob: Window::new(cfg.window as usize),
+            rob: Window::new(cfg.window as usize, rf_rows),
             lsq,
             mem,
             hier,
@@ -537,7 +540,7 @@ impl<'a> Pipeline<'a> {
     /// SRSMT's live ways against the full scans they replace.
     #[cfg(debug_assertions)]
     fn check_work_lists(&self) {
-        self.rob.check_work_lists();
+        self.rob.check_work_lists(&self.rf);
         if let Some(m) = &self.mech {
             assert!(m.srsmt.live_set_is_exact(), "SRSMT live ways out of step");
         }
@@ -744,7 +747,7 @@ impl<'a> Pipeline<'a> {
             }
             // Enter the window, then propagate the rename extension and
             // wire the reuse.
-            self.rob.push(e);
+            self.rob.push(e, &self.rf);
             self.update_ext_and_state(self.rob.len() - 1, reuse);
         }
     }
@@ -816,7 +819,7 @@ impl<'a> Pipeline<'a> {
                 // the entry due at the next writeback, which completes
                 // it with the decode-time value after at most one
                 // cycle's wait, so the stuck-chain timeout never fires.
-                // The completion heap reproduces this exactly.
+                // The completion calendar reproduces this exactly.
                 self.rob.set_state(i, RobState::Executing, self.cycle);
             } else {
                 self.stats.h_reuse_wait.record(0);
@@ -843,6 +846,16 @@ impl<'a> Pipeline<'a> {
         }
         self.rob.set_state(i, RobState::Done, 0);
         self.obs.complete(lid, self.cycle);
+    }
+
+    /// Write `value` to `p`, the destination of a window entry, and
+    /// wake the entries waiting on it. Every write of a window
+    /// destination goes through here, or its readers never become
+    /// issuable.
+    #[inline]
+    pub(crate) fn write_dest(&mut self, p: PhysId, value: u64) {
+        self.rf.write(p, value);
+        self.rob.wake(p, &self.rf);
     }
 
     /// Hand a (now available) replica value to the validating
@@ -872,7 +885,7 @@ impl<'a> Pipeline<'a> {
             self.rob.set_state(i, RobState::Executing, done_at);
         } else {
             if let Some(p) = new_phys {
-                self.rf.write(p, value);
+                self.write_dest(p, value);
             }
             self.rob.set_state(i, RobState::Done, 0);
             self.obs.complete(lid, self.cycle);

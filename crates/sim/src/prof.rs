@@ -113,13 +113,19 @@ pub struct StaticTruth {
     pub is_hammock: bool,
 }
 
+/// Marks an empty slot of [`BranchProf`]'s dense tables.
+const NONE: u32 = u32::MAX;
+
 /// The per-run scorecard table plus the unattributed spill bucket.
 #[derive(Debug, Clone, Default)]
 pub struct BranchProf {
-    /// Scores keyed by the branch's word PC.
-    scores: HashMap<u32, BranchScore>,
-    /// Which branch PC opened each event id (filled at recovery).
-    event_pc: HashMap<u64, u32>,
+    /// Scores by branch word PC, in the order the PCs were first seen.
+    scores: Vec<(u32, BranchScore)>,
+    /// Index into `scores` by word PC ([`NONE`]: no row yet).
+    row_of: Vec<u32>,
+    /// Which branch PC opened each event id, indexed by the id (filled
+    /// at recovery; [`NONE`] for an id no CI event was noted under).
+    event_pc: Vec<u32>,
     /// Mechanism work that carried no event id (`vect` mode, or events
     /// already evicted): kept so totals reconcile with the global
     /// statistics.
@@ -150,9 +156,29 @@ pub struct BranchProf {
 }
 
 impl BranchProf {
+    /// The row of the branch at `pc`, created empty on first use.
+    fn row(&mut self, pc: u32) -> &mut BranchScore {
+        let at = pc as usize;
+        if at >= self.row_of.len() {
+            self.row_of.resize(at + 1, NONE);
+        }
+        if self.row_of[at] == NONE {
+            self.row_of[at] = self.scores.len() as u32;
+            self.scores.push((pc, BranchScore::default()));
+        }
+        &mut self.scores[self.row_of[at] as usize].1
+    }
+
+    /// The branch PC that opened event `id`, if one was noted.
+    #[inline]
+    fn pc_of(&self, id: u64) -> Option<u32> {
+        let pc = *self.event_pc.get(usize::try_from(id).ok()?)?;
+        (pc != NONE).then_some(pc)
+    }
+
     /// A committed conditional branch (called from the commit stage).
     pub fn note_branch(&mut self, pc: u32, mispredicted: bool) {
-        let s = self.scores.entry(pc).or_default();
+        let s = self.row(pc);
         s.executed += 1;
         if mispredicted {
             s.mispredicts += 1;
@@ -161,8 +187,12 @@ impl BranchProf {
 
     /// A CI event opened by the misprediction of the branch at `pc`.
     pub fn note_event(&mut self, pc: u32, event: u64) {
-        self.scores.entry(pc).or_default().events += 1;
-        self.event_pc.insert(event, pc);
+        self.row(pc).events += 1;
+        let id = event as usize;
+        if id >= self.event_pc.len() {
+            self.event_pc.resize(id + 1, NONE);
+        }
+        self.event_pc[id] = pc;
     }
 
     /// Seed the static oracle truth for the branch at `pc`.
@@ -178,7 +208,7 @@ impl BranchProf {
     /// A runtime comparison of the dynamic RCP estimate against the
     /// static truth at the branch `pc` (called when a CI event opens).
     pub fn note_rcp_check(&mut self, pc: u32, agree: bool) {
-        let s = self.scores.entry(pc).or_default();
+        let s = self.row(pc);
         s.rcp_checks += 1;
         if agree {
             s.rcp_agree += 1;
@@ -219,7 +249,7 @@ impl BranchProf {
     /// validation failed and the value had to be repaired. Scores the
     /// static verdict: CIDI must reuse clean, CIDD/clobbered must not.
     pub fn note_cidi_outcome(&mut self, event: Option<u64>, inst_pc: u32, clean: bool) {
-        let Some(branch_pc) = event.and_then(|id| self.event_pc.get(&id).copied()) else {
+        let Some(branch_pc) = event.and_then(|id| self.pc_of(id)) else {
             self.cidi_unclassified += 1;
             return;
         };
@@ -227,7 +257,7 @@ impl BranchProf {
             self.cidi_unclassified += 1;
             return;
         };
-        let s = self.scores.entry(branch_pc).or_default();
+        let s = self.row(branch_pc);
         s.cidi_checks += 1;
         let agree = if verdict == "cidi" { clean } else { !clean };
         if agree {
@@ -248,7 +278,7 @@ impl BranchProf {
     /// Counted separately so the exclusion is visible in the oracle.
     pub fn note_cidi_mechanism_repair(&mut self, event: Option<u64>, inst_pc: u32) {
         let attributed = event
-            .and_then(|id| self.event_pc.get(&id).copied())
+            .and_then(|id| self.pc_of(id))
             .is_some_and(|bpc| self.cidi_verdicts.contains_key(&(bpc, inst_pc)));
         if attributed {
             self.cidi_mechanism_repairs += 1;
@@ -276,8 +306,8 @@ impl BranchProf {
     }
 
     fn score_for(&mut self, event: Option<u64>) -> &mut BranchScore {
-        match event.and_then(|id| self.event_pc.get(&id).copied()) {
-            Some(pc) => self.scores.entry(pc).or_default(),
+        match event.and_then(|id| self.pc_of(id)) {
+            Some(pc) => self.row(pc),
             None => &mut self.unattributed,
         }
     }
@@ -313,11 +343,12 @@ impl BranchProf {
             return;
         }
         self.finalized = true;
-        for (&id, &pc) in &self.event_pc {
-            let Some(outcome) = events.outcome(id) else {
+        for id in 0..self.event_pc.len() {
+            let (Some(pc), Some(outcome)) = (self.pc_of(id as u64), events.outcome(id as u64))
+            else {
                 continue;
             };
-            let s = self.scores.entry(pc).or_default();
+            let s = self.row(pc);
             match outcome {
                 EventOutcome::Reused => s.events_reused += 1,
                 EventOutcome::SelectedNoReuse => s.events_selected += 1,
@@ -338,13 +369,14 @@ impl BranchProf {
 
     /// The score of one branch PC.
     pub fn get(&self, pc: u32) -> Option<&BranchScore> {
-        self.scores.get(&pc)
+        let row = *self.row_of.get(pc as usize)?;
+        (row != NONE).then(|| &self.scores[row as usize].1)
     }
 
     /// All `(pc, score)` rows, sorted by descending misprediction
     /// count (ties broken by PC) — the order reports print in.
     pub fn sorted(&self) -> Vec<(u32, BranchScore)> {
-        let mut rows: Vec<(u32, BranchScore)> = self.scores.iter().map(|(&p, &s)| (p, s)).collect();
+        let mut rows = self.scores.clone();
         rows.sort_by(|a, b| b.1.mispredicts.cmp(&a.1.mispredicts).then(a.0.cmp(&b.0)));
         rows
     }
@@ -352,7 +384,7 @@ impl BranchProf {
     /// Sum over every branch row (the `unattributed` bucket excluded).
     pub fn totals(&self) -> BranchScore {
         let mut t = BranchScore::default();
-        for s in self.scores.values() {
+        for (_, s) in &self.scores {
             t.add(s);
         }
         t
@@ -392,6 +424,12 @@ mod tests {
         p.note_branch(10, false);
         let e0 = ev.open_event();
         p.note_event(10, e0);
+        // A misprediction that opened no CI event: a gap in the ids the
+        // scorecards saw. Its outcome and its work stay unattributed.
+        let gap = ev.open_event();
+        ev.mark_selected(gap);
+        ev.mark_reused(gap);
+        p.note_validation(Some(gap));
         let e1 = ev.open_event();
         p.note_event(10, e1);
         ev.mark_selected(e1);
@@ -401,7 +439,7 @@ mod tests {
         p.note_replica_executed(Some(e1));
         p.note_validation(Some(e1));
         p.note_reuse_commit(Some(e1), 3);
-        // Branch 20: clean.
+        // Branch 20: clean, seen only at commit.
         p.note_branch(20, false);
         // Eventless work spills to unattributed.
         p.note_replica_created(None);
@@ -425,6 +463,14 @@ mod tests {
         assert_eq!(p.unattributed.replicas_created, 1);
         assert_eq!(p.unattributed.reuse_commits, 1);
         assert_eq!(p.unattributed.cycles_saved, 1);
+        assert_eq!(p.unattributed.validations, 1, "the gap's work");
+
+        let s20 = p.get(20).copied().unwrap();
+        assert_eq!((s20.executed, s20.mispredicts, s20.events), (1, 0, 0));
+        assert_eq!(p.len(), 2);
+        assert!(p.get(11).is_none() && p.get(1 << 20).is_none());
+        let pcs: Vec<u32> = p.sorted().iter().map(|r| r.0).collect();
+        assert_eq!(pcs, vec![10, 20]);
 
         let t = p.totals();
         assert_eq!(t.executed, 4);

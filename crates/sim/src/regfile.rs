@@ -59,6 +59,13 @@ impl PhysRegFile {
         self.vals.len() - self.free.len()
     }
 
+    /// Registers in the file, free or not (an unbounded file grows as
+    /// it allocates).
+    #[inline]
+    pub fn registers(&self) -> usize {
+        self.vals.len()
+    }
+
     /// Free registers available right now.
     #[inline]
     pub fn available(&self) -> usize {
