@@ -23,11 +23,8 @@
 //!   `Nregs`, the `decode`/`commit`/`issue` counters, the `seq1`/`seq2`
 //!   source identifiers, the DAEC counter (§2.4.2) and the address
 //!   `Range` used by the store-coherence check (§2.4.3).
-//! * [`SpecMem`] — the small, slow speculative-data memory of §2.4.6
-//!   (the `ci-h-N` configurations of Figure 13).
-//! * [`events`] — per-misprediction bookkeeping that produces the
-//!   Figure 5 classification (no CI found / selected but no reuse /
-//!   at least one reuse).
+//! * [`SpecMem`] — the positions of the small, slow speculative-data
+//!   memory of §2.4.6 (the `ci-h-N` configurations of Figure 13).
 //! * [`storage`] — the §3.1 extra-hardware byte accounting (39 KB).
 //! * [`BitSet`] — a fixed-size index set: the SRSMT's live ways, and
 //!   the window slots `cfir-sim`'s issue stage walks.
@@ -70,7 +67,6 @@
 pub mod bitset;
 pub mod config;
 pub mod crp;
-pub mod events;
 pub mod mbs;
 pub mod rcp;
 pub mod rename_ext;
@@ -81,7 +77,6 @@ pub mod storage;
 pub use bitset::BitSet;
 pub use config::MechConfig;
 pub use crp::Crp;
-pub use events::{EventOutcome, EventStats};
 pub use mbs::Mbs;
 pub use rename_ext::RenameExt;
 pub use specmem::SpecMem;

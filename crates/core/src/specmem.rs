@@ -8,95 +8,59 @@
 //! file through an explicit *copy* instruction that the core inserts
 //! when a validation instruction reaches decode; the per-cycle port
 //! accounting is enforced by the pipeline in `cfir-sim`.
+//!
+//! This model keeps what the memory costs, not what it holds: its
+//! capacity (a replica needs a free position to be pre-executed), its
+//! ports and its latency. A replica's result lives in its SRSMT entry
+//! (`SrsmtEntry::values`), which is where a validation reads it; a
+//! position is an occupancy token, allocated when the replica is
+//! created and released when its instance commits or its entry goes.
 
 /// Identifier of a position in the speculative memory.
 pub type SpecPos = u32;
 
-/// The speculative data memory: a value array with a free list and a
-/// generation tag per position (so stale references from dead replicas
-/// can be detected).
+/// The speculative data memory's positions: a free list over a fixed
+/// capacity.
 #[derive(Debug, Clone)]
 pub struct SpecMem {
-    values: Vec<u64>,
-    gens: Vec<u32>,
+    capacity: usize,
     free: Vec<SpecPos>,
     /// Access latency in cycles (2: "twice slower than the register file").
     pub latency: u32,
-    /// High-water mark of allocated positions.
-    pub high_water: usize,
-    /// Allocation failures (no free position).
-    pub alloc_failures: u64,
 }
 
 impl SpecMem {
     /// Create a memory with `positions` entries and the given latency.
     pub fn new(positions: usize, latency: u32) -> Self {
         SpecMem {
-            values: vec![0; positions],
-            gens: vec![0; positions],
+            capacity: positions,
             free: (0..positions as u32).rev().collect(),
             latency,
-            high_water: 0,
-            alloc_failures: 0,
         }
     }
 
     /// Total positions.
     pub fn capacity(&self) -> usize {
-        self.values.len()
+        self.capacity
     }
 
     /// Currently allocated positions.
     pub fn in_use(&self) -> usize {
-        self.values.len() - self.free.len()
+        self.capacity - self.free.len()
     }
 
-    /// Allocate a position; returns `(position, generation)` or `None`
-    /// when full.
-    pub fn alloc(&mut self) -> Option<(SpecPos, u32)> {
-        match self.free.pop() {
-            Some(p) => {
-                self.high_water = self.high_water.max(self.in_use());
-                Some((p, self.gens[p as usize]))
-            }
-            None => {
-                self.alloc_failures += 1;
-                None
-            }
-        }
+    /// Allocate a position, or `None` when every position is taken.
+    pub fn alloc(&mut self) -> Option<SpecPos> {
+        self.free.pop()
     }
 
-    /// Free a position; bumps its generation so stale readers notice.
+    /// Free a position.
     pub fn release(&mut self, pos: SpecPos) {
         debug_assert!(
             !self.free.contains(&pos),
             "double free of spec-mem position"
         );
-        self.gens[pos as usize] = self.gens[pos as usize].wrapping_add(1);
         self.free.push(pos);
-    }
-
-    /// Write a value (from a functional unit).
-    #[inline]
-    pub fn write(&mut self, pos: SpecPos, value: u64) {
-        self.values[pos as usize] = value;
-    }
-
-    /// Read a value if the generation still matches (i.e. the position
-    /// has not been recycled since the reference was taken).
-    #[inline]
-    pub fn read(&self, pos: SpecPos, gen: u32) -> Option<u64> {
-        if self.gens[pos as usize] == gen {
-            Some(self.values[pos as usize])
-        } else {
-            None
-        }
-    }
-
-    /// Read ignoring the generation (for diagnostics).
-    #[inline]
-    pub fn read_raw(&self, pos: SpecPos) -> u64 {
-        self.values[pos as usize]
     }
 }
 
@@ -105,14 +69,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn alloc_write_read_release() {
+    fn alloc_hands_out_every_position_once() {
         let mut m = SpecMem::new(4, 2);
-        assert_eq!(m.capacity(), 4);
-        let (p, g) = m.alloc().unwrap();
-        m.write(p, 42);
-        assert_eq!(m.read(p, g), Some(42));
-        m.release(p);
-        assert_eq!(m.read(p, g), None, "stale generation after release");
+        let mut got: Vec<SpecPos> = (0..4).map(|_| m.alloc().unwrap()).collect();
+        assert_eq!(m.in_use(), 4);
+        got.sort_unstable();
+        assert_eq!(got, vec![0, 1, 2, 3]);
     }
 
     #[test]
@@ -121,32 +83,17 @@ mod tests {
         assert!(m.alloc().is_some());
         assert!(m.alloc().is_some());
         assert!(m.alloc().is_none());
-        assert_eq!(m.alloc_failures, 1);
         assert_eq!(m.in_use(), 2);
     }
 
     #[test]
     fn release_recycles() {
         let mut m = SpecMem::new(1, 2);
-        let (p, g0) = m.alloc().unwrap();
+        let p = m.alloc().unwrap();
+        assert!(m.alloc().is_none());
         m.release(p);
-        let (p2, g1) = m.alloc().unwrap();
-        assert_eq!(p, p2);
-        assert_ne!(g0, g1);
-        m.write(p2, 7);
-        assert_eq!(m.read(p2, g1), Some(7));
-        assert_eq!(m.read(p2, g0), None);
-    }
-
-    #[test]
-    fn high_water_tracks_peak() {
-        let mut m = SpecMem::new(8, 2);
-        let a = m.alloc().unwrap().0;
-        let _b = m.alloc().unwrap().0;
-        let _c = m.alloc().unwrap().0;
-        m.release(a);
-        let _ = m.alloc().unwrap();
-        assert_eq!(m.high_water, 3);
+        assert_eq!(m.in_use(), 0);
+        assert_eq!(m.alloc(), Some(p));
     }
 
     #[test]
@@ -154,15 +101,10 @@ mod tests {
     #[should_panic(expected = "double free")]
     fn double_free_asserts() {
         let mut m = SpecMem::new(2, 2);
-        let (p, _) = m.alloc().unwrap();
+        let p = m.alloc().unwrap();
         m.release(p);
         m.release(p);
     }
-}
-
-#[cfg(test)]
-mod more_tests {
-    use super::*;
 
     #[test]
     fn capacity_and_latency_reported() {
@@ -170,27 +112,5 @@ mod more_tests {
         assert_eq!(m.capacity(), 768);
         assert_eq!(m.latency, 2);
         assert_eq!(m.in_use(), 0);
-    }
-
-    #[test]
-    fn interleaved_alloc_release_never_aliases_generations() {
-        let mut m = SpecMem::new(3, 2);
-        let mut live: Vec<(SpecPos, u32, u64)> = Vec::new();
-        let mut x = 1u64;
-        for step in 0..200u64 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(7);
-            if x.is_multiple_of(3) && !live.is_empty() {
-                let (p, g, v) = live.swap_remove((x % live.len() as u64) as usize);
-                assert_eq!(m.read(p, g), Some(v), "live value intact before release");
-                m.release(p);
-                assert_eq!(m.read(p, g), None, "stale after release");
-            } else if let Some((p, g)) = m.alloc() {
-                m.write(p, step);
-                live.push((p, g, step));
-            }
-        }
-        for (p, g, v) in live {
-            assert_eq!(m.read(p, g), Some(v));
-        }
     }
 }

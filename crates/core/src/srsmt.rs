@@ -1,8 +1,8 @@
 //! SRSMT — Scalar Register Set Map Table (§2.3.3, Figure 6).
 //!
 //! One entry per vectorized instruction, indexed by PC. An entry owns
-//! the *set of registers* (or speculative-memory positions) holding the
-//! replica results, the `decode`/`commit` counters that drive
+//! the replica results, the *set of registers* (or speculative-memory
+//! positions) they occupy, the `decode`/`commit` counters that drive
 //! validation, the `seq1`/`seq2` identifiers of the source operands,
 //! the DAEC early-release counter (§2.4.2) and the address `Range` used
 //! by the store-coherence check (§2.4.3).
@@ -101,10 +101,10 @@ pub struct SrsmtEntry {
     /// Load or dependent op.
     pub kind: VecKind,
     /// Destination storage per slot (`Set of registers`); valid for
-    /// slots holding instances in `commit..head`.
+    /// slots holding instances in `commit..head`. The storage only
+    /// stands for the capacity the replica occupies: its result is in
+    /// [`SrsmtEntry::values`].
     pub regs: [StorageId; MAX_REPLICAS],
-    /// Storage generation tags (speculative-memory mode).
-    pub reg_gens: [u32; MAX_REPLICAS],
     /// Replica-window size (`Nregs`).
     pub nregs: u8,
     /// Next instance index a validation consumes.
@@ -155,7 +155,8 @@ pub struct SrsmtEntry {
     complete: u8,
     /// Per-slot dead bits (can never complete / must not be consumed).
     dead: u8,
-    /// Per-slot result values (mirrors of the storage contents).
+    /// Per-slot replica results: the one copy of each, which a
+    /// validation delivers and the replicas of dependent entries read.
     pub values: [u64; MAX_REPLICAS],
     /// Per-slot effective addresses (loads).
     pub addrs: [u64; MAX_REPLICAS],
@@ -172,7 +173,6 @@ impl SrsmtEntry {
             inst,
             kind,
             regs: [0; MAX_REPLICAS],
-            reg_gens: [0; MAX_REPLICAS],
             nregs,
             decode: 0,
             commit: 0,
@@ -210,12 +210,11 @@ impl SrsmtEntry {
 
     /// Claim the next instance index, attaching its destination
     /// storage. Returns the instance index.
-    pub fn grow(&mut self, storage: (StorageId, u32)) -> u32 {
+    pub fn grow(&mut self, storage: StorageId) -> u32 {
         debug_assert!(self.can_grow());
         let k = self.head;
         let s = self.slot(k);
-        self.regs[s] = storage.0;
-        self.reg_gens[s] = storage.1;
+        self.regs[s] = storage;
         self.complete &= !(1 << s);
         self.dead &= !(1 << s);
         self.head += 1;
@@ -297,11 +296,11 @@ impl SrsmtEntry {
 
     /// Commit the oldest consumed instance, freeing its slot. Returns
     /// the storage to release.
-    pub fn advance_commit(&mut self) -> (StorageId, u32) {
+    pub fn advance_commit(&mut self) -> StorageId {
         debug_assert!(self.commit < self.decode, "commit may not pass decode");
         let s = self.slot(self.commit);
         self.commit += 1;
-        (self.regs[s], self.reg_gens[s])
+        self.regs[s]
     }
 
     /// Fast-forward past instances `decode..k` that will never be
@@ -309,7 +308,7 @@ impl SrsmtEntry {
     /// flight when the entry was created). Requires `decode == commit`
     /// (no validations in flight). The skipped slots are marked dead;
     /// their storage is returned for release.
-    pub fn skip_to(&mut self, k: u32) -> Vec<(StorageId, u32)> {
+    pub fn skip_to(&mut self, k: u32) -> Vec<StorageId> {
         debug_assert!(
             self.decode == self.commit,
             "cannot skip with validations in flight"
@@ -319,7 +318,7 @@ impl SrsmtEntry {
         for i in self.decode..k.min(self.head) {
             let s = self.slot(i);
             self.dead |= 1 << s;
-            freed.push((self.regs[s], self.reg_gens[s]));
+            freed.push(self.regs[s]);
         }
         self.decode = k;
         self.commit = k;
@@ -364,12 +363,9 @@ impl SrsmtEntry {
 
     /// Storage ids of instances not yet consumed by a committed
     /// validation (released when the entry is torn down).
-    pub fn unconsumed_storage(&self) -> Vec<(StorageId, u32)> {
+    pub fn unconsumed_storage(&self) -> Vec<StorageId> {
         (self.commit..self.head)
-            .map(|k| {
-                let s = self.slot(k);
-                (self.regs[s], self.reg_gens[s])
-            })
+            .map(|k| self.regs[self.slot(k)])
             .collect()
     }
 }
@@ -390,19 +386,13 @@ pub enum AllocOutcome {
     Full,
 }
 
-/// Statistics the table keeps for the harness.
+/// How the table's entries left it, for tests of the reclaim rules.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SrsmtStats {
-    /// Successful allocations.
-    pub allocs: u64,
-    /// Allocations rejected because the set was full.
-    pub alloc_failures: u64,
     /// Entries reclaimed by LRU deallocation.
     pub lru_evictions: u64,
     /// Entries torn down by the DAEC rule.
     pub daec_releases: u64,
-    /// Entries killed by the store-coherence check.
-    pub store_conflicts: u64,
 }
 
 /// The set-associative SRSMT.
@@ -489,7 +479,6 @@ impl Srsmt {
             self.ways[i] = Some(entry);
             self.live.insert(i);
             self.stamps[i] = self.clock;
-            self.stats.allocs += 1;
             return AllocOutcome::Placed {
                 idx: i,
                 evicted: None,
@@ -503,17 +492,13 @@ impl Srsmt {
                 let old = self.ways[i].take().map(Box::new);
                 self.ways[i] = Some(entry);
                 self.stamps[i] = self.clock;
-                self.stats.allocs += 1;
                 self.stats.lru_evictions += 1;
                 AllocOutcome::Placed {
                     idx: i,
                     evicted: old,
                 }
             }
-            None => {
-                self.stats.alloc_failures += 1;
-                AllocOutcome::Full
-            }
+            None => AllocOutcome::Full,
         }
     }
 
@@ -555,16 +540,13 @@ impl Srsmt {
     /// Store-coherence check (§2.4.3): indices of load entries whose
     /// live replica address range contains `addr`. The caller must
     /// invalidate them and squash the conventional window.
-    pub fn store_check(&mut self, addr: u64) -> Vec<usize> {
-        let hits: Vec<usize> = self
-            .iter_valid()
+    pub fn store_check(&self, addr: u64) -> Vec<usize> {
+        self.iter_valid()
             .filter_map(|(i, e)| match e.live_range() {
                 Some((lo, hi)) if lo <= addr && addr <= hi => Some(i),
                 _ => None,
             })
-            .collect();
-        self.stats.store_conflicts += hits.len() as u64;
-        hits
+            .collect()
     }
 
     /// Iterate over valid entries in way order.
@@ -622,7 +604,7 @@ mod tests {
     fn grown(pc: u64, nregs: u8, n: u32) -> SrsmtEntry {
         let mut e = load_entry(pc, nregs);
         for i in 0..n {
-            let k = e.grow((100 + i, 0));
+            let k = e.grow(100 + i);
             assert_eq!(k, i);
         }
         e
@@ -633,7 +615,7 @@ mod tests {
         let mut e = load_entry(0x40, 4);
         assert!(e.can_grow());
         for i in 0..4 {
-            assert_eq!(e.grow((100 + i, 0)), i);
+            assert_eq!(e.grow(100 + i), i);
         }
         assert!(!e.can_grow(), "window full at nregs outstanding");
         assert_eq!(e.slot(0), 0);
@@ -648,10 +630,9 @@ mod tests {
         e.complete_replica(0, 111, Some(1008));
         assert_eq!(e.next_slot(), Some(0));
         assert_eq!(e.advance_decode(), 0);
-        let (reg, _) = e.advance_commit();
-        assert_eq!(reg, 100);
+        assert_eq!(e.advance_commit(), 100);
         assert!(e.can_grow(), "committed slot frees window space");
-        assert_eq!(e.grow((200, 0)), 4, "instance 4 reuses slot 0");
+        assert_eq!(e.grow(200), 4, "instance 4 reuses slot 0");
         assert_eq!(e.slot(4), 0);
         assert!(!e.is_complete(4), "recycled slot starts clean");
     }
@@ -684,8 +665,7 @@ mod tests {
     fn skip_to_marks_dead_and_frees() {
         let mut e = grown(0x40, 4, 4);
         let freed = e.skip_to(2);
-        assert_eq!(freed.len(), 2);
-        assert_eq!(freed[0].0, 100);
+        assert_eq!(freed, vec![100, 101]);
         assert_eq!(e.decode, 2);
         assert_eq!(e.commit, 2);
         assert!(e.is_dead(2 - 1));
@@ -792,7 +772,6 @@ mod tests {
             assert!(matches!(t.alloc(e), AllocOutcome::Placed { .. }));
         }
         assert!(matches!(t.alloc(load_entry(0x08, 2)), AllocOutcome::Full));
-        assert_eq!(t.stats.alloc_failures, 1);
     }
 
     #[test]
@@ -825,7 +804,6 @@ mod tests {
         assert_eq!(t.store_check(1004), vec![a]);
         assert_eq!(t.store_check(5000), vec![b]);
         assert!(t.store_check(2000).is_empty());
-        assert_eq!(t.stats.store_conflicts, 2);
     }
 
     /// `iter_valid` and `occupancy` agree with a walk of every way.
@@ -886,8 +864,6 @@ mod tests {
         let mut e = grown(0x40, 4, 4);
         e.advance_decode();
         e.advance_commit();
-        let un = e.unconsumed_storage();
-        assert_eq!(un.len(), 3);
-        assert_eq!(un[0].0, 101);
+        assert_eq!(e.unconsumed_storage(), vec![101, 102, 103]);
     }
 }

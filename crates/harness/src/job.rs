@@ -276,7 +276,7 @@ impl JobResult {
         s: &cfir_sim::SimStats,
         snapshot: String,
     ) -> JobResult {
-        let (nf, sel, reu) = s.events.counts();
+        let (nf, sel, reu) = s.branch_prof.event_counts();
         JobResult {
             name: name.to_string(),
             mode_label: mode_label.to_string(),
@@ -301,7 +301,7 @@ impl JobResult {
             ev_not_found: nf,
             ev_selected: sel,
             ev_reuse: reu,
-            total_mispredictions: s.events.total_mispredictions,
+            total_mispredictions: s.branch_prof.total_mispredictions,
             intervals: s
                 .intervals
                 .iter()

@@ -109,9 +109,9 @@ pub fn replay_window(
     }
     let s1 = p.stats.clone();
     let delta = s1.delta_since(&s0);
-    let (_, _, reu0) = s0.events.counts();
-    let (_, _, reu1) = s1.events.counts();
-    let d_misp = s1.events.total_mispredictions - s0.events.total_mispredictions;
+    let (_, _, reu0) = s0.branch_prof.event_counts();
+    let (_, _, reu1) = s1.branch_prof.event_counts();
+    let d_misp = s1.branch_prof.total_mispredictions - s0.branch_prof.total_mispredictions;
     let ci_exploited = if d_misp == 0 {
         0.0
     } else {

@@ -2,8 +2,9 @@
 //! finalisation with an architectural verify, predictor training, and
 //! the golden-model co-simulation check.
 
+use crate::mech::Slot;
 use crate::pipeline::Pipeline;
-use crate::rob::{RobEntry, RobState};
+use crate::rob::{RobEntry, RobState, Use, Validation};
 use cfir_core::RenameExt;
 use cfir_emu::MemImage;
 use cfir_isa::{Inst, Program, NUM_LOGICAL_REGS};
@@ -52,7 +53,12 @@ impl Pipeline<'_> {
             let mut flush_after = false;
 
             // --- Reuse finalisation (architectural verify) ---
-            if let Some(r) = e.reuse {
+            if let Some(Validation {
+                slot,
+                event,
+                kind: Use::Take { pending },
+            }) = e.validation
+            {
                 let correct = self.arch_value_of(&e);
                 // Dataflow oracle: a reused value surviving to commit
                 // unchanged is a definitive "clean" outcome for the
@@ -66,10 +72,8 @@ impl Pipeline<'_> {
                 // generation, torn-down entry, incomplete replica)
                 // says nothing about cross-path dataflow and is
                 // recorded as a mechanism repair instead.
-                if correct == r.value {
-                    self.stats
-                        .branch_prof
-                        .note_cidi_outcome(r.event, e.pc, true);
+                if correct == e.value {
+                    self.stats.branch_prof.note_cidi_outcome(event, e.pc, true);
                 } else {
                     // Two mechanism fingerprints are excluded even
                     // when the entry is live: a reuse that delivered
@@ -81,34 +85,30 @@ impl Pipeline<'_> {
                     // in a *different* replica slot of the same
                     // entry. Neither says an arm definition reached
                     // the input.
-                    let sound = match r.srsmt_idx {
+                    let sound = match slot {
                         None => true,
-                        Some(idx) => self
+                        Some(Slot { way, gen, k }) => self
                             .mech
                             .as_ref()
-                            .and_then(|m| m.srsmt.get_gen(idx, r.gen))
+                            .and_then(|m| m.srsmt.get_gen(way, gen))
                             .is_some_and(|ent| {
-                                r.replica < ent.head
-                                    && ent.is_complete(r.replica)
-                                    && ent.value_of(r.replica) == r.value
-                                    && !(0..ent.head).any(|k| {
-                                        k != r.replica
-                                            && ent.is_complete(k)
-                                            && ent.value_of(k) == correct
+                                k < ent.head
+                                    && ent.is_complete(k)
+                                    && ent.value_of(k) == e.value
+                                    && !(0..ent.head).any(|j| {
+                                        j != k && ent.is_complete(j) && ent.value_of(j) == correct
                                     })
                             }),
                     };
                     if sound {
-                        self.stats
-                            .branch_prof
-                            .note_cidi_outcome(r.event, e.pc, false);
+                        self.stats.branch_prof.note_cidi_outcome(event, e.pc, false);
                     } else {
                         self.stats
                             .branch_prof
-                            .note_cidi_mechanism_repair(r.event, e.pc);
+                            .note_cidi_mechanism_repair(event, e.pc);
                     }
                 }
-                if correct == r.value {
+                if correct == e.value {
                     self.stats.committed_reuse += 1;
                     // Scorecard: this reuse skipped one execution; the
                     // cycles saved are the FU latency it avoided (loads:
@@ -118,23 +118,22 @@ impl Pipeline<'_> {
                             .class()
                             .latency()
                             .unwrap_or(self.cfg.hierarchy.l1_hit) as u64;
-                    self.stats.branch_prof.note_reuse_commit(r.event, saved);
-                    if let Some(ev) = r.event {
-                        self.stats.events.mark_reused(ev);
+                    self.stats.branch_prof.note_reuse_commit(event, saved);
+                    if let Some(ev) = event {
+                        self.stats.branch_prof.mark_reused(ev);
                     }
                     // Attribute the reuse to the most recent
                     // misprediction as well: its recovery is the one
                     // this precomputed value survived.
-                    self.stats.events.mark_reused_current();
+                    self.stats.branch_prof.mark_reused_current();
                 } else {
                     // The decode-time checks let a wrong value through;
                     // repair architecturally and flush the poisoned
                     // pipeline (counts as mis-speculation recovery).
                     self.stats.commit_check_failures += 1;
                     self.obs.trace(Subsystem::Commit, e.pc as u64, self.cycle, || {
-                        let entdbg = r
-                            .srsmt_idx
-                            .and_then(|i| self.mech.as_ref().unwrap().srsmt.get(i))
+                        let entdbg = slot
+                            .and_then(|s| self.mech.as_ref().unwrap().srsmt.get(s.way))
                             .map(|ent| {
                                 format!(
                                     "ent pc={:#x} gen={} dec={} com={} head={} seq1={:?} seq2={:?} vals={:?}",
@@ -153,8 +152,8 @@ impl Pipeline<'_> {
                         EventKind::Note {
                             msg: format!(
                                 "commitfail seq={} inst={} got={:#x} want={:#x} true_addr={:x?} e.addr={:x?} replica={} gen={} pending_was={} | {}",
-                                e.seq, e.inst, r.value, correct, true_addr, e.addr, r.replica,
-                                r.gen, r.pending, entdbg
+                                e.seq, e.inst, e.value, correct, true_addr, e.addr,
+                                slot.map_or(0, |s| s.k), slot.map_or(0, |s| s.gen), pending, entdbg
                             ),
                         }
                     });
@@ -162,10 +161,10 @@ impl Pipeline<'_> {
                     if let Some(p) = e.new_phys {
                         self.rf.force_ready(p, correct);
                     }
-                    if let Some(idx) = r.srsmt_idx {
+                    if let Some(Slot { way, .. }) = slot {
                         let mut m = self.mech.take().unwrap();
-                        // Known defect (ROADMAP item 5): no `r.gen` check.
-                        self.teardown_srsmt(&mut m, idx, "commit_repair");
+                        // Known defect (ROADMAP item 5): no generation check.
+                        self.teardown_srsmt(&mut m, way, "commit_repair");
                         // Confidence: repeated commit-time repairs
                         // blacklist the PC from re-vectorization.
                         m.bump_misspec(Program::byte_pc(e.pc));
@@ -177,8 +176,8 @@ impl Pipeline<'_> {
 
             // A verified reuse and a probe both release the slot their
             // validation consumed (a repair has torn the entry down).
-            if let Some((way, gen)) = e.consumed_slot() {
-                self.release_committed_slot(way, gen);
+            if let Some(slot) = e.consumed_slot() {
+                self.release_committed_slot(slot);
             }
 
             // --- Per-kind architectural action ---
@@ -294,15 +293,16 @@ impl Pipeline<'_> {
 
     /// Advance the SRSMT `commit` pointer past the slot a committing
     /// validation consumed and free the slot's storage, if the entry is
-    /// still generation `gen`. Its `decode − commit` counts the window's
-    /// validations holding one of its slots (recovery recounts them),
-    /// so it is at least one here; `advance_commit` debug-asserts that.
-    fn release_committed_slot(&mut self, way: usize, gen: u32) {
+    /// still the slot's generation. Its `decode − commit` counts the
+    /// window's validations holding one of its slots (recovery recounts
+    /// them), so it is at least one here; `advance_commit`
+    /// debug-asserts that.
+    fn release_committed_slot(&mut self, slot: Slot) {
         let Some(mut m) = self.mech.take() else {
             return;
         };
-        if m.srsmt.get_gen(way, gen).is_some() {
-            let storage = m.srsmt.get_mut(way).unwrap().advance_commit();
+        if m.srsmt.get_gen(slot.way, slot.gen).is_some() {
+            let storage = m.srsmt.get_mut(slot.way).unwrap().advance_commit();
             self.free_storage(&mut m, &[storage]);
         }
         self.mech = Some(m);
@@ -368,7 +368,7 @@ impl Pipeline<'_> {
                 "cosim: pc {} wrote r{d}={got:#x}, golden model says {v:#x} (cycle {}, reuse={})",
                 e.pc,
                 self.cycle,
-                e.reuse.is_some()
+                e.reuses()
             );
         }
         if e.inst.is_store() {

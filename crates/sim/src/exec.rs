@@ -1,7 +1,8 @@
 //! Issue, writeback and misprediction recovery.
 
+use crate::mech::Slot;
 use crate::pipeline::Pipeline;
-use crate::rob::RobState;
+use crate::rob::{RobState, Use, Validation};
 use cfir_isa::{FuClass, Inst};
 use cfir_obs::{EventKind, Subsystem, WaitDetail, WaitEdgeKind};
 
@@ -273,16 +274,18 @@ impl Pipeline<'_> {
         for &i in &due {
             self.rob.set_state(i, RobState::Done, 0);
             self.obs.complete(self.rob[i].lid, self.cycle);
-            if let Some(pr) = self.rob[i].probe {
-                if !pr.verified {
-                    if let Some(p) = &mut self.rob[i].probe {
-                        p.verified = true;
-                    }
-                    let value = self.rob[i].value;
-                    let addr = self.rob[i].addr;
-                    let is_load = self.rob[i].inst.is_load();
-                    let pc = self.rob[i].pc;
-                    self.verify_probe(pr, pc, value, addr, is_load);
+            if let Some(Validation {
+                slot: Some(slot),
+                kind: Use::Probe { checked },
+                ..
+            }) = &mut self.rob[i].validation
+            {
+                if !*checked {
+                    *checked = true;
+                    let slot = *slot;
+                    let e = &self.rob[i];
+                    let (pc, value, addr, is_load) = (e.pc, e.value, e.addr, e.inst.is_load());
+                    self.verify_probe(slot, pc, value, addr, is_load);
                 }
             }
             if let Some(p) = self.rob[i].new_phys {
@@ -435,10 +438,12 @@ impl Pipeline<'_> {
         // pending state, which removes it from the list.
         let mut k = 0;
         while let Some(i) = self.rob.pending(k) {
-            let r = self.rob[i]
-                .reuse
-                .expect("the pending list holds validations only");
-            let Some(idx) = r.srsmt_idx else {
+            let Some(Slot {
+                way: idx,
+                gen,
+                k: replica,
+            }) = self.rob[i].consumed_slot()
+            else {
                 k += 1;
                 continue;
             };
@@ -456,13 +461,13 @@ impl Pipeline<'_> {
             }
             let poll = {
                 let m = self.mech.as_ref().unwrap();
-                match m.srsmt.get_gen(idx, r.gen) {
-                    Some(ent) if r.replica < ent.head => {
-                        if ent.is_dead(r.replica) || r.replica < ent.commit {
+                match m.srsmt.get_gen(idx, gen) {
+                    Some(ent) if replica < ent.head => {
+                        if ent.is_dead(replica) || replica < ent.commit {
                             Poll::Fallback
-                        } else if ent.is_complete(r.replica) {
+                        } else if ent.is_complete(replica) {
                             let addr = if self.rob[i].inst.is_load() {
-                                Some(ent.addr_of(r.replica))
+                                Some(ent.addr_of(replica))
                             } else {
                                 None
                             };
@@ -479,7 +484,7 @@ impl Pipeline<'_> {
                             };
                             match (exact, addr) {
                                 (Some(x), Some(a)) if x != a => Poll::Mismatch,
-                                _ => Poll::Deliver(ent.value_of(r.replica), addr),
+                                _ => Poll::Deliver(ent.value_of(replica), addr),
                             }
                         } else if self.cycle.saturating_sub(self.rob[i].done_at()) > 64 {
                             // A stuck chain must not block the ROB head.
@@ -496,15 +501,12 @@ impl Pipeline<'_> {
                 Poll::Fallback | Poll::Mismatch => {
                     // Execute normally, but keep owning the consumed
                     // slot as a probe so the entry's instance accounting
-                    // stays exact (recount/commit still see it).
+                    // stays exact (recount/commit still see it). No
+                    // check: the slot came from a real validation.
                     let e = &mut self.rob[i];
-                    e.probe = Some(crate::rob::ProbeInfo {
-                        srsmt_idx: idx,
-                        gen: r.gen,
-                        replica: r.replica,
-                        verified: true, // value came from a real validation
-                    });
-                    e.reuse = None;
+                    if let Some(v) = &mut e.validation {
+                        v.kind = Use::Probe { checked: true };
+                    }
                     let lid = e.lid;
                     self.rob.redispatch(i, &self.rf);
                     self.obs.reused(lid, false);
@@ -541,7 +543,7 @@ impl Pipeline<'_> {
     /// proves misalignment and tears the entry down.
     pub(crate) fn verify_probe(
         &mut self,
-        pr: crate::rob::ProbeInfo,
+        slot: Slot,
         pc: u32,
         value: u64,
         addr: Option<u64>,
@@ -552,8 +554,8 @@ impl Pipeline<'_> {
         };
         let ent = m
             .srsmt
-            .get_gen(pr.srsmt_idx, pr.gen)
-            .filter(|ent| pr.replica < ent.head);
+            .get_gen(slot.way, slot.gen)
+            .filter(|ent| slot.k < ent.head);
         // Dataflow oracle: capture the CI event that owns the SRSMT
         // entry before any teardown below erases it.
         let event = ent.and_then(|ent| ent.event);
@@ -563,18 +565,18 @@ impl Pipeline<'_> {
                 // completed (strided addresses are fixed at creation).
                 match ent.kind {
                     cfir_core::srsmt::VecKind::Load { .. } => {
-                        Some(addr == Some(ent.addr_of(pr.replica)))
+                        Some(addr == Some(ent.addr_of(slot.k)))
                     }
                     cfir_core::srsmt::VecKind::Op => {
-                        if ent.is_complete(pr.replica) {
-                            Some(addr == Some(ent.addr_of(pr.replica)))
+                        if ent.is_complete(slot.k) {
+                            Some(addr == Some(ent.addr_of(slot.k)))
                         } else {
                             None // cannot verify: leave unconfirmed
                         }
                     }
                 }
-            } else if ent.is_complete(pr.replica) {
-                Some(value == ent.value_of(pr.replica))
+            } else if ent.is_complete(slot.k) {
+                Some(value == ent.value_of(slot.k))
             } else {
                 None
             }
@@ -597,7 +599,7 @@ impl Pipeline<'_> {
         }
         match verdict {
             Some(true) => {
-                let ent = m.srsmt.get_mut(pr.srsmt_idx).unwrap();
+                let ent = m.srsmt.get_mut(slot.way).unwrap();
                 ent.confirmed = true;
                 ent.synced = true;
             }
@@ -609,10 +611,61 @@ impl Pipeline<'_> {
                         ok: false,
                         reason: "address_mismatch",
                     });
-                self.teardown_srsmt(&mut m, pr.srsmt_idx, "probe_mismatch");
+                self.teardown_srsmt(&mut m, slot.way, "probe_mismatch");
             }
             None => {}
         }
         self.mech = Some(m);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::config::{Mode, SimConfig};
+    use crate::mech::Slot;
+    use crate::pipeline::Pipeline;
+    use crate::rob::{RobEntry, RobState, Use, Validation};
+    use cfir_core::srsmt::{AllocOutcome, SeqId, SrsmtEntry, VecKind};
+    use cfir_emu::MemImage;
+    use cfir_isa::{assemble, Inst};
+
+    #[test]
+    fn a_pending_validation_whose_replica_died_probes_its_slot() {
+        let p = assemble("t", "li r1, 1\nhalt").unwrap();
+        let cfg = SimConfig::paper_baseline().with_mode(Mode::Ci);
+        let mut pipe = Pipeline::new(&p, MemImage::new(), cfg);
+        // A live entry whose one replica died after a validation
+        // consumed its slot.
+        let m = pipe.mech.as_mut().unwrap();
+        let mut ent = SrsmtEntry::new(0, Inst::Nop, VecKind::Op, 4, SeqId::None, SeqId::None);
+        ent.grow(100);
+        ent.advance_decode();
+        ent.kill_replica(0);
+        let AllocOutcome::Placed { idx, .. } = m.srsmt.alloc(ent) else {
+            panic!("an empty table places the entry");
+        };
+        let slot = Slot {
+            way: idx,
+            gen: m.srsmt.get(idx).unwrap().gen,
+            k: 0,
+        };
+        let mut e = RobEntry::new(1, 0, Inst::Nop);
+        e.validation = Some(Validation {
+            slot: Some(slot),
+            event: None,
+            kind: Use::Take { pending: true },
+        });
+        pipe.rob.push(e, &pipe.rf);
+        pipe.rob.set_state(0, RobState::Executing, 0);
+        assert_eq!(pipe.rob.pending(0), Some(0));
+
+        pipe.poll_pending_reuses();
+        // It executes normally, but keeps its slot, now as a probe.
+        let e = &pipe.rob[0];
+        assert_eq!(e.state(), RobState::Dispatched);
+        assert!(!e.reuses());
+        assert_eq!(e.consumed_slot(), Some(slot));
+        assert_eq!(e.validation.unwrap().kind, Use::Probe { checked: true });
+        assert_eq!(pipe.rob.pending(0), None);
     }
 }

@@ -1,8 +1,13 @@
 //! Mechanism state bundle: the paper's tables, owned by the pipeline
 //! when the mode uses them, plus the record of a replica in flight.
-//! A replica names only its SRSMT slot — way, generation and instance
-//! index — and reads what it computes from that entry at issue, as the
-//! paper's one entry holds all the state of its replicas (§2.3.3).
+//! The paper's one SRSMT entry holds all the state of its replicas
+//! (§2.3.3), and so does this model's: a replica and a validation each
+//! name only a [`Slot`] of an entry. A replica reads what it computes
+//! from the entry at issue and writes its result back into the entry
+//! (`SrsmtEntry::values`) at completion; a validation reads the result
+//! from there. The register or speculative-memory position a replica
+//! is given only stands for the storage it occupies (§2.4.6: capacity,
+//! ports and latency), and holds no copy of the value.
 
 use cfir_core::{Crp, Mbs, MechConfig, SpecMem, Srsmt};
 use cfir_predict::StridePredictor;
@@ -25,20 +30,28 @@ pub enum RepState {
     },
 }
 
-/// One speculative replica in flight: instance `k` of the SRSMT entry
-/// at `way` with generation `gen`. Every removal of an entry reaps its
-/// replicas (`Pipeline::release_entry`), so that entry is live for as
-/// long as the record exists.
+/// Instance `k` of the SRSMT entry at `way` with generation `gen`.
+/// Generations are table-unique, so a slot whose entry has since been
+/// removed never names another entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Slot {
+    /// SRSMT way of the entry.
+    pub way: usize,
+    /// Generation of the entry.
+    pub gen: u32,
+    /// Absolute instance index within the entry's replica stream.
+    pub k: u32,
+}
+
+/// One speculative replica in flight, computing `slot`. Every removal
+/// of an entry reaps its replicas (`Pipeline::release_entry`), so the
+/// slot's entry is live for as long as the record exists.
 #[derive(Debug, Clone, Copy)]
 pub struct Replica {
     /// Lifecycle id (0 when lifecycle tracing is off).
     pub lid: u64,
-    /// SRSMT way of the owning entry.
-    pub way: usize,
-    /// Generation of the owning entry.
-    pub gen: u32,
-    /// Absolute instance index within the entry's replica stream.
-    pub k: u32,
+    /// The instance this replica computes.
+    pub slot: Slot,
     /// Execution state.
     pub state: RepState,
     /// Value computed (valid once issued; delivered at `done_at`).

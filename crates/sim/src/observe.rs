@@ -247,7 +247,7 @@ impl Observers {
                 pc: e.pc,
                 inst: e.inst,
                 value: e.value,
-                reused: e.reuse.is_some(),
+                reused: e.reuses(),
             });
         }
         if let Some(r) = &mut self.recorder {

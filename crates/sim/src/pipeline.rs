@@ -26,8 +26,7 @@ use crate::lsq::Lsq;
 use crate::mech::{Mech, Replica};
 use crate::observe::{CommitRecord, Observers};
 use crate::regfile::{PhysId, PhysRegFile};
-use crate::rob::{ReuseInfo, RobEntry, RobState, Window};
-use crate::stall_attr::DispatchBlock;
+use crate::rob::{RobEntry, RobState, Use, Validation, Window};
 use crate::stats::SimStats;
 use cfir_core::RenameExt;
 use cfir_emu::{Emulator, MemImage};
@@ -199,8 +198,6 @@ pub struct Pipeline<'a> {
     // Per-cycle stall-attribution state.
     /// A flush (branch recovery or repair) happened this cycle.
     pub(crate) flushed_this_cycle: bool,
-    /// Why dispatch stopped early this cycle, if it did.
-    pub(crate) dispatch_block: Option<DispatchBlock>,
     /// Cycle of the most recent flush with no commit since.
     pub(crate) last_flush_cycle: Option<u64>,
 
@@ -276,7 +273,6 @@ impl<'a> Pipeline<'a> {
             oracle,
             res: CycleRes::default(),
             flushed_this_cycle: false,
-            dispatch_block: None,
             last_flush_cycle: None,
             obs: Observers::from_env(cfg.record_lifecycle),
             cfg,
@@ -482,7 +478,6 @@ impl<'a> Pipeline<'a> {
             self.outstanding_misses.retain(|&(_, d)| d > self.cycle);
         }
         self.flushed_this_cycle = false;
-        self.dispatch_block = None;
         let committed_before = self.stats.committed;
         #[cfg(debug_assertions)]
         self.check_work_lists();
@@ -557,7 +552,6 @@ impl<'a> Pipeline<'a> {
         self.stats.l3_misses = self.hier.l3.misses;
         self.stats.mem_accesses = self.hier.mem_accesses;
         if let Some(m) = &self.mech {
-            self.stats.srsmt = m.srsmt.stats;
             // Static-oracle cross-check of the MBS table: tags are
             // exact full byte PCs, so every valid entry must name a
             // conditional branch of the program.
@@ -574,10 +568,6 @@ impl<'a> Pipeline<'a> {
                 }
             }
         }
-        // Fold per-event outcomes into the per-branch scorecards (the
-        // clone is a few bytes per misprediction, once per run).
-        let events = self.stats.events.clone();
-        self.stats.branch_prof.finalize(&events);
         // Accounting invariant: every commit slot of every cycle was
         // charged to exactly one cause.
         if let Err(e) = self
@@ -684,22 +674,15 @@ impl<'a> Pipeline<'a> {
             let Some(f) = self.decode_q.front().copied() else {
                 break;
             };
-            if f.ready_at > self.cycle {
-                self.dispatch_block = Some(DispatchBlock::DecodeWait);
-                break;
-            }
-            if self.rob.is_full() {
-                self.dispatch_block = Some(DispatchBlock::RobFull);
+            if f.ready_at > self.cycle || self.rob.is_full() {
                 break;
             }
             let is_mem = f.inst.is_load() || f.inst.is_store();
             if is_mem && !self.lsq.has_room() {
-                self.dispatch_block = Some(DispatchBlock::LsqFull);
                 break;
             }
             if f.inst.dest().is_some() && self.rf.available() < 1 {
                 // No physical register for the destination.
-                self.dispatch_block = Some(DispatchBlock::NoRegs);
                 break;
             }
             self.decode_q.pop_front();
@@ -714,7 +697,7 @@ impl<'a> Pipeline<'a> {
             self.obs.dispatch(f.lid, seq, self.cycle);
 
             // Mechanism decode hooks (validation may deliver a reuse).
-            let reuse = self.mech_decode(&mut e);
+            self.mech_decode(&mut e);
 
             // Rename sources.
             for (i, s) in f.inst.sources().iter().enumerate() {
@@ -742,19 +725,19 @@ impl<'a> Pipeline<'a> {
             // Vectorization triggers run post-rename (the destination
             // register seeds loop-carried self-dependences); skipped
             // when the instruction is a validated reuse.
-            if reuse.is_none() {
+            if !e.reuses() {
                 self.mech_vectorize(&e);
             }
             // Enter the window, then propagate the rename extension and
             // wire the reuse.
             self.rob.push(e, &self.rf);
-            self.update_ext_and_state(self.rob.len() - 1, reuse);
+            self.update_ext_and_state(self.rob.len() - 1);
         }
     }
 
     /// Apply the stridedPC/V-S propagation rules to the destination of
     /// the window entry at `i` and wire a validated reuse into it.
-    fn update_ext_and_state(&mut self, i: usize, reuse: Option<ReuseInfo>) {
+    fn update_ext_and_state(&mut self, i: usize) {
         let (pc, inst, ldest) = {
             let e = &self.rob[i];
             (e.pc, e.inst, e.ldest)
@@ -805,12 +788,13 @@ impl<'a> Pipeline<'a> {
 
         // Reuse wiring: the instruction does not execute.
         let lid = self.rob[i].lid;
-        if let Some(r) = reuse {
-            let e = &mut self.rob[i];
-            e.value = r.value;
-            e.reuse = Some(r);
+        if let Some(Validation {
+            kind: Use::Take { pending },
+            ..
+        }) = self.rob[i].validation
+        {
             self.obs.reused(lid, true);
-            if r.pending {
+            if pending {
                 // The replica is still executing; the validating
                 // instruction waits for the value (polled in writeback;
                 // `done_at` records when the wait started so a stuck
@@ -823,7 +807,7 @@ impl<'a> Pipeline<'a> {
                 self.rob.set_state(i, RobState::Executing, self.cycle);
             } else {
                 self.stats.h_reuse_wait.record(0);
-                self.deliver_reuse_value(i, r.value);
+                self.deliver_reuse_value(i, self.rob[i].value);
             }
             let e = &self.rob[i];
             if e.inst.is_load() {
@@ -866,9 +850,12 @@ impl<'a> Pipeline<'a> {
     pub(crate) fn deliver_reuse_value(&mut self, i: usize, value: u64) {
         let e = &mut self.rob[i];
         e.value = value;
-        if let Some(r) = &mut e.reuse {
-            r.value = value;
-            r.pending = false;
+        if let Some(Validation {
+            kind: Use::Take { pending },
+            ..
+        }) = &mut e.validation
+        {
+            *pending = false;
         }
         let (seq, lid, new_phys) = (e.seq, e.lid, e.new_phys);
         self.notify_seed(seq, value);

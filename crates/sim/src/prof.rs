@@ -10,15 +10,18 @@
 //! aggregate.
 //!
 //! Attribution flows through the misprediction *event* id that the
-//! selection machinery already threads through `SRSMT` entries and
-//! [`crate::rob::ReuseInfo`] for the Figure 5 classification: the
-//! scorecard records which branch PC opened each event and charges all
-//! downstream work to it. Work with no event (e.g. `vect` mode, which
+//! selection machinery threads through `SRSMT` entries and the
+//! window's [`crate::rob::Validation`] records. The event table lives
+//! here: each id indexes the branch PC that opened the event and its
+//! Figure 5 flags (CI selected, a value reused), and every flag change
+//! moves the event between its branch row's `events_selected` and
+//! `events_reused`, so the per-branch counts and the run's Figure 5
+//! classification come from one record. All downstream work is charged
+//! to the event's branch. Work with no event (e.g. `vect` mode, which
 //! vectorizes on stride trust alone) lands in an explicit
 //! `unattributed` bucket so scorecard totals always reconcile exactly
 //! with the global [`crate::stats::SimStats`] counters.
 
-use cfir_core::{EventOutcome, EventStats};
 use std::collections::HashMap;
 
 /// Mechanism effectiveness at one static conditional branch.
@@ -113,8 +116,21 @@ pub struct StaticTruth {
     pub is_hammock: bool,
 }
 
-/// Marks an empty slot of [`BranchProf`]'s dense tables.
+/// Marks an empty slot of [`BranchProf`]'s dense PC table.
 const NONE: u32 = u32::MAX;
+
+/// One CI event: a hard-branch misprediction that activated the CRP.
+#[derive(Debug, Clone, Copy)]
+struct Event {
+    /// Word PC of the branch whose misprediction opened the event.
+    pc: u32,
+    /// At least one control-independent instruction passed the mask
+    /// test.
+    selected: bool,
+    /// At least one reuse attributed to the event committed (implies
+    /// `selected`).
+    reused: bool,
+}
 
 /// The per-run scorecard table plus the unattributed spill bucket.
 #[derive(Debug, Clone, Default)]
@@ -123,12 +139,14 @@ pub struct BranchProf {
     scores: Vec<(u32, BranchScore)>,
     /// Index into `scores` by word PC ([`NONE`]: no row yet).
     row_of: Vec<u32>,
-    /// Which branch PC opened each event id, indexed by the id (filled
-    /// at recovery; [`NONE`] for an id no CI event was noted under).
-    event_pc: Vec<u32>,
-    /// Mechanism work that carried no event id (`vect` mode, or events
-    /// already evicted): kept so totals reconcile with the global
-    /// statistics.
+    /// Every CI event, indexed by its id.
+    events: Vec<Event>,
+    /// All recovered conditional-branch mispredictions, wrong path
+    /// included, whether or not they opened an event: the denominator
+    /// of Figure 5.
+    pub total_mispredictions: u64,
+    /// Mechanism work that carried no event id (e.g. `vect` mode):
+    /// kept so totals reconcile with the global statistics.
     pub unattributed: BranchScore,
     /// Static oracle truth per branch PC (seeded at pipeline build).
     statics: HashMap<u32, StaticTruth>,
@@ -151,8 +169,6 @@ pub struct BranchProf {
     /// mechanism mis-speculation, not dataflow evidence (see
     /// [`BranchProf::note_cidi_mechanism_repair`]).
     pub cidi_mechanism_repairs: u64,
-    /// Outcomes already folded (see [`BranchProf::finalize`]).
-    finalized: bool,
 }
 
 impl BranchProf {
@@ -169,11 +185,10 @@ impl BranchProf {
         &mut self.scores[self.row_of[at] as usize].1
     }
 
-    /// The branch PC that opened event `id`, if one was noted.
+    /// The branch PC that opened event `id`, if it was opened.
     #[inline]
     fn pc_of(&self, id: u64) -> Option<u32> {
-        let pc = *self.event_pc.get(usize::try_from(id).ok()?)?;
-        (pc != NONE).then_some(pc)
+        Some(self.events.get(usize::try_from(id).ok()?)?.pc)
     }
 
     /// A committed conditional branch (called from the commit stage).
@@ -185,14 +200,89 @@ impl BranchProf {
         }
     }
 
-    /// A CI event opened by the misprediction of the branch at `pc`.
-    pub fn note_event(&mut self, pc: u32, event: u64) {
+    /// Open a CI event for a hard misprediction of the branch at `pc`;
+    /// returns its id.
+    pub fn open_event(&mut self, pc: u32) -> u64 {
+        self.total_mispredictions += 1;
         self.row(pc).events += 1;
-        let id = event as usize;
-        if id >= self.event_pc.len() {
-            self.event_pc.resize(id + 1, NONE);
+        self.events.push(Event {
+            pc,
+            selected: false,
+            reused: false,
+        });
+        (self.events.len() - 1) as u64
+    }
+
+    /// A misprediction that opened no event (an easy branch): Figure
+    /// 5's "not found".
+    pub fn mispredict_without_event(&mut self) {
+        self.total_mispredictions += 1;
+    }
+
+    /// Event `id` selected a control-independent instruction. Unknown
+    /// ids are ignored.
+    pub fn mark_selected(&mut self, id: u64) {
+        let Some(ev) = self.events.get_mut(id as usize) else {
+            return;
+        };
+        if ev.selected {
+            return;
         }
-        self.event_pc[id] = pc;
+        ev.selected = true;
+        let pc = ev.pc;
+        self.row(pc).events_selected += 1;
+    }
+
+    /// A reuse attributed to event `id` committed. Unknown ids are
+    /// ignored.
+    pub fn mark_reused(&mut self, id: u64) {
+        let Some(ev) = self.events.get_mut(id as usize) else {
+            return;
+        };
+        if ev.reused {
+            return;
+        }
+        let was_selected = ev.selected;
+        ev.selected = true;
+        ev.reused = true;
+        let pc = ev.pc;
+        let s = self.row(pc);
+        if was_selected {
+            s.events_selected -= 1;
+        }
+        s.events_reused += 1;
+    }
+
+    /// Mark the most recently opened event as reused. Used at commit of
+    /// a reused instruction: the misprediction whose recovery the reuse
+    /// survived is the most recent one — precomputed results outliving
+    /// that squash is precisely what Figure 5's black bars count.
+    pub fn mark_reused_current(&mut self) {
+        if let Some(last) = self.events.len().checked_sub(1) {
+            self.mark_reused(last as u64);
+        }
+    }
+
+    /// Figure 5's counts over *all* mispredictions: `(not_found,
+    /// selected_no_reuse, reused)`, tallied from the events' flags.
+    /// Mispredictions without an event are "not found".
+    pub fn event_counts(&self) -> (u64, u64, u64) {
+        let (mut sel, mut reu) = (0, 0);
+        for e in &self.events {
+            if e.reused {
+                reu += 1;
+            } else if e.selected {
+                sel += 1;
+            }
+        }
+        (self.total_mispredictions - sel - reu, sel, reu)
+    }
+
+    /// [`BranchProf::event_counts`] as fractions of all mispredictions.
+    pub fn event_fractions(&self) -> (f64, f64, f64) {
+        let (nf, sel, reu) = self.event_counts();
+        let t = self.total_mispredictions.max(1) as f64;
+        (nf as f64 / t, sel as f64 / t, reu as f64 / t)
     }
 
     /// Seed the static oracle truth for the branch at `pc`.
@@ -335,28 +425,6 @@ impl BranchProf {
         s.cycles_saved += cycles_saved;
     }
 
-    /// Fold the final per-event outcomes into the per-branch
-    /// `events_reused` / `events_selected` counters. Called once from
-    /// `finalize_stats`; idempotent.
-    pub fn finalize(&mut self, events: &EventStats) {
-        if self.finalized {
-            return;
-        }
-        self.finalized = true;
-        for id in 0..self.event_pc.len() {
-            let (Some(pc), Some(outcome)) = (self.pc_of(id as u64), events.outcome(id as u64))
-            else {
-                continue;
-            };
-            let s = self.row(pc);
-            match outcome {
-                EventOutcome::Reused => s.events_reused += 1,
-                EventOutcome::SelectedNoReuse => s.events_selected += 1,
-                EventOutcome::NotFound => {}
-            }
-        }
-    }
-
     /// Number of distinct static branches profiled.
     pub fn len(&self) -> usize {
         self.scores.len()
@@ -417,23 +485,14 @@ mod tests {
     #[test]
     fn attribution_and_totals() {
         let mut p = BranchProf::default();
-        let mut ev = EventStats::new();
         // Branch 10 mispredicts twice; one event gets a reuse.
         p.note_branch(10, true);
         p.note_branch(10, true);
         p.note_branch(10, false);
-        let e0 = ev.open_event();
-        p.note_event(10, e0);
-        // A misprediction that opened no CI event: a gap in the ids the
-        // scorecards saw. Its outcome and its work stay unattributed.
-        let gap = ev.open_event();
-        ev.mark_selected(gap);
-        ev.mark_reused(gap);
-        p.note_validation(Some(gap));
-        let e1 = ev.open_event();
-        p.note_event(10, e1);
-        ev.mark_selected(e1);
-        ev.mark_reused(e1);
+        p.open_event(10);
+        let e1 = p.open_event(10);
+        p.mark_selected(e1);
+        p.mark_reused(e1);
         p.note_replica_created(Some(e1));
         p.note_replica_created(Some(e1));
         p.note_replica_executed(Some(e1));
@@ -444,7 +503,6 @@ mod tests {
         // Eventless work spills to unattributed.
         p.note_replica_created(None);
         p.note_reuse_commit(None, 1);
-        p.finalize(&ev);
 
         let s10 = p.get(10).copied().unwrap();
         assert_eq!(s10.executed, 3);
@@ -463,7 +521,6 @@ mod tests {
         assert_eq!(p.unattributed.replicas_created, 1);
         assert_eq!(p.unattributed.reuse_commits, 1);
         assert_eq!(p.unattributed.cycles_saved, 1);
-        assert_eq!(p.unattributed.validations, 1, "the gap's work");
 
         let s20 = p.get(20).copied().unwrap();
         assert_eq!((s20.executed, s20.mispredicts, s20.events), (1, 0, 0));
@@ -481,17 +538,98 @@ mod tests {
         assert!((p.ci_exploited_fraction() - 0.5).abs() < 1e-12);
     }
 
+    /// `(events_selected, events_reused)` of the branch row at `pc`.
+    fn flags(p: &BranchProf, pc: u32) -> (u64, u64) {
+        let s = p.get(pc).unwrap();
+        (s.events_selected, s.events_reused)
+    }
+
     #[test]
-    fn finalize_is_idempotent() {
+    fn classification_buckets() {
         let mut p = BranchProf::default();
-        let mut ev = EventStats::new();
-        p.note_branch(5, true);
-        let e = ev.open_event();
-        p.note_event(5, e);
-        ev.mark_reused(e);
-        p.finalize(&ev);
-        p.finalize(&ev);
-        assert_eq!(p.get(5).unwrap().events_reused, 1);
+        p.mispredict_without_event(); // not found
+        p.open_event(10); // stays not found
+        let b = p.open_event(20);
+        p.mark_selected(b); // selected, no reuse
+        let c = p.open_event(30);
+        p.mark_selected(c);
+        p.mark_reused(c); // reused
+        assert_eq!(flags(&p, 10), (0, 0));
+        assert_eq!(flags(&p, 20), (1, 0));
+        assert_eq!(flags(&p, 30), (0, 1));
+        assert_eq!(p.event_counts(), (2, 1, 1));
+        assert_eq!(p.total_mispredictions, 4);
+    }
+
+    #[test]
+    fn reuse_implies_selected() {
+        let mut p = BranchProf::default();
+        let e = p.open_event(10);
+        p.mark_reused(e);
+        p.mark_selected(e);
+        assert_eq!(flags(&p, 10), (0, 1));
+        assert_eq!(p.event_counts(), (0, 0, 1));
+    }
+
+    #[test]
+    fn an_event_moves_from_selected_to_reused_once() {
+        let mut p = BranchProf::default();
+        let e = p.open_event(10);
+        assert_eq!(flags(&p, 10), (0, 0));
+        p.mark_selected(e);
+        assert_eq!(flags(&p, 10), (1, 0));
+        p.mark_reused(e);
+        assert_eq!(flags(&p, 10), (0, 1), "the event leaves the selected count");
+        p.mark_reused(e);
+        assert_eq!(flags(&p, 10), (0, 1), "a second reuse changes nothing");
+        assert_eq!(p.get(10).unwrap().events, 1);
+        assert_eq!(p.event_counts(), (0, 0, 1));
+    }
+
+    #[test]
+    fn fractions_sum_to_one() {
+        let mut p = BranchProf::default();
+        for i in 0..10 {
+            let e = p.open_event(i);
+            if i % 2 == 0 {
+                p.mark_selected(e);
+            }
+            if i % 4 == 0 {
+                p.mark_reused(e);
+            }
+        }
+        let (a, b, c) = p.event_fractions();
+        assert!((a + b + c - 1.0).abs() < 1e-12);
+        assert_eq!(p.event_counts(), (5, 2, 3));
+    }
+
+    #[test]
+    fn mark_reused_current_hits_latest_event() {
+        let mut p = BranchProf::default();
+        p.open_event(10);
+        p.open_event(20);
+        p.mark_reused_current();
+        assert_eq!(flags(&p, 10), (0, 0));
+        assert_eq!(flags(&p, 20), (0, 1));
+        // No events at all: must be a no-op.
+        let mut empty = BranchProf::default();
+        empty.mark_reused_current();
+        assert_eq!(empty.event_counts(), (0, 0, 0));
+    }
+
+    #[test]
+    fn unknown_event_ids_are_ignored() {
+        let mut p = BranchProf::default();
+        p.mark_selected(99);
+        p.mark_reused(99);
+        assert_eq!(p.event_counts(), (0, 0, 0));
+        assert!(p.is_empty());
+    }
+
+    #[test]
+    fn empty_fractions_do_not_divide_by_zero() {
+        let p = BranchProf::default();
+        assert_eq!(p.event_fractions(), (0.0, 0.0, 0.0));
     }
 
     #[test]
@@ -536,9 +674,7 @@ mod tests {
     #[test]
     fn cidi_oracle_counters() {
         let mut p = BranchProf::default();
-        let mut ev = EventStats::new();
-        let e = ev.open_event();
-        p.note_event(10, e);
+        let e = p.open_event(10);
         p.set_cidi_verdict(10, 14, "cidi");
         p.set_cidi_verdict(10, 15, "cidd");
         assert_eq!(p.cidi_verdict(10, 14), Some("cidi"));
@@ -574,8 +710,7 @@ mod tests {
     #[test]
     fn unknown_events_spill_to_unattributed() {
         let mut p = BranchProf::default();
-        // Event 42 was never opened through note_event (e.g. the map
-        // entry was lost): work must not vanish.
+        // Event 42 was never opened: work must not vanish.
         p.note_replica_executed(Some(42));
         assert_eq!(p.unattributed.replicas_executed, 1);
         assert_eq!(p.totals().replicas_executed, 0);

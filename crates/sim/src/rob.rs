@@ -6,6 +6,7 @@
 //! physical register and rename extension, and a squash restores them
 //! youngest first (`Pipeline::squash_window`).
 
+use crate::mech::Slot;
 use crate::regfile::{PhysId, PhysRegFile};
 use cfir_core::bitset::{BitRows, BitSet, Cursor};
 use cfir_core::RenameExt;
@@ -23,42 +24,38 @@ pub enum RobState {
     Done,
 }
 
-/// How a reused instruction obtained its value.
-#[derive(Debug, Clone, Copy)]
-pub struct ReuseInfo {
-    /// The value delivered without execution (valid once `pending`
-    /// clears).
-    pub value: u64,
-    /// The replica has not finished executing yet; the validating
-    /// instruction waits for the value (§2.3.4: "it will wait" in the
-    /// commit stage).
-    pub pending: bool,
-    /// SRSMT entry index the validation consumed (`None` for ci-iw
-    /// squash-reuse buffer hits).
-    pub srsmt_idx: Option<usize>,
-    /// Entry generation at validation time.
-    pub gen: u32,
-    /// Instance index consumed.
-    pub replica: u32,
-    /// Misprediction event this reuse is attributed to (Figure 5).
-    pub event: Option<u64>,
+/// What a validating instruction does with the value it validated.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Use {
+    /// Takes the value (in [`RobEntry::value`]) without executing.
+    /// `pending` while the replica has not finished executing: the
+    /// instruction waits for the value (§2.3.4: "it will wait").
+    Take {
+        /// The value is not there yet.
+        pending: bool,
+    },
+    /// Executes normally, and when done compares its real result with
+    /// the slot, confirming the entry's alignment or tearing the entry
+    /// down. An unconfirmed entry's validations probe, and so does a
+    /// pending one that fell back.
+    Probe {
+        /// The comparison already ran (or is not wanted).
+        checked: bool,
+    },
 }
 
-/// A probe: the instruction consumed a replica slot but executes
-/// normally; at issue it verifies the entry's alignment against its
-/// real result, confirming the entry (or tearing it down).
+/// The validation a window entry passed at decode (§2.3.4).
 #[derive(Debug, Clone, Copy)]
-pub struct ProbeInfo {
-    /// SRSMT entry index.
-    pub srsmt_idx: usize,
-    /// Entry generation at validation time.
-    pub gen: u32,
-    /// Instance index consumed.
-    pub replica: u32,
-    /// Whether the alignment verification already ran (at writeback).
-    /// The probe record itself must survive until commit: it is the
-    /// proof of slot ownership that recovery recounting relies on.
-    pub verified: bool,
+pub struct Validation {
+    /// The SRSMT slot it consumed, which the entry owns until it
+    /// commits or is squashed (recovery recounts the owners). `None`
+    /// for a ci-iw squash-reuse hit, which takes a value from the
+    /// squashed wrong path instead.
+    pub slot: Option<Slot>,
+    /// Misprediction event the validation is attributed to (Figure 5).
+    pub event: Option<u64>,
+    /// Whether the entry takes the value or probes it.
+    pub kind: Use,
 }
 
 /// One reorder-buffer entry.
@@ -104,10 +101,8 @@ pub struct RobEntry {
     /// Value this instruction produced / will store (set at execute,
     /// reuse, or store-data capture).
     pub value: u64,
-    /// Reuse bookkeeping (validation instructions).
-    pub reuse: Option<ReuseInfo>,
-    /// Probe bookkeeping (unconfirmed validations).
-    pub probe: Option<ProbeInfo>,
+    /// The validation this instruction passed at decode, if any.
+    pub validation: Option<Validation>,
     /// Cycle the entry entered the window (latency histograms).
     pub dispatched_at: u64,
     /// Whether this load missed in the L1D (stall attribution).
@@ -135,8 +130,7 @@ impl RobEntry {
             actual_target: pc + 1,
             addr: None,
             value: 0,
-            reuse: None,
-            probe: None,
+            validation: None,
             dispatched_at: 0,
             dcache_miss: false,
         }
@@ -155,23 +149,42 @@ impl RobEntry {
         self.done_at
     }
 
+    /// Whether this instruction takes a validated value instead of
+    /// executing.
+    #[inline]
+    pub fn reuses(&self) -> bool {
+        matches!(
+            self.validation,
+            Some(Validation {
+                kind: Use::Take { .. },
+                ..
+            })
+        )
+    }
+
+    /// Whether this instruction takes a value that is not there yet.
+    #[inline]
+    pub fn awaits_value(&self) -> bool {
+        matches!(
+            self.validation,
+            Some(Validation {
+                kind: Use::Take { pending: true },
+                ..
+            })
+        )
+    }
+
     /// Whether this is a validation still waiting for its replica's
     /// value.
     #[inline]
     pub fn is_pending(&self) -> bool {
-        self.state == RobState::Executing && self.reuse.is_some_and(|r| r.pending)
+        self.state == RobState::Executing && self.awaits_value()
     }
 
-    /// The SRSMT slot this entry's validation consumed, as `(way,
-    /// gen)`: a reuse's or a probe's. An entry never holds both.
+    /// The SRSMT slot this entry's validation consumed.
     #[inline]
-    pub fn consumed_slot(&self) -> Option<(usize, u32)> {
-        debug_assert!(self.reuse.is_none() || self.probe.is_none());
-        match (self.reuse, self.probe) {
-            (Some(r), _) => r.srsmt_idx.map(|way| (way, r.gen)),
-            (None, Some(p)) => Some((p.srsmt_idx, p.gen)),
-            (None, None) => None,
-        }
+    pub fn consumed_slot(&self) -> Option<Slot> {
+        self.validation.and_then(|v| v.slot)
     }
 
     /// Whether this is a conditional branch entry.
@@ -409,8 +422,8 @@ impl Window {
 
     /// Move the entry at index `i` to `Executing`, completing at
     /// `done_at`, or to `Done`, and record the change in the work
-    /// lists. Fields that decide pending-ness (`reuse`) must be set
-    /// before the call. A move back to `Dispatched` is
+    /// lists. Fields that decide pending-ness (`validation`) must be
+    /// set before the call. A move back to `Dispatched` is
     /// [`Window::redispatch`].
     #[inline]
     pub(crate) fn set_state(&mut self, i: usize, state: RobState, done_at: u64) {
@@ -623,7 +636,7 @@ mod tests {
         assert_eq!(e.seq, 7);
         assert_eq!(e.state, RobState::Dispatched);
         assert_eq!(e.pred_target, 4);
-        assert!(e.reuse.is_none());
+        assert!(e.validation.is_none() && !e.reuses());
         assert!(!e.is_cond_branch());
     }
 
@@ -956,13 +969,14 @@ mod tests {
             w.push(nop(seq), &rf);
         }
         for i in [3, 1, 0] {
-            w.entries[i].reuse = Some(ReuseInfo {
-                value: 0,
-                pending: true,
-                srsmt_idx: Some(0),
-                gen: 0,
-                replica: 0,
+            w.entries[i].validation = Some(Validation {
+                slot: Some(Slot {
+                    way: 0,
+                    gen: 0,
+                    k: i as u32,
+                }),
                 event: None,
+                kind: Use::Take { pending: true },
             });
             w.set_state(i, RobState::Executing, 1);
         }
@@ -972,12 +986,15 @@ mod tests {
         );
         w.check_work_lists(&rf);
         // A validation that completes leaves the list.
-        w.entries[0].reuse.as_mut().unwrap().pending = false;
+        w.entries[0].validation.as_mut().unwrap().kind = Use::Take { pending: false };
         w.set_state(0, RobState::Done, 0);
         assert_eq!((w.pending(0), w.pending(1)), (Some(1), Some(3)));
-        // So does one that falls back, which can issue again.
-        w.entries[1].reuse = None;
+        // So does one that falls back to probing, which can issue again
+        // and still owns its slot.
+        w.entries[1].validation.as_mut().unwrap().kind = Use::Probe { checked: true };
         w.redispatch(1, &rf);
+        assert!(!w.entries[1].reuses());
+        assert_eq!(w.entries[1].consumed_slot().map(|s| s.k), Some(1));
         assert_eq!((w.pending(0), w.pending(1)), (Some(3), None));
         assert_eq!(issuable(&w), vec![1, 2]);
         w.check_work_lists(&rf);
@@ -992,7 +1009,8 @@ mod tests {
         // Every in-flight instruction carries one, rename undo state
         // (`old_phys`, `old_ext`) included; issue and writeback visit
         // only the entries on their work lists, but each visit still
-        // loads a whole entry.
-        assert!(std::mem::size_of::<RobEntry>() <= 264);
+        // loads a whole entry, its one validation record included.
+        assert!(std::mem::size_of::<Option<Validation>>() <= 48);
+        assert!(std::mem::size_of::<RobEntry>() <= 232);
     }
 }

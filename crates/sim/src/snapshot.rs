@@ -521,12 +521,12 @@ mod tests {
         stats.branch_prof.note_rcp_check(0x40, true);
         stats.branch_prof.note_rcp_check(0x40, false);
         // Schema v6: a CIDI verdict scored against runtime outcomes.
-        stats.branch_prof.note_event(0x40, 9);
+        let ev = stats.branch_prof.open_event(0x40);
         stats.branch_prof.set_cidi_verdict(0x40, 0x44, "cidi");
-        stats.branch_prof.note_cidi_outcome(Some(9), 0x44, true);
-        stats.branch_prof.note_cidi_outcome(Some(9), 0x44, false);
+        stats.branch_prof.note_cidi_outcome(Some(ev), 0x44, true);
+        stats.branch_prof.note_cidi_outcome(Some(ev), 0x44, false);
         stats.branch_prof.note_cidi_outcome(None, 0x44, true);
-        stats.branch_prof.note_cidi_mechanism_repair(Some(9), 0x44);
+        stats.branch_prof.note_cidi_mechanism_repair(Some(ev), 0x44);
         stats.oracle_mbs_checked = 7;
         stats.lifecycle_records = 42;
         stats.lifecycle_dropped = 2;

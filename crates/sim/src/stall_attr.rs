@@ -17,28 +17,17 @@
 //! 4. head waiting on a pending replica value → `ReplicaArbitration`;
 //! 5. head `Executing` → `DCacheMiss` (load that missed L1D) or
 //!    `FuContention`;
-//! 6. head `Dispatched` with unready sources → the dispatch-side
-//!    resource that blocked this cycle (`RobFull` / `LsqFull` /
-//!    `RenameRegs`) or plain `DataDependency`;
-//! 7. head `Dispatched` and ready → `FuContention` (issue bandwidth).
+//! 6. head `Dispatched` → `FuContention` (issue bandwidth).
+//!
+//! The head's sources are always ready: every older instruction has
+//! committed, and an instruction commits only after writing its
+//! destination. So `RobFull`, `LsqFull`, `RenameRegs` and
+//! `DataDependency`, which would explain a head waiting on an operand,
+//! are never charged; they stay in every breakdown at 0.
 
 use crate::pipeline::Pipeline;
 use crate::rob::RobState;
 use cfir_obs::{StallCause, WaitEdgeKind};
-
-/// Why dispatch stopped early this cycle (recorded by `dispatch`,
-/// consulted by the cascade).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum DispatchBlock {
-    /// Front of the decode queue not through decode yet.
-    DecodeWait,
-    /// Reorder buffer full.
-    RobFull,
-    /// Load/store queue full.
-    LsqFull,
-    /// No free physical register.
-    NoRegs,
-}
 
 impl Pipeline<'_> {
     /// Charge this cycle's commit slots. `committed_before` is the
@@ -60,15 +49,8 @@ impl Pipeline<'_> {
             // window head's record absorbs it (it is the instruction the
             // cascade blamed; an empty window charges the front end),
             // plus the causal wait-edge where one is identifiable.
-            let (rob, rf) = (&self.rob, &self.rf);
-            let head = rob.front();
+            let head = self.rob.front();
             let edge = || match cause {
-                // Blame the oldest in-flight producer of the head's
-                // first unready source operand.
-                StallCause::DataDependency => head
-                    .and_then(|h| h.src_phys.iter().flatten().find(|&&p| !rf.is_ready(p)))
-                    .and_then(|&p| rob.iter().find(|e| e.new_phys == Some(p)))
-                    .map(|prod| (WaitEdgeKind::Producer, Some(prod.lid))),
                 StallCause::ReplicaArbitration => Some((WaitEdgeKind::ReplicaValue, None)),
                 // Extends the issue-time edge that recorded the miss level.
                 StallCause::DCacheMiss => Some((WaitEdgeKind::CacheMiss, None)),
@@ -94,7 +76,7 @@ impl Pipeline<'_> {
         match head.state() {
             RobState::Done => StallCause::CommitBandwidth,
             RobState::Executing => {
-                if head.reuse.is_some_and(|r| r.pending) {
+                if head.awaits_value() {
                     StallCause::ReplicaArbitration
                 } else if head.dcache_miss {
                     StallCause::DCacheMiss
@@ -103,17 +85,11 @@ impl Pipeline<'_> {
                 }
             }
             RobState::Dispatched => {
-                let ready = head.src_phys.iter().flatten().all(|&p| self.rf.is_ready(p));
-                if ready {
-                    StallCause::FuContention
-                } else {
-                    match self.dispatch_block {
-                        Some(DispatchBlock::RobFull) => StallCause::RobFull,
-                        Some(DispatchBlock::LsqFull) => StallCause::LsqFull,
-                        Some(DispatchBlock::NoRegs) => StallCause::RenameRegs,
-                        _ => StallCause::DataDependency,
-                    }
-                }
+                debug_assert!(
+                    head.src_phys.iter().flatten().all(|&p| self.rf.is_ready(p)),
+                    "the window head waits on an operand"
+                );
+                StallCause::FuContention
             }
         }
     }

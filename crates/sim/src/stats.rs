@@ -2,8 +2,6 @@
 //! figures need.
 
 use crate::prof::BranchProf;
-use cfir_core::srsmt::SrsmtStats;
-use cfir_core::EventStats;
 use cfir_obs::stall::ALL_CAUSES;
 use cfir_obs::{BottleneckReport, Hist, StallBreakdown};
 
@@ -86,10 +84,6 @@ pub struct SimStats {
     pub strided_pc_samples: u64,
     /// Vectorizations performed (SRSMT entries created).
     pub vectorizations: u64,
-    /// Per-misprediction CI classification (Figure 5).
-    pub events: EventStats,
-    /// SRSMT table statistics.
-    pub srsmt: SrsmtStats,
     /// L1 D-cache accesses (Figure 8): scalar port accesses, wide-bus
     /// line accesses, store commits and replica loads all count once.
     pub l1d_accesses: u64,
@@ -125,7 +119,8 @@ pub struct SimStats {
     pub oracle_mbs_nonbranch: u64,
     /// Periodic samples (empty unless `SimConfig::interval_cycles` set).
     pub intervals: Vec<IntervalSample>,
-    /// Per-static-branch CI-reuse scorecards.
+    /// Per-static-branch CI-reuse scorecards, and the misprediction
+    /// events behind Figure 5's classification.
     pub branch_prof: BranchProf,
     /// Load issue→value latency (forwarded loads count as 1 cycle).
     pub h_load_to_use: Hist,
@@ -155,8 +150,8 @@ pub struct SimStats {
 /// window by window ([`SimStats::delta_since`]) and sums across
 /// windows ([`SimStats::accumulate`]); `valfail_reasons` and the stall
 /// breakdown go the same way, and `reg_high_water` is maxed. Everything
-/// else (event and SRSMT statistics, the oracle counters, histograms,
-/// intervals, per-branch scorecards, the bottleneck report) is not
+/// else (the oracle counters, histograms, intervals, per-branch
+/// scorecards and events, the bottleneck report) is not
 /// meaningfully subtractable and stays at its default in a window
 /// delta. A new counter that should reach a sampled run's snapshot
 /// belongs in this list.

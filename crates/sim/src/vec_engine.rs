@@ -4,9 +4,9 @@
 
 use crate::config::Mode;
 use crate::exec::alu_result;
-use crate::mech::{Mech, RepState, Replica, SquashReuse};
+use crate::mech::{Mech, RepState, Replica, Slot, SquashReuse};
 use crate::pipeline::Pipeline;
-use crate::rob::{ReuseInfo, RobEntry, RobState};
+use crate::rob::{RobEntry, RobState, Use, Validation};
 use cfir_core::srsmt::{AllocOutcome, SeqId, SrsmtEntry, StorageId, VecKind};
 use cfir_isa::{Inst, Program};
 use cfir_obs::{EventKind, Subsystem, WaitEdgeKind};
@@ -63,17 +63,17 @@ impl Pipeline<'_> {
     // Decode hooks
     // ----------------------------------------------------------------
 
-    /// Runs at dispatch for every instruction, in program order.
-    /// Returns a [`ReuseInfo`] when a validation succeeds and the
-    /// instruction must not execute.
-    pub(crate) fn mech_decode(&mut self, e: &mut RobEntry) -> Option<ReuseInfo> {
-        let mut m = self.mech.take()?;
-        let r = self.mech_decode_inner(&mut m, e);
-        self.mech = Some(m);
-        r
+    /// Runs at dispatch for every instruction, in program order. Sets
+    /// `e.validation` when a validation succeeds, and with a value to
+    /// take, `e.value` (the instruction then does not execute).
+    pub(crate) fn mech_decode(&mut self, e: &mut RobEntry) {
+        if let Some(mut m) = self.mech.take() {
+            self.mech_decode_inner(&mut m, e);
+            self.mech = Some(m);
+        }
     }
 
-    fn mech_decode_inner(&mut self, m: &mut Mech, e: &mut RobEntry) -> Option<ReuseInfo> {
+    fn mech_decode_inner(&mut self, m: &mut Mech, e: &mut RobEntry) {
         let pc = e.pc;
         let bpc = Program::byte_pc(pc);
         let inst = e.inst;
@@ -88,7 +88,7 @@ impl Pipeline<'_> {
                     && inst.dest().is_some()
                     && m.crp.is_control_independent(inst.sources());
                 if is_ci {
-                    self.stats.events.mark_selected(m.crp.event);
+                    self.stats.branch_prof.mark_selected(m.crp.event);
                     if mode == Mode::Ci {
                         // Select the strided loads in the backward slice
                         // for speculative vectorization (S flag).
@@ -118,21 +118,19 @@ impl Pipeline<'_> {
             if is_ci {
                 if let Some(sr) = m.squash_buf[pc as usize].pop_front() {
                     self.stats.squash_reuse_hits += 1;
-                    return Some(ReuseInfo {
-                        value: sr.value,
-                        pending: false,
-                        srsmt_idx: None,
-                        gen: 0,
-                        replica: 0,
+                    e.value = sr.value;
+                    e.validation = Some(Validation {
+                        slot: None,
                         event: Some(sr.event),
+                        kind: Use::Take { pending: false },
                     });
                 }
             }
-            return None;
+            return;
         }
 
         if !mode.vectorizes() {
-            return None;
+            return;
         }
 
         // --- Validation (§2.3.4) ---
@@ -181,7 +179,7 @@ impl Pipeline<'_> {
                     // re-align with: tear down and re-vectorize.
                     self.teardown_srsmt(m, idx, "soft_miss");
                 }
-                return None;
+                return;
             }
             // Synchronisation state machine for loads: a desynced entry
             // may only validate against exact-address evidence, either
@@ -209,7 +207,7 @@ impl Pipeline<'_> {
                 let evidence = exact_addr.or_else(|| self.frontier_addr(m, pc, stride));
                 if !ent.synced {
                     match evidence {
-                        None => return None, // cannot prove alignment: execute normally
+                        None => return, // cannot prove alignment: execute normally
                         Some(exp) => {
                             let cur_ev = ent
                                 .next_slot()
@@ -244,7 +242,7 @@ impl Pipeline<'_> {
                                         self.free_storage(m, &freed);
                                         let gen = m.srsmt.get(idx).unwrap().gen;
                                         self.reap_replicas(|r| {
-                                            r.gen == gen && (from..k).contains(&r.k)
+                                            r.slot.gen == gen && (from..k).contains(&r.slot.k)
                                         });
                                         self.teardown_consumers_of(m, bpc);
                                         if let Some(ent) = m.srsmt.get_mut(idx) {
@@ -269,7 +267,7 @@ impl Pipeline<'_> {
                                             },
                                         );
                                         self.teardown_srsmt(m, idx, "stale_addresses");
-                                        return None;
+                                        return;
                                     }
                                 }
                             }
@@ -281,7 +279,7 @@ impl Pipeline<'_> {
                     let ent = m.srsmt.get_mut(idx).unwrap();
                     ent.synced = false;
                     ent.confirmed = false;
-                    return None;
+                    return;
                 }
             }
             let r = self.try_validate(m, idx, inst, exact_addr);
@@ -301,44 +299,38 @@ impl Pipeline<'_> {
                 Ok(replica) => {
                     let ent = m.srsmt.get_mut(idx).unwrap();
                     ent.advance_decode();
-                    let gen = ent.gen;
+                    let slot = Some(Slot {
+                        way: idx,
+                        gen: ent.gen,
+                        k: replica,
+                    });
                     let event = ent.event;
                     self.stats.branch_prof.note_validation(event);
-                    if !ent.confirmed {
+                    let kind = if !ent.confirmed {
                         // Probe: consume the slot but execute normally;
-                        // the alignment is verified at issue against the
-                        // real result before any value may be delivered.
-                        e.probe = Some(crate::rob::ProbeInfo {
-                            srsmt_idx: idx,
-                            gen,
-                            replica,
-                            verified: false,
-                        });
+                        // the alignment is verified at writeback against
+                        // the real result before any value may be
+                        // delivered.
                         self.obs
                             .trace(Subsystem::Vec, pc as u64, self.cycle, || EventKind::Note {
                                 msg: format!("probe k={replica} seq={}", e.seq),
                             });
-                        return None;
-                    }
-                    let pending = !ent.is_complete(replica);
-                    let value = ent.value_of(replica);
-                    if inst.is_load() && !pending {
-                        e.addr = Some(ent.addr_of(replica));
-                    }
-                    self.obs.trace(Subsystem::Vec, pc as u64, self.cycle, || {
-                        EventKind::Validate {
-                            ok: true,
-                            reason: "ok",
+                        Use::Probe { checked: false }
+                    } else {
+                        let pending = !ent.is_complete(replica);
+                        e.value = ent.value_of(replica);
+                        if inst.is_load() && !pending {
+                            e.addr = Some(ent.addr_of(replica));
                         }
-                    });
-                    return Some(ReuseInfo {
-                        value,
-                        pending,
-                        srsmt_idx: Some(idx),
-                        gen,
-                        replica,
-                        event,
-                    });
+                        self.obs.trace(Subsystem::Vec, pc as u64, self.cycle, || {
+                            EventKind::Validate {
+                                ok: true,
+                                reason: "ok",
+                            }
+                        });
+                        Use::Take { pending }
+                    };
+                    e.validation = Some(Validation { slot, event, kind });
                 }
                 Err(reason) => {
                     // §2.3.4: wrong speculation — deallocate and
@@ -356,8 +348,6 @@ impl Pipeline<'_> {
                 }
             }
         }
-
-        None
     }
 
     /// Vectorization triggers (§2.3.2 / §2.3.3). Runs *after* rename so
@@ -525,22 +515,23 @@ impl Pipeline<'_> {
     /// Allocate one replica destination: a physical register in the
     /// monolithic configuration, a speculative-memory position in the
     /// §2.4.6 configuration. `None` under pressure ("a lower number of
-    /// replicas or none at all").
-    fn alloc_one_storage(&mut self, m: &mut Mech) -> Option<(StorageId, u32)> {
+    /// replicas or none at all"). The storage is an occupancy token:
+    /// the replica's result goes into its SRSMT entry.
+    fn alloc_one_storage(&mut self, m: &mut Mech) -> Option<StorageId> {
         if let Some(sm) = &mut m.specmem {
             sm.alloc()
         } else {
             if self.rf.available() <= self.cfg.mech.replica_headroom {
                 return None;
             }
-            self.rf.alloc().map(|p| (p, 0))
+            self.rf.alloc()
         }
     }
 
     /// Return replica storage to its pool: the register file, or the
     /// speculative data memory when configured.
-    pub(crate) fn free_storage(&mut self, m: &mut Mech, storage: &[(StorageId, u32)]) {
-        for &(id, _g) in storage {
+    pub(crate) fn free_storage(&mut self, m: &mut Mech, storage: &[StorageId]) {
+        for &id in storage {
             if let Some(sm) = &mut m.specmem {
                 sm.release(id);
             } else {
@@ -593,7 +584,7 @@ impl Pipeline<'_> {
     /// removal comes through here, so no replica outlives its entry.
     fn release_entry(&mut self, m: &mut Mech, ent: &SrsmtEntry) {
         self.free_storage(m, &ent.unconsumed_storage());
-        self.reap_replicas(|r| r.gen == ent.gen);
+        self.reap_replicas(|r| r.slot.gen == ent.gen);
     }
 
     /// Drop every replica matching `pred`, keeping the others in order,
@@ -817,9 +808,7 @@ impl Pipeline<'_> {
         let lid = self.obs.replica_begin(pc / 4, inst, self.cycle);
         self.replicas.push(Replica {
             lid,
-            way: idx,
-            gen,
-            k,
+            slot: Slot { way: idx, gen, k },
             state: RepState::Waiting,
             value: 0,
             addr: None,
@@ -870,9 +859,9 @@ impl Pipeline<'_> {
             }
             let ent = m
                 .srsmt
-                .get_gen(rep.way, rep.gen)
+                .get_gen(rep.slot.way, rep.slot.gen)
                 .expect("a replica outlived its entry");
-            let (inst, k) = (ent.inst, rep.k);
+            let (inst, k) = (ent.inst, rep.slot.k);
             // Resolve sources (a strided load has none).
             let mut vals = [0u64; 2];
             let mut ready = true;
@@ -914,7 +903,7 @@ impl Pipeline<'_> {
                 }
             }
             if dead {
-                m.srsmt.get_mut(rep.way).unwrap().kill_replica(k);
+                m.srsmt.get_mut(rep.slot.way).unwrap().kill_replica(k);
                 // Reaped in complete_replicas (dead path).
                 self.replicas[ri].state = RepState::Exec { done_at: 0 };
                 continue;
@@ -959,7 +948,7 @@ impl Pipeline<'_> {
             r.state = RepState::Exec { done_at };
             r.value = value;
             r.addr = addr;
-            let ent = m.srsmt.get_mut(rep.way).unwrap();
+            let ent = m.srsmt.get_mut(rep.slot.way).unwrap();
             ent.issue += 1;
             let event = ent.event;
             self.stats.replicas_executed += 1;
@@ -975,7 +964,8 @@ impl Pipeline<'_> {
         }
     }
 
-    /// Deliver completed replicas (called from writeback).
+    /// Deliver completed replicas (called from writeback): each result
+    /// goes into its entry, the one place validations read it from.
     pub(crate) fn complete_replicas(&mut self) {
         let Some(mut m) = self.mech.take() else {
             return;
@@ -984,28 +974,23 @@ impl Pipeline<'_> {
         let mut i = 0;
         while i < self.replicas.len() {
             let rep = self.replicas[i];
+            let Slot { way, gen, k } = rep.slot;
             debug_assert!(
-                m.srsmt.get_gen(rep.way, rep.gen).is_some(),
+                m.srsmt.get_gen(way, gen).is_some(),
                 "a replica outlived its entry"
             );
             if !matches!(rep.state, RepState::Exec { done_at } if done_at <= cycle) {
                 i += 1;
                 continue;
             }
-            let ent = m.srsmt.get_mut(rep.way).unwrap();
+            let ent = m.srsmt.get_mut(way).unwrap();
             // Known defect (ROADMAP item 5): counts dead-source replicas too.
             ent.issue = ent.issue.saturating_sub(1);
             // Not delivered if its slot was recycled or skipped while it
             // executed, or if a source died (`done_at: 0`).
-            let delivered = rep.k >= ent.commit && !ent.is_dead(rep.k);
+            let delivered = k >= ent.commit && !ent.is_dead(k);
             if delivered {
-                ent.complete_replica(rep.k, rep.value, rep.addr);
-                let storage = ent.regs[ent.slot(rep.k)];
-                if let Some(sm) = &mut m.specmem {
-                    sm.write(storage, rep.value);
-                } else {
-                    self.rf.write(storage, rep.value);
-                }
+                ent.complete_replica(k, rep.value, rep.addr);
             }
             self.replicas.swap_remove(i);
             self.obs.replica_end(rep.lid, cycle, delivered);
@@ -1034,8 +1019,7 @@ impl Pipeline<'_> {
             let hard = mode.selects_ci()
                 && (!self.cfg.mech.mbs_gating || m.mbs.is_hard(Program::byte_pc(bpc)));
             if hard {
-                let event = self.stats.events.open_event();
-                self.stats.branch_prof.note_event(bpc, event);
+                let event = self.stats.branch_prof.open_event(bpc);
                 let rcp_est = if self.cfg.mech.full_rcp_heuristic {
                     cfir_core::rcp::estimate(self.prog, bpc)
                 } else {
@@ -1059,11 +1043,11 @@ impl Pipeline<'_> {
                     let mask = self.wrong_path_mask(rob_idx, rcp);
                     m.crp.activate(rcp, mask, event);
                     if mode == Mode::CiIw {
-                        self.harvest_squash_buf(&mut m, rob_idx, rcp, mask, event);
+                        self.harvest_squash_buf(&mut m, rob_idx);
                     }
                 }
             } else {
-                self.stats.events.mispredict_without_event();
+                self.stats.branch_prof.mispredict_without_event();
             }
         }
         self.srsmt_recovery(&mut m, bseq);
@@ -1071,45 +1055,31 @@ impl Pipeline<'_> {
     }
 
     /// Rebuild the ci-iw squash-reuse buffer from the wrong path that
-    /// is about to be squashed.
-    fn harvest_squash_buf(
-        &mut self,
-        m: &mut Mech,
-        branch_idx: usize,
-        rcp: u32,
-        init_mask: u64,
-        event: u64,
-    ) {
+    /// is about to be squashed: a walk of it with a copy of the
+    /// just-activated CRP, under the rule decode applies. Only a value
+    /// the wrong path already produced can be harvested; an instruction
+    /// that has none taints its destination like a non-CI one.
+    fn harvest_squash_buf(&mut self, m: &mut Mech, branch_idx: usize) {
         m.clear_squash_buf();
-        let mut mask = init_mask;
-        let mut reached = false;
+        let mut crp = m.crp;
         for j in branch_idx + 1..self.rob.len() {
             let e = &self.rob[j];
-            if !reached && e.pc == rcp {
-                reached = true;
-            }
-            let mut is_ci = false;
-            if reached
+            let reached = crp.on_fetch(e.pc);
+            let harvest = reached
                 && e.state() == RobState::Done
-                && e.reuse.is_none()
+                && !e.reuses()
                 && e.ldest.is_some()
                 && !e.inst.is_control()
-            {
-                is_ci = e
-                    .inst
-                    .sources()
-                    .iter()
-                    .flatten()
-                    .all(|&r| mask & (1u64 << r) == 0);
-            }
-            if is_ci {
-                self.stats.events.mark_selected(event);
+                && crp.is_control_independent(e.inst.sources());
+            if harvest {
+                self.stats.branch_prof.mark_selected(crp.event);
                 m.squash_buf[e.pc as usize].push_back(SquashReuse {
                     value: e.value,
-                    event,
+                    event: crp.event,
                 });
-            } else if let Some(d) = e.ldest {
-                mask |= 1u64 << d;
+            }
+            if let Some(d) = e.ldest {
+                crp.on_dest_write(d, harvest);
             }
         }
     }
@@ -1126,9 +1096,9 @@ impl Pipeline<'_> {
         // depend on a hash seed.
         let mut counts: BTreeMap<usize, u32> = BTreeMap::new();
         for e in self.rob.iter() {
-            if let Some((way, gen)) = e.consumed_slot() {
-                if m.srsmt.get_gen(way, gen).is_some() {
-                    *counts.entry(way).or_insert(0) += 1;
+            if let Some(slot) = e.consumed_slot() {
+                if m.srsmt.get_gen(slot.way, slot.gen).is_some() {
+                    *counts.entry(slot.way).or_insert(0) += 1;
                 }
             }
         }
@@ -1259,7 +1229,7 @@ mod tests {
         assert!(m.srsmt.stats.daec_releases > 0, "{:?}", m.srsmt.stats);
         assert!(!pipe.replicas.is_empty());
         for r in &pipe.replicas {
-            assert!(m.srsmt.get_gen(r.way, r.gen).is_some());
+            assert!(m.srsmt.get_gen(r.slot.way, r.slot.gen).is_some());
         }
     }
 
@@ -1298,9 +1268,8 @@ mod tests {
         // vect vectorizes on trust alone; nothing sets S flags or events.
         assert!(!m.stride.selected(24));
         assert!(pipe.stats.vectorizations > 0);
-        let (_, sel, reu) = pipe.stats.events.counts();
+        let (_, sel, _) = pipe.stats.branch_prof.event_counts();
         assert_eq!(sel, 0, "no CI selection events in vect mode");
-        let _ = reu;
     }
 
     #[test]

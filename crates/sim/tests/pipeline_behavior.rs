@@ -303,7 +303,7 @@ fn reuse_survives_a_misprediction() {
         "reuse must survive mispredictions: {}",
         pipe.stats.committed_reuse
     );
-    let (_, _, reused) = pipe.stats.events.fractions();
+    let (_, _, reused) = pipe.stats.branch_prof.event_fractions();
     assert!(reused > 0.2, "Figure 5's black bar: {reused:.2}");
 }
 

@@ -52,8 +52,9 @@ fn scorecard_totals_reconcile_with_global_stats() {
                 "{ctx}: replicas executed"
             );
 
-            // Event outcomes fold exactly into the Figure 5 counts.
-            let (_, sel, reu) = s.events.counts();
+            // The rows' event counts, kept as each event's flags
+            // change, agree with Figure 5's counts of the flags.
+            let (_, sel, reu) = s.branch_prof.event_counts();
             assert_eq!(t.events_reused + t.events_selected, sel + reu, "{ctx}");
             if mode.selects_ci() {
                 assert!(t.events > 0, "{ctx}: CI modes open events");

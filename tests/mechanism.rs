@@ -55,8 +55,8 @@ fn ci_beats_the_baseline_where_branches_are_hard() {
 #[test]
 fn events_classify_mispredictions() {
     let s = run("bzip2", Mode::Ci, 60_000);
-    let (nf, sel, reu) = s.events.fractions();
-    assert!(s.events.total_mispredictions > 100);
+    let (nf, sel, reu) = s.branch_prof.event_fractions();
+    assert!(s.branch_prof.total_mispredictions > 100);
     // Figure 5's shape: most mispredictions find CI instructions, and a
     // large share achieve reuse.
     assert!(
@@ -72,7 +72,7 @@ fn mcf_finds_ci_but_cannot_vectorize() {
     // Pointer chasing: CI instructions exist, but no strided backward
     // slice — the gray bucket of Figure 5.
     let s = run("mcf", Mode::Ci, 25_000);
-    let (_, sel, reu) = s.events.fractions();
+    let (_, sel, reu) = s.branch_prof.event_fractions();
     assert!(sel > 0.3, "CI selection must still happen: {sel:.2}");
     assert!(reu < 0.1, "but stride-based reuse cannot: {reu:.2}");
     assert!(s.committed_reuse < s.committed / 100);
@@ -84,8 +84,8 @@ fn biased_branches_keep_the_mechanism_quiet() {
     // fewer misprediction events activate the scheme per instruction.
     let gzip = run("gzip", Mode::Ci, 60_000);
     let bzip2 = run("bzip2", Mode::Ci, 60_000);
-    let gzip_rate = gzip.events.total_mispredictions as f64 / gzip.committed as f64;
-    let bzip2_rate = bzip2.events.total_mispredictions as f64 / bzip2.committed as f64;
+    let gzip_rate = gzip.branch_prof.total_mispredictions as f64 / gzip.committed as f64;
+    let bzip2_rate = bzip2.branch_prof.total_mispredictions as f64 / bzip2.committed as f64;
     assert!(
         gzip_rate < bzip2_rate / 3.0,
         "gzip {gzip_rate:.4} vs bzip2 {bzip2_rate:.4}"
