@@ -8,16 +8,46 @@
 //! stay cheap.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Words per page (4 KiB pages of 8-byte words).
 const PAGE_WORDS: usize = 512;
 const PAGE_SHIFT: u32 = 12;
 const OFFSET_MASK: u64 = (1 << PAGE_SHIFT) - 1;
 
+/// Hashes a page id with one multiply: the 128-bit product of the id
+/// and an odd constant, its two halves xored, so every bit of the id
+/// reaches every bit of the hash and ids that differ only in high bits
+/// (arrays at aligned, far-apart bases) still spread. Every load and
+/// store looks its page up, and SipHash, the default, cost more than
+/// the rest of the access. Its resistance to chosen keys buys little
+/// here: the keys are a simulated program's addresses, and a collision
+/// costs only speed. The map is never walked in hash order (see
+/// [`MemImage::export_pages`]), so the hash shows in nothing else.
+#[derive(Default)]
+struct PageIdHasher(u64);
+
+impl Hasher for PageIdHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("page ids hash through write_u64");
+    }
+
+    #[inline]
+    fn write_u64(&mut self, id: u64) {
+        let p = u128::from(id) * 0x9e37_79b9_7f4a_7c15;
+        self.0 = p as u64 ^ (p >> 64) as u64;
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// A sparse, paged word memory.
 #[derive(Debug, Clone, Default)]
 pub struct MemImage {
-    pages: HashMap<u64, Box<[u64; PAGE_WORDS]>>,
+    pages: HashMap<u64, Box<[u64; PAGE_WORDS]>, BuildHasherDefault<PageIdHasher>>,
     /// Total words written at least once (for reporting).
     writes: u64,
 }
@@ -90,14 +120,14 @@ impl MemImage {
     }
 
     /// Rebuild a memory image from pages previously produced by
-    /// [`export_pages`]. The write counter restarts at 0 (it is a
-    /// diagnostic, not architectural state).
+    /// [`export_pages`], copying each page once. The write counter
+    /// restarts at 0 (it is a diagnostic, not architectural state).
     ///
     /// [`export_pages`]: MemImage::export_pages
-    pub fn from_pages(pages: impl IntoIterator<Item = (u64, [u64; PAGE_WORDS])>) -> Self {
+    pub fn from_pages<'p>(pages: impl IntoIterator<Item = (u64, &'p [u64; PAGE_WORDS])>) -> Self {
         let mut m = MemImage::new();
         for (id, words) in pages {
-            m.pages.insert(id, Box::new(words));
+            m.pages.insert(id, Box::new(*words));
         }
         m
     }
@@ -175,7 +205,7 @@ mod tests {
         let pages = m.export_pages();
         let ids: Vec<u64> = pages.iter().map(|(id, _)| *id).collect();
         assert_eq!(ids, vec![1, 3, 7], "sorted by page id");
-        let rebuilt = MemImage::from_pages(pages.into_iter().map(|(id, w)| (id, *w)));
+        let rebuilt = MemImage::from_pages(pages);
         assert_eq!(rebuilt.read(3 << 12), 33);
         assert_eq!(rebuilt.read(1 << 12), 11);
         assert_eq!(rebuilt.read(7 << 12), 77);

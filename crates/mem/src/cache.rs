@@ -20,19 +20,10 @@ impl CacheConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Way {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    /// LRU stamp; larger = more recently used.
-    stamp: u64,
-}
-
-/// One way of warm state as exported for a checkpoint: the tag array
-/// contents plus the LRU bookkeeping, without statistics counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WarmWay {
+/// One way of a set: the tag-array entry plus its LRU bookkeeping.
+/// The cache's own record, so warm state moves as slice copies.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Way {
     /// Line (block) address stored in this way.
     pub tag: u64,
     /// Whether the way holds a line.
@@ -45,10 +36,11 @@ pub struct WarmWay {
 
 /// Warm state of a whole cache level: every way (set-major order, as
 /// laid out internally) plus the LRU clock the stamps are relative to.
+/// Statistics counters are not part of it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WarmCache {
     /// All ways, `sets * assoc` entries in set-major order.
-    pub ways: Vec<WarmWay>,
+    pub ways: Vec<Way>,
     /// The LRU clock value at export time.
     pub clock: u64,
 }
@@ -197,16 +189,7 @@ impl Cache {
     /// describes the cache *contents*, not how they were produced.
     pub fn export_warm(&self) -> WarmCache {
         WarmCache {
-            ways: self
-                .ways
-                .iter()
-                .map(|w| WarmWay {
-                    tag: w.tag,
-                    valid: w.valid,
-                    dirty: w.dirty,
-                    stamp: w.stamp,
-                })
-                .collect(),
+            ways: self.ways.clone(),
             clock: self.clock,
         }
     }
@@ -224,14 +207,7 @@ impl Cache {
             "{}: warm-state way count mismatch",
             self.cfg.name
         );
-        for (dst, src) in self.ways.iter_mut().zip(warm.ways.iter()) {
-            *dst = Way {
-                tag: src.tag,
-                valid: src.valid,
-                dirty: src.dirty,
-                stamp: src.stamp,
-            };
-        }
+        self.ways.copy_from_slice(&warm.ways);
         self.clock = warm.clock;
     }
 

@@ -31,5 +31,5 @@
 pub mod cache;
 pub mod hierarchy;
 
-pub use cache::{Cache, CacheConfig, WarmCache, WarmWay};
+pub use cache::{Cache, CacheConfig, WarmCache, Way};
 pub use hierarchy::{AccessKind, Hierarchy, HierarchyConfig, WarmHierarchy};

@@ -20,7 +20,7 @@
 
 use cfir_emu::MemImage;
 use cfir_isa::NUM_LOGICAL_REGS;
-use cfir_mem::{WarmCache, WarmHierarchy, WarmWay};
+use cfir_mem::{WarmCache, WarmHierarchy, Way};
 use cfir_obs::Fnv1a64;
 use cfir_sim::WarmStart;
 use std::path::{Path, PathBuf};
@@ -58,8 +58,9 @@ pub struct Checkpoint {
 }
 
 /// Where [`Checkpoint::encode`] puts the serialized bytes: a buffer
-/// ([`Checkpoint::to_bytes`]) or a running hash of them
-/// ([`Checkpoint::content_id`]).
+/// ([`Checkpoint::to_bytes`]), a running hash of them
+/// ([`Checkpoint::content_id`]) or a count of them
+/// ([`Checkpoint::encoded_len`]).
 trait Sink {
     fn put(&mut self, bytes: &[u8]);
 
@@ -78,9 +79,22 @@ impl Sink for Vec<u8> {
     }
 }
 
+/// Counts the bytes it is given.
+struct Len(usize);
+
+impl Sink for Len {
+    fn put(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
+    }
+}
+
 impl Sink for Fnv1a64 {
     fn put(&mut self, bytes: &[u8]) {
         self.write(bytes);
+    }
+
+    fn put_u64(&mut self, v: u64) {
+        self.write_u64(v);
     }
 }
 
@@ -136,7 +150,7 @@ impl<'b> Rd<'b> {
             let tag = self.u64()?;
             let flags = self.u8()?;
             let stamp = self.u64()?;
-            ways.push(WarmWay {
+            ways.push(Way {
                 tag,
                 valid: flags & 1 != 0,
                 dirty: flags & 2 != 0,
@@ -149,17 +163,24 @@ impl<'b> Rd<'b> {
 }
 
 impl Checkpoint {
-    /// Serialize to the versioned binary format.
+    /// Serialize to the versioned binary format, into a buffer
+    /// allocated once at its final size.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(
-            64 + self.gshare_table.len() + self.pages.len() * (8 + PAGE_WORDS * 8),
-        );
+        let mut out = Vec::with_capacity(self.encoded_len());
         self.encode(&mut out);
         out
     }
 
-    /// Write the binary format to `out`: the one encoder of both
-    /// [`Checkpoint::to_bytes`] and [`Checkpoint::content_id`].
+    /// Length in bytes of the serialized format.
+    fn encoded_len(&self) -> usize {
+        let mut len = Len(0);
+        self.encode(&mut len);
+        len.0
+    }
+
+    /// Write the binary format to `out`: the one encoder of
+    /// [`Checkpoint::to_bytes`], [`Checkpoint::content_id`] and
+    /// [`Checkpoint::encoded_len`].
     fn encode(&self, out: &mut impl Sink) {
         out.put(MAGIC);
         out.put_u32(FORMAT_VERSION);
@@ -275,21 +296,25 @@ impl Checkpoint {
         Self::from_bytes(&bytes)
     }
 
-    /// Rebuild the memory image this checkpoint captured.
+    /// Rebuild the memory image this checkpoint captured: the memory a
+    /// window's pipeline is built with (`Pipeline::new(prog,
+    /// ckpt.memory(), cfg)`) before [`Checkpoint::warm_start`] is
+    /// restored into it.
     pub fn memory(&self) -> MemImage {
-        MemImage::from_pages(self.pages.iter().map(|(id, w)| (*id, *w)))
+        MemImage::from_pages(self.pages.iter().map(|(id, w)| (*id, w)))
     }
 
-    /// Convert to the pipeline's warm-start bundle.
-    pub fn warm_start(&self) -> WarmStart {
+    /// The pipeline's warm-start bundle, borrowing this checkpoint's
+    /// gshare table and cache state. It carries no memory; that comes
+    /// through `Pipeline::new` (see [`Checkpoint::memory`]).
+    pub fn warm_start(&self) -> WarmStart<'_> {
         WarmStart {
             regs: self.regs,
             pc: self.pc,
-            mem: self.memory(),
             ghist: self.ghist,
-            gshare_table: self.gshare_table.clone(),
+            gshare_table: &self.gshare_table,
             gshare_history: self.gshare_history,
-            hier: self.hier.clone(),
+            hier: &self.hier,
         }
     }
 }
@@ -297,8 +322,9 @@ impl Checkpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::replay_window;
     use crate::warm::WarmingEmulator;
-    use cfir_sim::SimConfig;
+    use cfir_sim::{Pipeline, SimConfig};
     use cfir_workloads::{by_name, WorkloadSpec};
 
     fn sample_checkpoint() -> Checkpoint {
@@ -324,6 +350,13 @@ mod tests {
         assert_eq!(c.content_id(), cfir_obs::fnv1a64(&c.to_bytes()));
     }
 
+    /// Regression pin: checkpoint file names, window seeds and every
+    /// sampled snapshot's `checkpoint` fields derive from this id.
+    #[test]
+    fn content_id_of_bzip2_at_5000_instructions_is_pinned() {
+        assert_eq!(sample_checkpoint().content_id(), 0x37a1_75f1_eb04_dcd7);
+    }
+
     #[test]
     fn content_id_is_stable_and_content_sensitive() {
         let c = sample_checkpoint();
@@ -332,6 +365,55 @@ mod tests {
         d.regs[5] ^= 1;
         assert_ne!(d.content_id(), c.content_id());
         assert!(c.file_name().ends_with(".ckpt"));
+    }
+
+    #[test]
+    fn to_bytes_allocates_its_exact_length_once() {
+        let c = sample_checkpoint();
+        let bytes = c.to_bytes();
+        assert_eq!(bytes.len(), c.encoded_len());
+        assert_eq!(bytes.capacity(), bytes.len(), "the buffer regrew");
+    }
+
+    /// `Pipeline::new` with the checkpoint's memory, then the borrowed
+    /// warm start: every table arrives intact.
+    #[test]
+    fn restore_lands_the_checkpoint_in_the_pipeline() {
+        let w = by_name("bzip2", WorkloadSpec::default()).unwrap();
+        let c = sample_checkpoint();
+        let mut p = Pipeline::new(&w.prog, c.memory(), SimConfig::paper_baseline());
+        p.restore_checkpoint(&c.warm_start());
+        assert_eq!(
+            p.predictor().export_warm(),
+            (c.gshare_table.clone(), c.gshare_history)
+        );
+        assert_eq!(p.hierarchy().export_warm(), c.hier);
+        let pages: Vec<(u64, [u64; PAGE_WORDS])> = p
+            .memory()
+            .export_pages()
+            .into_iter()
+            .map(|(id, words)| (id, *words))
+            .collect();
+        assert_eq!(pages, c.pages);
+        for r in 0..NUM_LOGICAL_REGS as u8 {
+            assert_eq!(p.arch_reg(r), c.regs[r as usize]);
+        }
+    }
+
+    /// The golden model gets its memory from `Pipeline::new` alone; a
+    /// window checked against it at every commit must run clean from
+    /// mid-program checkpoints of every kernel.
+    #[test]
+    fn cosim_checked_windows_start_in_step() {
+        let mut cfg = SimConfig::paper_baseline();
+        cfg.cosim_check = true;
+        for name in cfir_workloads::NAMES {
+            let w = by_name(name, WorkloadSpec::default()).unwrap();
+            let mut warm = WarmingEmulator::new(&w.prog, w.mem.clone(), &cfg);
+            warm.fast_forward(20_000);
+            let rep = replay_window(&w.prog, &warm.checkpoint(), &cfg, 1_000, 1_000);
+            assert!(rep.row.committed > 0, "{name}: empty window");
+        }
     }
 
     #[test]

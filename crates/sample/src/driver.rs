@@ -208,15 +208,15 @@ pub fn run_sampled(
         if let Some(dir) = &scfg.checkpoint_dir {
             ckpt.save(dir).expect("failed to write checkpoint");
         }
+        let rep = replay_window(prog, &ckpt, &cfg, meas_start - warm_start, scfg.window);
         // Next window's jitter offset, seeded from content (never from
         // scheduling order) so sampled runs are order-independent.
         if scfg.jitter > 0 {
             let mut seed = [0u8; 16];
-            seed[..8].copy_from_slice(&ckpt.content_id().to_le_bytes());
+            seed[..8].copy_from_slice(&rep.row.checkpoint_id.to_le_bytes());
             seed[8..].copy_from_slice(&(k + 1).to_le_bytes());
             shift = fnv1a64(&seed) % (scfg.jitter + 1);
         }
-        let rep = replay_window(prog, &ckpt, &cfg, meas_start - warm_start, scfg.window);
         detailed_insts += rep.warmup_committed + rep.row.committed;
         if rep.row.committed > 0 {
             acc.accumulate(&rep.delta);

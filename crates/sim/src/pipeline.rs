@@ -101,22 +101,25 @@ pub struct PipelineSnapshot {
 /// pipeline mid-program (see [`Pipeline::restore_checkpoint`]). The
 /// sampling subsystem (`cfir-sample`) captures this during functional
 /// fast-forward and re-injects it before each detailed window.
-#[derive(Debug, Clone)]
-pub struct WarmStart {
+///
+/// It borrows the large tables from wherever they are kept (a
+/// checkpoint), so [`Pipeline::restore_checkpoint`] copies each of
+/// them exactly once. It carries no memory: the committed memory image
+/// at the checkpoint is the one given to [`Pipeline::new`].
+#[derive(Debug, Clone, Copy)]
+pub struct WarmStart<'w> {
     /// Architectural register values (`regs[0]` must be 0).
     pub regs: [u64; NLR],
     /// Program counter to resume at (instruction index, not bytes).
     pub pc: u32,
-    /// Committed memory image at the checkpoint.
-    pub mem: MemImage,
     /// Committed global branch history (16-bit, as commit maintains it).
     pub ghist: u64,
     /// Gshare counter table (length must match `cfg.gshare_entries`).
-    pub gshare_table: Vec<u8>,
+    pub gshare_table: &'w [u8],
     /// Gshare speculative history at the checkpoint.
     pub gshare_history: u64,
     /// Cache-hierarchy warm state (all four levels).
-    pub hier: cfir_mem::WarmHierarchy,
+    pub hier: &'w cfir_mem::WarmHierarchy,
 }
 
 /// Why [`Pipeline::run`] stopped.
@@ -311,7 +314,14 @@ impl<'a> Pipeline<'a> {
     /// down by [`Pipeline::new`] is reused, each architectural register
     /// is forced ready with the checkpointed value, and the golden
     /// co-simulation / perfect-BP oracle emulators (when enabled) are
-    /// re-seeded so they stay in lockstep from the restored PC onward.
+    /// moved to the restored registers and PC so they stay in lockstep
+    /// from there.
+    ///
+    /// Memory is not restored here: the pipeline must have been built
+    /// with the checkpoint's memory image (`Pipeline::new(prog,
+    /// ckpt.memory(), cfg)`), which the golden model and the oracle
+    /// already copied. The gshare table and the cache state are each
+    /// copied once, from the tables `warm` borrows.
     ///
     /// The indirect-jump BTB starts cold (it is speculative fetch
     /// state, not architectural); the detailed warmup portion of a
@@ -330,20 +340,12 @@ impl<'a> Pipeline<'a> {
         self.fetch_pc = warm.pc;
         self.arch_ghist = warm.ghist & ((1u64 << 16) - 1);
         self.gshare
-            .import_warm(&warm.gshare_table, warm.gshare_history);
-        self.hier.import_warm(&warm.hier);
-        self.mem = warm.mem.clone();
-        if let Some(e) = &mut self.emu {
+            .import_warm(warm.gshare_table, warm.gshare_history);
+        self.hier.import_warm(warm.hier);
+        for e in self.emu.iter_mut().chain(self.oracle.as_deref_mut()) {
             e.regs = warm.regs;
             e.pc = warm.pc;
-            e.mem = warm.mem.clone();
             e.halted = false;
-        }
-        if let Some(o) = &mut self.oracle {
-            o.regs = warm.regs;
-            o.pc = warm.pc;
-            o.mem = warm.mem.clone();
-            o.halted = false;
         }
     }
 
@@ -419,6 +421,16 @@ impl<'a> Pipeline<'a> {
     /// Committed memory (diagnostics/tests).
     pub fn memory(&self) -> &MemImage {
         &self.mem
+    }
+
+    /// The branch predictor (diagnostics/tests).
+    pub fn predictor(&self) -> &Gshare {
+        &self.gshare
+    }
+
+    /// The cache hierarchy (diagnostics/tests).
+    pub fn hierarchy(&self) -> &Hierarchy {
+        &self.hier
     }
 
     /// Run to completion. Returns why the run stopped and fills

@@ -55,6 +55,12 @@ cp "$tmp/exp_bottleneck_validation.csv" \
 cp "$tmp/exp_cidi.csv" results/baselines/cidi.csv
 cp "$tmp/exp_cidi_validation.csv" results/baselines/cidi_validation.csv
 
+# The differential gate's two byte-exact matrices: 12 kernels x 4 modes
+# of full runs (differential.jsonl) and 12 kernels of sampled runs plus
+# one jittered run (differential_sampled.jsonl). Both pin their own
+# budgets and ignore CFIR_INSTS.
+CFIR_UPDATE_BASELINES=1 cargo test --release --test differential_gate
+
 # Static-analysis reports for every kernel (lints + RCP agreement).
 # CI reruns `cfir analyze --all --check --baseline` against this file.
 ./target/release/cfir analyze --all --emit-json results/baselines/analyze.json

@@ -13,8 +13,16 @@
 //! recorded one once the recorder's own fields are zeroed: observing a
 //! run must not change it.
 //!
+//! A second matrix pins the sampled path (`cfir_sample::run_sampled`):
+//! the 12 kernels in `ci` through short checkpointed windows, plus one
+//! kernel whose window placement is jittered from checkpoint content
+//! ids, against `results/baselines/differential_sampled.jsonl`. Each
+//! snapshot carries every window's checkpoint content id, so it pins
+//! the checkpoint encoding and its hash as well as the warm-state
+//! hand-off into each window's pipeline.
+//!
 //! When a change *intentionally* moves the numbers, regenerate the
-//! baseline (and review the diff) with:
+//! baselines (and review the diff) with:
 //!
 //! ```sh
 //! CFIR_UPDATE_BASELINES=1 cargo test --test differential_gate
@@ -23,6 +31,7 @@
 //! `scripts/refresh-baselines.sh` runs the same command.
 
 use cfir::prelude::*;
+use cfir::sample::{run_sampled, SamplingConfig};
 use cfir::sim::run_json;
 use cfir_workloads::NAMES;
 use std::path::PathBuf;
@@ -36,8 +45,18 @@ const MODES: [Mode; 4] = [Mode::Scalar, Mode::WideBus, Mode::Ci, Mode::Vect];
 /// that the full 48-cell matrix stays cheap in debug builds.
 const INSTS: u64 = 10_000;
 
-fn baseline_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("results/baselines/differential.jsonl")
+/// Instruction budget of each sampled run: six windows of period
+/// 10k, each a 1k detailed warmup and a 1k measured window.
+const SAMPLED_INSTS: u64 = 60_000;
+
+/// The kernel of the sampled matrix's jittered row, and its jitter.
+const JITTERED: &str = "bzip2";
+const JITTER: u64 = 500;
+
+fn baseline_path(file: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("results/baselines")
+        .join(file)
 }
 
 fn gate_config(mode: Mode) -> SimConfig {
@@ -89,43 +108,66 @@ fn snapshot(w: &Workload, mode: Mode) -> String {
     recorded
 }
 
-/// One snapshot per (kernel, mode), in fixed matrix order.
-fn generate_all() -> Vec<String> {
-    let mut out: Vec<Option<String>> = vec![None; NAMES.len()];
-    // Each kernel is independent; fan the 12 kernels out across
-    // threads (each runs its 4 modes serially) to keep the gate quick.
+/// `cell(kernel)` for every kernel, run on one thread per kernel (each
+/// kernel is independent), concatenated in kernel order.
+fn per_kernel(cell: impl Fn(&Workload) -> Vec<String> + Sync) -> Vec<String> {
+    let mut out: Vec<Vec<String>> = vec![Vec::new(); NAMES.len()];
     std::thread::scope(|s| {
         for (slot, name) in out.iter_mut().zip(NAMES) {
+            let cell = &cell;
             s.spawn(move || {
                 let w = by_name(name, spec()).expect("known kernel");
-                let mut lines = String::new();
-                for mode in MODES {
-                    lines.push_str(&snapshot(&w, mode));
-                    lines.push('\n');
-                }
-                *slot = Some(lines);
+                *slot = cell(&w);
             });
         }
     });
-    out.into_iter()
-        .flat_map(|s| {
-            s.expect("kernel thread finished")
-                .lines()
-                .map(str::to_string)
-                .collect::<Vec<_>>()
-        })
-        .collect()
+    out.concat()
 }
 
-#[test]
-fn snapshots_are_byte_identical_to_committed_baselines() {
-    let path = baseline_path();
-    let fresh = generate_all();
-    assert_eq!(fresh.len(), NAMES.len() * MODES.len());
+/// One snapshot per (kernel, mode), in fixed matrix order.
+fn generate_all() -> Vec<String> {
+    per_kernel(|w| MODES.iter().map(|&mode| snapshot(w, mode)).collect())
+}
 
+fn sampling_config(jitter: u64) -> SamplingConfig {
+    SamplingConfig {
+        period: 10_000,
+        warmup: 1_000,
+        window: 1_000,
+        jitter,
+        ..Default::default()
+    }
+}
+
+/// One sampled snapshot per kernel in `ci`, then the jittered row.
+fn generate_sampled() -> Vec<String> {
+    let cfg = SimConfig::paper_baseline()
+        .with_mode(Mode::Ci)
+        .with_regs(RegFileSize::Finite(512))
+        .with_max_insts(SAMPLED_INSTS);
+    per_kernel(|w| {
+        let mut rows = vec![sampling_config(0)];
+        if w.name == JITTERED {
+            rows.push(sampling_config(JITTER));
+        }
+        rows.into_iter()
+            .map(|scfg| {
+                run_sampled(&w.prog, &w.mem, w.name, cfg.clone(), scfg)
+                    .snapshot_json(Mode::Ci.label())
+            })
+            .collect()
+    })
+}
+
+/// Compare `fresh` line by line with the committed baseline `file`
+/// (`labels[i]` names line `i` in failure messages), or rewrite the
+/// baseline when `CFIR_UPDATE_BASELINES` is set.
+fn check_against_baseline(file: &str, fresh: &[String], labels: &[String]) {
+    assert_eq!(fresh.len(), labels.len());
+    let path = baseline_path(file);
     if std::env::var_os("CFIR_UPDATE_BASELINES").is_some() {
         let mut doc = String::new();
-        for line in &fresh {
+        for line in fresh {
             doc.push_str(line);
             doc.push('\n');
         }
@@ -149,13 +191,11 @@ fn snapshots_are_byte_identical_to_committed_baselines() {
     assert_eq!(
         committed.len(),
         fresh.len(),
-        "baseline row count mismatch — regenerate with CFIR_UPDATE_BASELINES=1"
+        "{file}: baseline row count mismatch — regenerate with CFIR_UPDATE_BASELINES=1"
     );
     let mut drifted = Vec::new();
-    for (i, (want, got)) in committed.iter().zip(&fresh).enumerate() {
+    for ((want, got), label) in committed.iter().zip(fresh).zip(labels) {
         if want != got {
-            let kernel = NAMES[i / MODES.len()];
-            let mode = MODES[i % MODES.len()].label();
             // Locate the first differing byte for the failure message.
             let at = want
                 .bytes()
@@ -164,7 +204,7 @@ fn snapshots_are_byte_identical_to_committed_baselines() {
                 .unwrap_or_else(|| want.len().min(got.len()));
             let lo = at.saturating_sub(40);
             drifted.push(format!(
-                "{kernel}/{mode}: first divergence at byte {at}:\n  baseline: …{}…\n  fresh:    …{}…",
+                "{label}: first divergence at byte {at}:\n  baseline: …{}…\n  fresh:    …{}…",
                 &want[lo..(at + 40).min(want.len())],
                 &got[lo..(at + 40).min(got.len())],
             ));
@@ -172,13 +212,34 @@ fn snapshots_are_byte_identical_to_committed_baselines() {
     }
     assert!(
         drifted.is_empty(),
-        "{} of {} snapshots drifted from the committed baseline:\n{}\n\
+        "{} of {} snapshots drifted from {file}:\n{}\n\
          If this change is intentional, regenerate with \
          CFIR_UPDATE_BASELINES=1 cargo test --test differential_gate",
         drifted.len(),
         fresh.len(),
         drifted.join("\n")
     );
+}
+
+#[test]
+fn snapshots_are_byte_identical_to_committed_baselines() {
+    let labels: Vec<String> = NAMES
+        .iter()
+        .flat_map(|k| MODES.iter().map(move |m| format!("{k}/{}", m.label())))
+        .collect();
+    check_against_baseline("differential.jsonl", &generate_all(), &labels);
+}
+
+#[test]
+fn sampled_snapshots_are_byte_identical_to_committed_baselines() {
+    let mut labels = Vec::new();
+    for k in NAMES {
+        labels.push(format!("{k}/ci sampled"));
+        if k == JITTERED {
+            labels.push(format!("{k}/ci sampled, jitter {JITTER}"));
+        }
+    }
+    check_against_baseline("differential_sampled.jsonl", &generate_sampled(), &labels);
 }
 
 /// A run depends on its configuration alone. Off the default 64×4
