@@ -7,11 +7,12 @@
 //! single-threaded figure binaries produced. `cfir suite` schedules
 //! any subset of these matrices on the harness pool.
 //!
-//! The aggregators recompute every derived rate from the raw counters
-//! carried by [`JobResult`] with the exact `SimStats` formulas, so the
-//! artifacts are byte-identical whether a point was simulated this run
-//! or served from the on-disk cache — and identical to the output of
-//! the retired serial binaries.
+//! A [`JobResult`] derefs to the `SimStats` counters its run carried,
+//! so the aggregators read every derived rate through `SimStats`'s own
+//! methods (`r.ipc()`, `r.reuse_fraction()`, …). The cache encodes
+//! exactly those counters, so the artifacts are byte-identical whether
+//! a point was simulated this run or served from the on-disk cache —
+//! and identical to the output of the retired serial binaries.
 
 use crate::report::{f3, pct, report_json_checked, Table};
 use cfir_core::{storage, MechConfig};

@@ -2,7 +2,7 @@
 
 use cfir_obs::json::{self, JsonValue};
 use cfir_obs::JsonWriter;
-use cfir_sim::{Pipeline, SimConfig};
+use cfir_sim::{IntervalSample, Pipeline, SimConfig, SimStats};
 use cfir_workloads::{by_name, micro, Workload, WorkloadSpec};
 
 /// Which program a job simulates.
@@ -95,7 +95,7 @@ impl JobSpec {
     /// instead of silently reusing them.
     pub fn fingerprint(&self) -> String {
         format!(
-            "cfir-suite v{} schema{} | {} | max_insts={} | sampling={:?} | {:?}",
+            "cfir v{} schema{} | {} | max_insts={} | sampling={:?} | {:?}",
             env!("CARGO_PKG_VERSION"),
             cfir_sim::SCHEMA_VERSION,
             self.workload.fingerprint(),
@@ -146,7 +146,10 @@ impl JobSpec {
             return Ok(JobResult {
                 name: "selftest".into(),
                 mode_label: self.cfg.mode.label().into(),
-                cycles: 1,
+                stats: SimStats {
+                    cycles: 1,
+                    ..SimStats::default()
+                },
                 snapshot: "{}".into(),
                 ..JobResult::default()
             });
@@ -192,67 +195,26 @@ impl JobSpec {
     }
 }
 
-/// One interval sample carried through the cache (the columns
-/// `exp_warmup` reports).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct IntervalRow {
-    /// Cycle at which the sample was taken.
-    pub cycle: u64,
-    /// Instructions committed so far.
-    pub committed: u64,
-    /// Reused instructions committed so far.
-    pub committed_reuse: u64,
-    /// IPC over the last interval only.
-    pub interval_ipc: f64,
-}
-
-/// The reduced, cacheable result of one job: every counter the
-/// aggregators consume, plus the full `run_json` snapshot for
-/// `--emit-json` bundles. Rates are recomputed from raw counters (same
-/// formulas as `SimStats`) so cached and fresh results format
-/// identically.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// The reduced, cacheable result of one job: its run's counters, the
+/// Figure 5 event counts, and the full `run_json` snapshot for
+/// `--emit-json` bundles.
+///
+/// `stats` holds the window counters (`SimStats::window_counters`),
+/// `reg_high_water` and the interval series; its histograms,
+/// scorecards, stall breakdown and bottleneck report stay at their
+/// defaults and live only in `snapshot`. The cache encodes exactly
+/// these fields, so a fresh result and the same result read back from
+/// the cache are the same value. `JobResult` derefs to that
+/// `SimStats`: `r.committed`, `r.ipc()` and `r.intervals` read the
+/// run's own counters and rate formulas.
+#[derive(Debug, Clone, Default)]
 pub struct JobResult {
     /// Workload name.
     pub name: String,
     /// Machine-mode label (`scal`, `wb`, `ci-iw`, `ci`, `vect`).
     pub mode_label: String,
-    /// Simulated cycles.
-    pub cycles: u64,
-    /// Committed instructions.
-    pub committed: u64,
-    /// Committed instructions that reused a precomputed value.
-    pub committed_reuse: u64,
-    /// Conditional branches committed.
-    pub branches: u64,
-    /// Mispredicted conditional branches.
-    pub mispredicts: u64,
-    /// Wrong-path instructions squashed.
-    pub squashed: u64,
-    /// Replica instructions created by the vectorizer.
-    pub replicas_created: u64,
-    /// Replica instructions executed.
-    pub replicas_executed: u64,
-    /// Reuse validations that failed at decode.
-    pub validation_failures: u64,
-    /// Reuse validations that failed the commit-time check.
-    pub commit_check_failures: u64,
-    /// L1 D-cache accesses.
-    pub l1d_accesses: u64,
-    /// L1 D-cache misses.
-    pub l1d_misses: u64,
-    /// Stores committed.
-    pub stores: u64,
-    /// Stores conflicting with a speculatively-loaded range (§2.4.3).
-    pub store_conflicts: u64,
-    /// Sum of propagated-stridedPC set sizes (Figure 4's 1.7 average).
-    pub strided_pc_sum: u64,
-    /// Samples backing `strided_pc_sum`.
-    pub strided_pc_samples: u64,
-    /// Per-cycle register-occupancy integral (§2.4.2).
-    pub reg_occupancy_sum: u64,
-    /// High-water mark of physical registers in use.
-    pub reg_high_water: u64,
+    /// The run's counters (see the type's doc for what is carried).
+    pub stats: SimStats,
     /// Figure-5 classification: mispredictions with no CI found.
     pub ev_not_found: u64,
     /// Figure-5 classification: CI selected but nothing reused.
@@ -261,123 +223,44 @@ pub struct JobResult {
     pub ev_reuse: u64,
     /// All dynamic conditional-branch mispredictions.
     pub total_mispredictions: u64,
-    /// Interval time series (empty unless the config sampled).
-    pub intervals: Vec<IntervalRow>,
     /// The full `cfir_sim::run_json` snapshot document.
     pub snapshot: String,
 }
 
+impl std::ops::Deref for JobResult {
+    type Target = SimStats;
+
+    fn deref(&self) -> &SimStats {
+        &self.stats
+    }
+}
+
+/// The cache encoding's version; a result of another version is
+/// refused (the fingerprint changes with it anyway).
+const RESULT_VERSION: u64 = 2;
+
 impl JobResult {
-    /// Reduce finished-run statistics (the counters above plus the
-    /// snapshot document rendered by the caller).
-    pub fn from_stats(
-        name: &str,
-        mode_label: &str,
-        s: &cfir_sim::SimStats,
-        snapshot: String,
-    ) -> JobResult {
+    /// Reduce finished-run statistics to the carried counters, with
+    /// the snapshot document rendered by the caller.
+    pub fn from_stats(name: &str, mode_label: &str, s: &SimStats, snapshot: String) -> JobResult {
+        let mut stats = SimStats {
+            reg_high_water: s.reg_high_water,
+            intervals: s.intervals.clone(),
+            ..SimStats::default()
+        };
+        for ((_, slot), (_, v)) in stats.window_counters_mut().zip(s.window_counters()) {
+            *slot = v;
+        }
         let (nf, sel, reu) = s.branch_prof.event_counts();
         JobResult {
             name: name.to_string(),
             mode_label: mode_label.to_string(),
-            cycles: s.cycles,
-            committed: s.committed,
-            committed_reuse: s.committed_reuse,
-            branches: s.branches,
-            mispredicts: s.mispredicts,
-            squashed: s.squashed,
-            replicas_created: s.replicas_created,
-            replicas_executed: s.replicas_executed,
-            validation_failures: s.validation_failures,
-            commit_check_failures: s.commit_check_failures,
-            l1d_accesses: s.l1d_accesses,
-            l1d_misses: s.l1d_misses,
-            stores: s.stores,
-            store_conflicts: s.store_conflicts,
-            strided_pc_sum: s.strided_pc_sum,
-            strided_pc_samples: s.strided_pc_samples,
-            reg_occupancy_sum: s.reg_occupancy_sum,
-            reg_high_water: s.reg_high_water,
+            stats,
             ev_not_found: nf,
             ev_selected: sel,
             ev_reuse: reu,
             total_mispredictions: s.branch_prof.total_mispredictions,
-            intervals: s
-                .intervals
-                .iter()
-                .map(|i| IntervalRow {
-                    cycle: i.cycle,
-                    committed: i.committed,
-                    committed_reuse: i.committed_reuse,
-                    interval_ipc: i.interval_ipc,
-                })
-                .collect(),
             snapshot,
-        }
-    }
-
-    /// Instructions per cycle (same formula as `SimStats::ipc`).
-    pub fn ipc(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.committed as f64 / self.cycles as f64
-        }
-    }
-
-    /// Conditional-branch misprediction rate.
-    pub fn mispredict_rate(&self) -> f64 {
-        if self.branches == 0 {
-            0.0
-        } else {
-            self.mispredicts as f64 / self.branches as f64
-        }
-    }
-
-    /// Fraction of committed instructions that reused a value.
-    pub fn reuse_fraction(&self) -> f64 {
-        if self.committed == 0 {
-            0.0
-        } else {
-            self.committed_reuse as f64 / self.committed as f64
-        }
-    }
-
-    /// Fraction of committed stores that hit a speculative load range.
-    pub fn store_conflict_fraction(&self) -> f64 {
-        if self.stores == 0 {
-            0.0
-        } else {
-            self.store_conflicts as f64 / self.stores as f64
-        }
-    }
-
-    /// Average propagated stridedPCs per propagating rename write.
-    pub fn avg_strided_pcs(&self) -> f64 {
-        if self.strided_pc_samples == 0 {
-            0.0
-        } else {
-            self.strided_pc_sum as f64 / self.strided_pc_samples as f64
-        }
-    }
-
-    /// Average physical registers in use per cycle.
-    pub fn avg_regs_in_use(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.reg_occupancy_sum as f64 / self.cycles as f64
-        }
-    }
-
-    /// Wrong-path activity as a fraction of all executed work (§4).
-    pub fn wrong_path_fraction(&self) -> f64 {
-        let wasted = self.squashed + self.replicas_executed;
-        let total = self.committed + wasted;
-        if total == 0 {
-            0.0
-        } else {
-            wasted as f64 / total as f64
         }
     }
 
@@ -392,15 +275,42 @@ impl JobResult {
         )
     }
 
-    /// Serialize for the on-disk cache.
+    /// The carried counters outside the window list, by cache key.
+    fn other_counters_mut(&mut self) -> [(&'static str, &mut u64); 5] {
+        [
+            ("reg_high_water", &mut self.stats.reg_high_water),
+            ("ev_not_found", &mut self.ev_not_found),
+            ("ev_selected", &mut self.ev_selected),
+            ("ev_reuse", &mut self.ev_reuse),
+            ("total_mispredictions", &mut self.total_mispredictions),
+        ]
+    }
+
+    /// Serialize for the on-disk cache. Each interval is one array of
+    /// its fields in declaration order.
     pub fn to_json(&self) -> String {
         let mut w = JsonWriter::new();
         w.begin_obj();
-        w.field_u64("result_version", 1)
+        w.field_u64("result_version", RESULT_VERSION)
             .field_str("name", &self.name)
             .field_str("mode", &self.mode_label);
-        for (k, v) in self.u64_fields() {
+        for (k, v) in self.stats.window_counters() {
             w.field_u64(k, v);
+        }
+        // A copy of just the other counters (not the snapshot), so both
+        // directions go through the one list of `other_counters_mut`.
+        let mut other = JobResult {
+            name: String::new(),
+            mode_label: String::new(),
+            stats: SimStats {
+                reg_high_water: self.reg_high_water,
+                ..SimStats::default()
+            },
+            snapshot: String::new(),
+            ..*self
+        };
+        for (k, v) in other.other_counters_mut() {
+            w.field_u64(k, *v);
         }
         w.key("intervals").begin_arr();
         for i in &self.intervals {
@@ -408,7 +318,13 @@ impl JobResult {
                 .u64_val(i.cycle)
                 .u64_val(i.committed)
                 .u64_val(i.committed_reuse)
+                .u64_val(i.branches)
+                .u64_val(i.mispredicts)
                 .f64_val(i.interval_ipc)
+                .f64_val(i.interval_mispredict_rate)
+                .f64_val(i.interval_reuse_rate)
+                .u64_val(i.rob_occupancy.into())
+                .u64_val(i.regs_in_use.into())
                 .end_arr();
         }
         w.end_arr();
@@ -431,77 +347,52 @@ impl JobResult {
                 .map(str::to_string)
                 .ok_or_else(|| format!("missing or non-string field `{k}`"))
         };
-        if u("result_version")? != 1 {
+        if u("result_version")? != RESULT_VERSION {
             return Err("unsupported result_version".into());
-        }
-        let mut intervals = Vec::new();
-        for (n, row) in interval_rows(&v)?.iter().enumerate() {
-            let arr = row
-                .as_arr()
-                .filter(|a| a.len() == 4)
-                .ok_or_else(|| format!("interval {n}: expected a 4-element array"))?;
-            intervals.push(IntervalRow {
-                cycle: arr[0].as_u64().ok_or("interval cycle")?,
-                committed: arr[1].as_u64().ok_or("interval committed")?,
-                committed_reuse: arr[2].as_u64().ok_or("interval committed_reuse")?,
-                interval_ipc: arr[3].as_f64().ok_or("interval ipc")?,
-            });
         }
         let mut r = JobResult {
             name: s("name")?,
             mode_label: s("mode")?,
-            intervals,
             snapshot: s("snapshot")?,
             ..JobResult::default()
         };
-        for (k, slot) in r.u64_fields_mut() {
+        for (k, slot) in r.stats.window_counters_mut() {
             *slot = u(k)?;
+        }
+        for (k, slot) in r.other_counters_mut() {
+            *slot = u(k)?;
+        }
+        let rows = v
+            .get("intervals")
+            .and_then(|x| x.as_arr())
+            .ok_or("missing `intervals` array")?;
+        for (n, row) in rows.iter().enumerate() {
+            let sample = interval_from_json(row)
+                .map_err(|k| format!("interval {n}: expected a 10-number array, bad `{k}`"))?;
+            r.stats.intervals.push(sample);
         }
         Ok(r)
     }
-
-    fn u64_fields(&self) -> Vec<(&'static str, u64)> {
-        let mut c = self.clone();
-        c.u64_fields_mut()
-            .into_iter()
-            .map(|(k, v)| (k, *v))
-            .collect()
-    }
-
-    /// One list of (key, field) pairs driving both serialization
-    /// directions, so the two can never drift apart.
-    fn u64_fields_mut(&mut self) -> Vec<(&'static str, &mut u64)> {
-        vec![
-            ("cycles", &mut self.cycles),
-            ("committed", &mut self.committed),
-            ("committed_reuse", &mut self.committed_reuse),
-            ("branches", &mut self.branches),
-            ("mispredicts", &mut self.mispredicts),
-            ("squashed", &mut self.squashed),
-            ("replicas_created", &mut self.replicas_created),
-            ("replicas_executed", &mut self.replicas_executed),
-            ("validation_failures", &mut self.validation_failures),
-            ("commit_check_failures", &mut self.commit_check_failures),
-            ("l1d_accesses", &mut self.l1d_accesses),
-            ("l1d_misses", &mut self.l1d_misses),
-            ("stores", &mut self.stores),
-            ("store_conflicts", &mut self.store_conflicts),
-            ("strided_pc_sum", &mut self.strided_pc_sum),
-            ("strided_pc_samples", &mut self.strided_pc_samples),
-            ("reg_occupancy_sum", &mut self.reg_occupancy_sum),
-            ("reg_high_water", &mut self.reg_high_water),
-            ("ev_not_found", &mut self.ev_not_found),
-            ("ev_selected", &mut self.ev_selected),
-            ("ev_reuse", &mut self.ev_reuse),
-            ("total_mispredictions", &mut self.total_mispredictions),
-        ]
-    }
 }
 
-fn interval_rows(v: &JsonValue) -> Result<&[JsonValue], String> {
-    v.get("intervals")
-        .and_then(|x| x.as_arr())
-        .ok_or_else(|| "missing `intervals` array".to_string())
+/// One interval row of the cache encoding; the error names the field.
+fn interval_from_json(row: &JsonValue) -> Result<IntervalSample, &'static str> {
+    let a = row.as_arr().filter(|a| a.len() == 10).ok_or("length")?;
+    let u = |k: usize, name: &'static str| a[k].as_u64().ok_or(name);
+    let f = |k: usize, name: &'static str| a[k].as_f64().ok_or(name);
+    let u32_at = |k: usize, name: &'static str| u(k, name)?.try_into().map_err(|_| name);
+    Ok(IntervalSample {
+        cycle: u(0, "cycle")?,
+        committed: u(1, "committed")?,
+        committed_reuse: u(2, "committed_reuse")?,
+        branches: u(3, "branches")?,
+        mispredicts: u(4, "mispredicts")?,
+        interval_ipc: f(5, "interval_ipc")?,
+        interval_mispredict_rate: f(6, "interval_mispredict_rate")?,
+        interval_reuse_rate: f(7, "interval_reuse_rate")?,
+        rob_occupancy: u32_at(8, "rob_occupancy")?,
+        regs_in_use: u32_at(9, "regs_in_use")?,
+    })
 }
 
 #[cfg(test)]
@@ -571,7 +462,7 @@ mod tests {
         assert!(samp.get("windows").unwrap().as_arr().unwrap().len() >= 2);
         // Determinism across executions holds for sampled jobs too.
         let r2 = s.execute().unwrap();
-        assert_eq!(r, r2);
+        assert_eq!(r.to_json(), r2.to_json());
     }
 
     #[test]
@@ -581,7 +472,54 @@ mod tests {
         assert!(r.ipc() > 0.1);
         assert!(!r.snapshot.is_empty());
         let back = JobResult::from_json(&r.to_json()).expect("roundtrips");
-        assert_eq!(back, r);
+        assert_eq!(back.to_json(), r.to_json());
+    }
+
+    /// A result read back from its cache encoding carries every window
+    /// counter, `reg_high_water`, every interval field and the Figure 5
+    /// counts of the `SimStats` it was reduced from.
+    fn assert_round_trip_carries(s: &SimStats, snapshot: String) {
+        let fresh = JobResult::from_stats("kernel", "ci", s, snapshot);
+        let back = JobResult::from_json(&fresh.to_json()).expect("round-trips");
+        let want: Vec<_> = s.window_counters().collect();
+        assert_eq!(back.window_counters().collect::<Vec<_>>(), want);
+        assert_eq!(back.reg_high_water, s.reg_high_water);
+        assert_eq!(back.intervals, s.intervals);
+        let (nf, sel, reu) = s.branch_prof.event_counts();
+        assert_eq!(
+            (back.ev_not_found, back.ev_selected, back.ev_reuse),
+            (nf, sel, reu)
+        );
+        assert_eq!(
+            back.total_mispredictions,
+            s.branch_prof.total_mispredictions
+        );
+        assert_eq!(back.to_json(), fresh.to_json(), "fresh and cached agree");
+    }
+
+    #[test]
+    fn cache_encoding_carries_the_counters_of_a_full_and_a_sampled_run() {
+        let mut job = spec("bzip2");
+        job.max_insts = 20_000;
+        let w = job.build_workload().unwrap();
+        let mut cfg = job.cfg.clone().with_max_insts(job.max_insts);
+        cfg.interval_cycles = 1_000;
+        let mut p = Pipeline::new(&w.prog, w.mem.clone(), cfg.clone());
+        p.run();
+        assert!(p.stats.intervals.len() > 2 && p.stats.committed_reuse > 0);
+        assert!(p.stats.branch_prof.event_counts().2 > 0);
+        assert_round_trip_carries(&p.stats, cfir_sim::run_json(w.name, "ci", &p.stats));
+
+        cfg.max_insts = 40_000;
+        let sampling = cfir_sample::SamplingConfig {
+            period: 10_000,
+            warmup: 1_000,
+            window: 1_000,
+            ..Default::default()
+        };
+        let s = cfir_sample::run_sampled(&w.prog, &w.mem, w.name, cfg, sampling);
+        assert!(s.windows.len() > 2 && s.stats.committed_reuse > 0);
+        assert_round_trip_carries(&s.stats, s.snapshot_json("ci"));
     }
 
     #[test]
@@ -596,6 +534,10 @@ mod tests {
     fn deterministic_across_executions() {
         let a = spec("gcc").execute().unwrap();
         let b = spec("gcc").execute().unwrap();
-        assert_eq!(a, b, "same job must reduce to identical results");
+        assert_eq!(
+            a.to_json(),
+            b.to_json(),
+            "same job must reduce to identical results"
+        );
     }
 }

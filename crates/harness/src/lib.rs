@@ -13,10 +13,14 @@
 //!   [`fingerprint`](job::JobSpec::fingerprint) canonically encodes
 //!   everything that affects the result, so identical points are
 //!   deduplicated across experiments and content-addressed on disk.
-//! * [`pool`] — a std-only work-stealing thread pool (`--jobs N`) with
-//!   per-job panic isolation (`catch_unwind`; a panicking run fails
-//!   alone) and a wall-clock watchdog per job; failed jobs are not
-//!   retried, since a job is a pure function of its spec.
+//! * [`pool`] — a std-only thread pool (`--jobs N`) whose workers take
+//!   jobs in order from one shared cursor, with per-job panic isolation
+//!   (`catch_unwind`; a panicking run fails alone) and a wall-clock
+//!   watchdog per job; failed jobs are not retried, since a job is a
+//!   pure function of its spec.
+//! * [`job::JobResult`] — a finished job's run record: its `SimStats`
+//!   counters (the window counter list, `reg_high_water`, the interval
+//!   series), the Figure 5 event counts and the snapshot document.
 //! * [`cache`] — a content-addressed on-disk result cache keyed by
 //!   `hash(workload spec, sim config, sim version)`; `--resume` skips
 //!   completed points after a crash or an interrupted sweep.
@@ -36,7 +40,7 @@ pub mod pool;
 pub mod suite;
 
 pub use cache::Cache;
-pub use job::{IntervalRow, JobResult, JobSpec, SamplingParams, WorkloadRef};
+pub use job::{JobResult, JobSpec, SamplingParams, WorkloadRef};
 pub use pool::{JobOutcome, PoolOptions};
 pub use suite::{
     run_suite, AggCtx, Artifact, Experiment, ExperimentOutput, ExperimentStatus, JobPerf,

@@ -1,12 +1,12 @@
-//! Std-only work-stealing thread pool with per-job fault isolation.
+//! Std-only thread pool with per-job fault isolation.
 //!
-//! Jobs are dealt round-robin onto per-worker deques; a worker pops
-//! from the front of its own deque and steals from the back of the
-//! others when idle, so stragglers rebalance without a central lock on
-//! the hot path. Each job runs under `catch_unwind`: a panicking
-//! simulation marks that job failed and the suite continues. A failed
-//! job is not retried: [`JobSpec::execute`] is a pure function of the
-//! spec, so a second attempt would fail the same way. A wall-clock
+//! Workers take jobs in list order from one shared atomic cursor, so a
+//! worker that finishes early takes the next job, and a worker exits
+//! once the cursor passes the end. Each job runs under
+//! `catch_unwind`: a panicking simulation marks that job failed and
+//! the suite continues. A failed job is not retried:
+//! [`JobSpec::execute`] is a pure function of the spec, so a second
+//! attempt would fail the same way. A wall-clock
 //! watchdog marks jobs that exceed a per-job budget as timed out
 //! (their worker thread is abandoned, not joined, so a wedged
 //! simulation cannot hang the suite).
@@ -16,7 +16,6 @@
 //! [`crate::suite::run_suite`] does), never by arrival order.
 
 use crate::job::{JobResult, JobSpec};
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -70,7 +69,7 @@ impl JobOutcome {
 }
 
 enum SlotState {
-    /// Waiting in some deque.
+    /// Not yet taken by a worker.
     Queued,
     /// Executing on a worker since the instant.
     Running(Instant),
@@ -80,9 +79,9 @@ enum SlotState {
 
 struct Shared {
     specs: Vec<JobSpec>,
-    queues: Vec<Mutex<VecDeque<usize>>>,
+    /// The next job index to take.
+    next: AtomicUsize,
     slots: Vec<Mutex<SlotState>>,
-    undecided: AtomicUsize,
     tx: mpsc::Sender<(usize, JobOutcome, Duration)>,
     /// Jobs executing right now / the high-water mark of that count
     /// (reported as [`PoolStats::peak_workers`]).
@@ -91,20 +90,6 @@ struct Shared {
 }
 
 impl Shared {
-    fn pop_task(&self, me: usize) -> Option<usize> {
-        if let Some(t) = self.queues[me].lock().unwrap().pop_front() {
-            return Some(t);
-        }
-        let n = self.queues.len();
-        for off in 1..n {
-            let q = &self.queues[(me + off) % n];
-            if let Some(t) = q.lock().unwrap().pop_back() {
-                return Some(t);
-            }
-        }
-        None
-    }
-
     /// Move a slot to Decided and report it (with the wall-clock time
     /// the deciding run took), unless the watchdog got there first.
     /// Returns whether *we* decided it.
@@ -115,20 +100,13 @@ impl Shared {
         }
         *st = SlotState::Decided;
         drop(st);
-        self.undecided.fetch_sub(1, Ordering::SeqCst);
         let _ = self.tx.send((idx, outcome, wall));
         true
     }
 
     fn run_task(&self, idx: usize) {
         let started = Instant::now();
-        {
-            let mut st = self.slots[idx].lock().unwrap();
-            if !matches!(*st, SlotState::Queued) {
-                return; // decided (or racing); nothing to do
-            }
-            *st = SlotState::Running(started);
-        }
+        *self.slots[idx].lock().unwrap() = SlotState::Running(started);
         let spec = &self.specs[idx];
         let cur = self.running.fetch_add(1, Ordering::SeqCst) + 1;
         self.peak.fetch_max(cur, Ordering::SeqCst);
@@ -166,7 +144,7 @@ pub struct PoolStats {
 /// Run every spec to a terminal outcome, invoking `on_done(index,
 /// outcome, wall)` on the **calling thread** as jobs finish (in
 /// completion order); `wall` is the job's wall-clock time, for
-/// throughput accounting. Workers steal from each other;
+/// throughput accounting. Workers take jobs in list order;
 /// panics are isolated per job; `opts.timeout` bounds each job's wall
 /// clock.
 pub fn execute(
@@ -181,31 +159,26 @@ pub fn execute(
     let workers = opts.worker_count().min(n);
     let (tx, rx) = mpsc::channel();
     let shared = Arc::new(Shared {
-        queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
+        next: AtomicUsize::new(0),
         slots: (0..n).map(|_| Mutex::new(SlotState::Queued)).collect(),
-        undecided: AtomicUsize::new(n),
         specs,
         tx,
         running: AtomicUsize::new(0),
         peak: AtomicUsize::new(0),
     });
-    for (i, q) in (0..n).zip((0..workers).cycle()) {
-        shared.queues[q].lock().unwrap().push_back(i);
-    }
 
     let mut handles = Vec::with_capacity(workers);
     for me in 0..workers {
         let sh = Arc::clone(&shared);
         handles.push(
             std::thread::Builder::new()
-                .name(format!("cfir-suite-worker-{me}"))
-                .spawn(move || {
-                    while sh.undecided.load(Ordering::SeqCst) > 0 {
-                        match sh.pop_task(me) {
-                            Some(idx) => sh.run_task(idx),
-                            None => std::thread::park_timeout(Duration::from_millis(1)),
-                        }
+                .name(format!("cfir-worker-{me}"))
+                .spawn(move || loop {
+                    let idx = sh.next.fetch_add(1, Ordering::SeqCst);
+                    if idx >= n {
+                        break;
                     }
+                    sh.run_task(idx);
                 })
                 .expect("spawn worker"),
         );
@@ -229,7 +202,6 @@ pub fn execute(
                             if since.elapsed() > limit {
                                 *st = SlotState::Decided;
                                 drop(st);
-                                shared.undecided.fetch_sub(1, Ordering::SeqCst);
                                 timed_out = true;
                                 decided += 1;
                                 on_done(idx, JobOutcome::TimedOut { limit }, since.elapsed());

@@ -265,7 +265,7 @@ pub fn run_suite(experiments: Vec<Experiment>, opts: &SuiteOptions) -> SuiteRepo
                     report.cached += 1;
                 }
                 Ok(None) => {}
-                Err(e) => eprintln!("cfir-suite: {e}; re-running"),
+                Err(e) => eprintln!("cfir: {e}; re-running"),
             }
         }
     }
@@ -307,7 +307,7 @@ pub fn run_suite(experiments: Vec<Experiment>, opts: &SuiteOptions) -> SuiteRepo
         if !opts.quiet {
             match &status.error {
                 None => print!("{stdout_block}"),
-                Some(err) => eprintln!("cfir-suite: experiment {} FAILED: {err}", exp.name),
+                Some(err) => eprintln!("cfir: experiment {} FAILED: {err}", exp.name),
             }
         }
         statuses[e] = Some(status);
@@ -344,20 +344,17 @@ pub fn run_suite(experiments: Vec<Experiment>, opts: &SuiteOptions) -> SuiteRepo
             JobOutcome::Done(result) => {
                 report.executed += 1;
                 if let Err(e) = cache.put(&unique[i], result) {
-                    eprintln!("cfir-suite: cache write failed: {e}");
+                    eprintln!("cfir: cache write failed: {e}");
                 }
             }
             JobOutcome::Failed { error } => {
                 report.failed += 1;
-                eprintln!(
-                    "cfir-suite: job {} FAILED: {error}",
-                    unique[i].display_name()
-                );
+                eprintln!("cfir: job {} FAILED: {error}", unique[i].display_name());
             }
             JobOutcome::TimedOut { limit } => {
                 report.timed_out += 1;
                 eprintln!(
-                    "cfir-suite: job {} TIMED OUT (budget {:.0}s)",
+                    "cfir: job {} TIMED OUT (budget {:.0}s)",
                     unique[i].display_name(),
                     limit.as_secs_f64()
                 );

@@ -275,17 +275,21 @@ impl Checkpoint {
         h.finish()
     }
 
-    /// Content-addressed file name (`<id:016x>.ckpt`).
-    pub fn file_name(&self) -> String {
-        format!("{:016x}.ckpt", self.content_id())
+    /// The content-addressed file name of the checkpoint whose
+    /// [`Checkpoint::content_id`] is `id` (`<id:016x>.ckpt`).
+    pub fn file_name(id: u64) -> String {
+        format!("{id:016x}.ckpt")
     }
 
     /// Write to `dir` under the content-addressed name; returns the
-    /// full path. Writing the same state twice is a no-op overwrite of
-    /// identical bytes.
-    pub fn save(&self, dir: &Path) -> std::io::Result<PathBuf> {
+    /// full path. `id` is this checkpoint's [`Checkpoint::content_id`],
+    /// which a caller that also needs the id computes once (debug
+    /// builds check it). Writing the same state twice is a no-op
+    /// overwrite of identical bytes.
+    pub fn save(&self, dir: &Path, id: u64) -> std::io::Result<PathBuf> {
+        debug_assert_eq!(id, self.content_id(), "`id` names another checkpoint");
         std::fs::create_dir_all(dir)?;
-        let path = dir.join(self.file_name());
+        let path = dir.join(Self::file_name(id));
         std::fs::write(&path, self.to_bytes())?;
         Ok(path)
     }
@@ -364,7 +368,7 @@ mod tests {
         let mut d = c.clone();
         d.regs[5] ^= 1;
         assert_ne!(d.content_id(), c.content_id());
-        assert!(c.file_name().ends_with(".ckpt"));
+        assert!(Checkpoint::file_name(c.content_id()).ends_with(".ckpt"));
     }
 
     #[test]
@@ -447,7 +451,7 @@ mod tests {
     fn save_load_round_trip() {
         let c = sample_checkpoint();
         let dir = std::env::temp_dir().join(format!("cfir-ckpt-test-{:x}", c.content_id()));
-        let path = c.save(&dir).unwrap();
+        let path = c.save(&dir, c.content_id()).unwrap();
         let back = Checkpoint::load(&path).unwrap();
         assert_eq!(back, c);
         std::fs::remove_dir_all(&dir).ok();

@@ -97,6 +97,19 @@ pub fn replay_window(
     warmup: u64,
     window: u64,
 ) -> WindowReplay {
+    replay(prog, ckpt, ckpt.content_id(), cfg, warmup, window)
+}
+
+/// [`replay_window`] for a caller that already holds the checkpoint's
+/// content id.
+fn replay(
+    prog: &Program,
+    ckpt: &Checkpoint,
+    id: u64,
+    cfg: &SimConfig,
+    warmup: u64,
+    window: u64,
+) -> WindowReplay {
     let mut wcfg = cfg.clone();
     wcfg.max_insts = warmup;
     let mut p = Pipeline::new(prog, ckpt.memory(), wcfg);
@@ -119,7 +132,7 @@ pub fn replay_window(
     };
     let row = WindowRow {
         start_inst: ckpt.retired,
-        checkpoint_id: ckpt.content_id(),
+        checkpoint_id: id,
         committed: delta.committed,
         cycles: delta.cycles,
         ipc: delta.ipc(),
@@ -204,11 +217,15 @@ pub fn run_sampled(
             halted = true;
             break;
         }
+        // Hashed once: the id names the file and the window row. The
+        // file is written before the replay, so a window that panics
+        // leaves its checkpoint for `cfir sample replay`.
         let ckpt = warm.checkpoint();
+        let id = ckpt.content_id();
         if let Some(dir) = &scfg.checkpoint_dir {
-            ckpt.save(dir).expect("failed to write checkpoint");
+            ckpt.save(dir, id).expect("failed to write checkpoint");
         }
-        let rep = replay_window(prog, &ckpt, &cfg, meas_start - warm_start, scfg.window);
+        let rep = replay(prog, &ckpt, id, &cfg, meas_start - warm_start, scfg.window);
         // Next window's jitter offset, seeded from content (never from
         // scheduling order) so sampled runs are order-independent.
         if scfg.jitter > 0 {
@@ -353,7 +370,7 @@ mod tests {
         let s = run_sampled(&w.prog, &w.mem, w.name, cfg.clone(), scfg);
         assert!(!s.windows.is_empty());
         for (k, row) in s.windows.iter().enumerate() {
-            let path = dir.join(format!("{:016x}.ckpt", row.checkpoint_id));
+            let path = dir.join(Checkpoint::file_name(row.checkpoint_id));
             let ckpt = Checkpoint::load(&path).expect("checkpoint on disk");
             // Effective warmup: measurement k sits at k*period; the
             // checkpoint is `warmup` before it (0 for the cold head).

@@ -129,8 +129,6 @@ pub struct SimConfig {
     pub mech: MechConfig,
     /// Maximum *committed* instructions before the run stops.
     pub max_insts: u64,
-    /// Safety valve on cycles (0 = none).
-    pub max_cycles: u64,
     /// Run the golden-model co-simulation check at every commit.
     pub cosim_check: bool,
     /// Sample `SimStats::intervals` every this many cycles (0 = off).
@@ -175,7 +173,6 @@ impl SimConfig {
             hierarchy: HierarchyConfig::paper(),
             mech: MechConfig::paper(),
             max_insts: 1_000_000,
-            max_cycles: 0,
             cosim_check: cfg!(debug_assertions),
             interval_cycles: 0,
             perfect_branch_prediction: false,

@@ -53,4 +53,4 @@ pub use observe::CommitRecord;
 pub use pipeline::{Pipeline, PipelineSnapshot, RunExit, WarmStart};
 pub use prof::{BranchProf, BranchScore};
 pub use snapshot::{run_json, Estimate, SampledRun, WindowRow, SCHEMA_VERSION};
-pub use stats::{harmonic_mean, SimStats};
+pub use stats::{harmonic_mean, IntervalSample, SimStats};

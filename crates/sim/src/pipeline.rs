@@ -129,8 +129,6 @@ pub enum RunExit {
     Halted,
     /// The committed-instruction budget was reached.
     InstBudget,
-    /// The cycle budget was reached.
-    CycleBudget,
 }
 
 /// The simulator.
@@ -448,10 +446,6 @@ impl<'a> Pipeline<'a> {
                 self.finalize_stats();
                 return RunExit::InstBudget;
             }
-            if self.cfg.max_cycles > 0 && self.cycle >= self.cfg.max_cycles {
-                self.finalize_stats();
-                return RunExit::CycleBudget;
-            }
             // Deadlock detector: the pipeline must commit something
             // every so often; a simulator bug would otherwise hang.
             if self.stats.committed != last_committed {
@@ -566,19 +560,17 @@ impl<'a> Pipeline<'a> {
         if let Some(m) = &self.mech {
             // Static-oracle cross-check of the MBS table: tags are
             // exact full byte PCs, so every valid entry must name a
-            // conditional branch of the program.
-            for pc in m.mbs.valid_pcs() {
-                self.stats.oracle_mbs_checked += 1;
-                let word = (pc / 4) as u32;
-                let is_branch = self
-                    .prog
-                    .fetch(word)
-                    .map(|i| i.is_cond_branch())
-                    .unwrap_or(false);
-                if !is_branch {
-                    self.stats.oracle_mbs_nonbranch += 1;
-                }
-            }
+            // conditional branch of the program. Assigned, not added:
+            // `run` finalizes at every exit, and a pipeline may run in
+            // several legs.
+            let prog = self.prog;
+            let is_branch = |pc: u64| {
+                prog.fetch((pc / 4) as u32)
+                    .is_some_and(|i| i.is_cond_branch())
+            };
+            self.stats.oracle_mbs_checked = m.mbs.valid_pcs().count() as u64;
+            self.stats.oracle_mbs_nonbranch =
+                m.mbs.valid_pcs().filter(|&pc| !is_branch(pc)).count() as u64;
         }
         // Accounting invariant: every commit slot of every cycle was
         // charged to exactly one cause.
@@ -1044,5 +1036,21 @@ mod tests {
                 "counts must add up in mode {mode:?}"
             );
         }
+    }
+
+    #[test]
+    fn mbs_oracle_counts_one_scan_of_a_run_in_two_legs() {
+        let w = cfir_workloads::by_name("bzip2", cfir_workloads::WorkloadSpec::default()).unwrap();
+        let cfg = SimConfig::paper_baseline()
+            .with_mode(Mode::Ci)
+            .with_max_insts(5_000);
+        let mut pl = Pipeline::new(&w.prog, w.mem.clone(), cfg);
+        assert_eq!(pl.run(), RunExit::InstBudget);
+        pl.cfg.max_insts = 10_000;
+        assert_eq!(pl.run(), RunExit::InstBudget);
+        let valid = pl.mech.as_ref().unwrap().mbs.valid_pcs().count() as u64;
+        assert!(valid > 0, "bzip2 fills the MBS");
+        assert_eq!(pl.stats.oracle_mbs_checked, valid);
+        assert_eq!(pl.stats.oracle_mbs_nonbranch, 0);
     }
 }

@@ -153,8 +153,10 @@ pub struct SimStats {
 /// else (the oracle counters, histograms, intervals, per-branch
 /// scorecards and events, the bottleneck report) is not
 /// meaningfully subtractable and stays at its default in a window
-/// delta. A new counter that should reach a sampled run's snapshot
-/// belongs in this list.
+/// delta. The list also names the counters a suite result carries and
+/// its cache encodes ([`SimStats::window_counters`] and
+/// [`SimStats::window_counters_mut`]). A new counter that should reach
+/// a sampled run's snapshot or a suite aggregator belongs in this list.
 macro_rules! window_counters {
     ($cb:ident) => {
         $cb!(
@@ -195,7 +197,25 @@ macro_rules! window_counters {
     };
 }
 
+/// The named accessor pair over the window counters.
+macro_rules! named_counters {
+    ($($f:ident),*) => {
+        /// Every window counter with its field name, in list order.
+        pub fn window_counters(&self) -> impl Iterator<Item = (&'static str, u64)> {
+            [$((stringify!($f), self.$f)),*].into_iter()
+        }
+
+        /// Every window counter's field name and slot, in the order of
+        /// [`SimStats::window_counters`].
+        pub fn window_counters_mut(&mut self) -> impl Iterator<Item = (&'static str, &mut u64)> {
+            [$((stringify!($f), &mut self.$f)),*].into_iter()
+        }
+    };
+}
+
 impl SimStats {
+    window_counters!(named_counters);
+
     /// Counter-wise `self - before` over the window counters, for two
     /// snapshots of the *same* pipeline (every counter of `self`
     /// dominates `before`). `reg_high_water` is carried over from
@@ -373,6 +393,23 @@ mod tests {
         assert_eq!(acc.valfail_reasons[4], 9);
         assert_eq!(acc.stall.get(cfir_obs::StallCause::Useful), 2400);
         assert_eq!(acc.reg_high_water, 30, "high-water is maxed, not summed");
+    }
+
+    #[test]
+    fn the_accessor_pair_walks_the_window_list_once() {
+        let mut s = SimStats::default();
+        for (k, (_, slot)) in s.window_counters_mut().enumerate() {
+            *slot = k as u64 + 1;
+        }
+        let read: Vec<_> = s.window_counters().collect();
+        assert_eq!(read[0], ("cycles", 1));
+        assert_eq!(read.last(), Some(&("lifecycle_dropped", read.len() as u64)));
+        let mut names: Vec<_> = read.iter().map(|(k, _)| *k).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), read.len(), "each counter named once");
+        let d = s.delta_since(&SimStats::default());
+        assert_eq!(d.window_counters().collect::<Vec<_>>(), read);
     }
 
     #[test]

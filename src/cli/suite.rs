@@ -3,7 +3,7 @@
 //!
 //! Every figure/table/ablation is declared as data in
 //! `cfir_bench::experiments`; this subcommand schedules any subset of
-//! that matrix on the `cfir-harness` work-stealing pool, with per-job
+//! that matrix on the `cfir-harness` thread pool, with per-job
 //! panic isolation, a wall-clock watchdog, and a
 //! content-addressed result cache so `--resume` skips every point that
 //! already ran. Aggregation reduces results in job-definition order,
