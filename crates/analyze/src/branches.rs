@@ -150,28 +150,7 @@ fn classify(
     // "then" side). Require the arm region to be *clean*: every block
     // of it dominated by the branch block, so nothing jumps into the
     // middle of the hammock.
-    let arm_clean = |arm: usize| -> bool {
-        if arm == j {
-            return true;
-        }
-        // Walk the arm's region: blocks reachable from `arm` without
-        // passing through the join.
-        let mut seen = vec![false; cfg.len()];
-        let mut stack = vec![arm];
-        seen[arm] = true;
-        while let Some(b) = stack.pop() {
-            if !dom.dominates(bb, b) {
-                return false;
-            }
-            for &s in &cfg.blocks[b].succs {
-                if s != cfg.exit && s != j && !seen[s] {
-                    seen[s] = true;
-                    stack.push(s);
-                }
-            }
-        }
-        true
-    };
+    let arm_clean = |arm: usize| arm_blocks(cfg, &[arm], j).all(|b| dom.dominates(bb, b));
     match fb {
         Some(f) => {
             let t_is_join = tb == j;
@@ -200,10 +179,44 @@ fn classify(
     }
 }
 
-/// Instruction count + load stats of the CI region starting at join
-/// block `j`: follow the post-dominator chain while blocks stay at
-/// `j`'s loop nesting depth or deeper (leaving the loop ends control
-/// independence for the paper's per-iteration reuse).
+/// The blocks of a hammock's arms: those reachable from `starts`
+/// without passing through the join block `jb` (or the virtual exit),
+/// each once, in no particular order.
+pub(crate) fn arm_blocks<'a>(
+    cfg: &'a Cfg,
+    starts: &[usize],
+    jb: usize,
+) -> impl Iterator<Item = usize> + 'a {
+    let mut seen = vec![false; cfg.len()];
+    let mut stack = starts.to_vec();
+    std::iter::from_fn(move || loop {
+        let b = stack.pop()?;
+        if b != jb && b != cfg.exit && !std::mem::replace(&mut seen[b], true) {
+            stack.extend(&cfg.blocks[b].succs);
+            return Some(b);
+        }
+    })
+}
+
+/// The blocks of the CI region behind join block `j`, in region order:
+/// the post-dominator chain from `j` while blocks stay at `j`'s loop
+/// nesting depth or deeper (leaving the loop ends control independence
+/// for the paper's per-iteration reuse).
+pub(crate) fn ci_region_blocks<'a>(
+    cfg: &'a Cfg,
+    pdom: &'a DomTree,
+    loops: &'a LoopInfo,
+    j: usize,
+) -> impl Iterator<Item = usize> + 'a {
+    let base_depth = loops.depth_of(j);
+    std::iter::successors(Some(j), move |&cur| {
+        pdom.idom_of(cur)
+            .filter(|&next| next != cfg.exit && loops.depth_of(next) >= base_depth)
+    })
+}
+
+/// Instruction count + load stats of the CI region behind join block
+/// `j`.
 fn ci_region(
     cfg: &Cfg,
     pdom: &DomTree,
@@ -211,25 +224,12 @@ fn ci_region(
     strides: &StrideInfo,
     j: usize,
 ) -> (u32, u32, u32) {
-    let base_depth = loops.depth_of(j);
-    let mut len = 0u32;
-    let mut n_loads = 0u32;
-    let mut n_strided = 0u32;
-    let mut cur = j;
-    loop {
-        let blk = &cfg.blocks[cur];
-        len += blk.len();
-        for pc in blk.pcs() {
-            if let Some(lc) = strides.load_class(pc) {
-                n_loads += 1;
-                if lc == LoadClass::Strided {
-                    n_strided += 1;
-                }
-            }
-        }
-        match pdom.idom_of(cur) {
-            Some(next) if next != cfg.exit && loops.depth_of(next) >= base_depth => cur = next,
-            _ => break,
+    let (mut len, mut n_loads, mut n_strided) = (0u32, 0u32, 0u32);
+    for b in ci_region_blocks(cfg, pdom, loops, j) {
+        len += cfg.blocks[b].len();
+        for lc in cfg.blocks[b].pcs().filter_map(|pc| strides.load_class(pc)) {
+            n_loads += 1;
+            n_strided += u32::from(lc == LoadClass::Strided);
         }
     }
     (len, n_loads, n_strided)

@@ -29,7 +29,7 @@
 //! place their arrays in disjoint regions, and DESIGN.md records the
 //! imprecision.
 
-use crate::branches::BranchInfo;
+use crate::branches::{arm_blocks, ci_region_blocks, BranchInfo};
 use crate::cfg::Cfg;
 use crate::dataflow::Dataflow;
 use crate::dom::DomTree;
@@ -154,61 +154,21 @@ pub fn classify(
         let Some(rcp) = b.rcp else { continue };
         let bb = cfg.block_of[b.pc as usize];
         let jb = cfg.block_of[rcp as usize];
-        let arm_pcs = arm_instructions(cfg, bb, jb);
-        let region = ci_region_pcs(cfg, pdom, loops, jb, horizon);
+        // PCs of both arms, and the CI-region PCs in region order,
+        // capped at the horizon.
+        let mut arm_pcs: Vec<u32> = arm_blocks(cfg, &cfg.blocks[bb].succs, jb)
+            .flat_map(|blk| cfg.blocks[blk].pcs())
+            .collect();
+        arm_pcs.sort_unstable();
+        let region: Vec<u32> = ci_region_blocks(cfg, pdom, loops, jb)
+            .flat_map(|blk| cfg.blocks[blk].pcs())
+            .take(horizon as usize)
+            .collect();
         out.branches.push(classify_branch(
             prog, strides, dataflow, b.pc, rcp, &arm_pcs, &region,
         ));
     }
     out
-}
-
-/// PCs of both arms: blocks reachable from the branch block's
-/// successors without passing through the join (mirrors the hammock
-/// cleanliness walk in `branches.rs`).
-fn arm_instructions(cfg: &Cfg, bb: usize, jb: usize) -> Vec<u32> {
-    let mut pcs = Vec::new();
-    let mut seen = vec![false; cfg.len()];
-    for &s in &cfg.blocks[bb].succs {
-        if s == jb || s == cfg.exit || seen[s] {
-            continue;
-        }
-        let mut stack = vec![s];
-        seen[s] = true;
-        while let Some(blk) = stack.pop() {
-            pcs.extend(cfg.blocks[blk].pcs());
-            for &nx in &cfg.blocks[blk].succs {
-                if nx != cfg.exit && nx != jb && !seen[nx] {
-                    seen[nx] = true;
-                    stack.push(nx);
-                }
-            }
-        }
-    }
-    pcs.sort_unstable();
-    pcs
-}
-
-/// CI-region PCs behind join block `jb`, in region order, capped at
-/// `horizon` (the same post-dominator-chain walk `branches.rs` uses
-/// for `ci_region_len`).
-fn ci_region_pcs(cfg: &Cfg, pdom: &DomTree, loops: &LoopInfo, jb: usize, horizon: u32) -> Vec<u32> {
-    let base_depth = loops.depth_of(jb);
-    let mut pcs = Vec::new();
-    let mut cur = jb;
-    'walk: loop {
-        for pc in cfg.blocks[cur].pcs() {
-            if pcs.len() as u32 >= horizon {
-                break 'walk;
-            }
-            pcs.push(pc);
-        }
-        match pdom.idom_of(cur) {
-            Some(next) if next != cfg.exit && loops.depth_of(next) >= base_depth => cur = next,
-            _ => break,
-        }
-    }
-    pcs
 }
 
 fn classify_branch(

@@ -21,62 +21,12 @@
 //! dense fixpoint over blocks in layout order.
 
 use crate::cfg::Cfg;
+use cfir_core::BitSet;
 use cfir_isa::{Program, NUM_LOGICAL_REGS};
 use std::collections::HashMap;
 
 /// Sentinel PC of the per-register entry pseudo-defs.
 pub const ENTRY_PC: u32 = u32::MAX;
-
-/// A dense bitset sized at construction; the unit of the reaching-defs
-/// lattice.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct BitSet {
-    words: Vec<u64>,
-}
-
-impl BitSet {
-    /// Empty set with capacity for `n` bits.
-    pub fn new(n: usize) -> BitSet {
-        BitSet {
-            words: vec![0; n.div_ceil(64)],
-        }
-    }
-
-    /// Set bit `i`; returns `true` if it was newly set.
-    pub fn insert(&mut self, i: usize) -> bool {
-        let (w, m) = (i / 64, 1u64 << (i % 64));
-        let newly = self.words[w] & m == 0;
-        self.words[w] |= m;
-        newly
-    }
-
-    /// Is bit `i` set?
-    pub fn contains(&self, i: usize) -> bool {
-        self.words
-            .get(i / 64)
-            .is_some_and(|w| w & (1u64 << (i % 64)) != 0)
-    }
-
-    /// `self ∪= other`; returns `true` when `self` changed.
-    pub fn union_with(&mut self, other: &BitSet) -> bool {
-        let mut changed = false;
-        for (a, &b) in self.words.iter_mut().zip(&other.words) {
-            let n = *a | b;
-            changed |= n != *a;
-            *a = n;
-        }
-        changed
-    }
-
-    /// Indices of all set bits, ascending.
-    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            (0..64)
-                .filter(move |b| w & (1u64 << b) != 0)
-                .map(move |b| wi * 64 + b)
-        })
-    }
-}
 
 /// One definition site: instruction `pc` writing `reg` ([`ENTRY_PC`]
 /// for the per-register entry pseudo-defs).
@@ -171,13 +121,10 @@ impl Dataflow {
         let mut reach_out = vec![BitSet::new(nd); nb];
         let transfer = |b: usize, inset: &BitSet| -> BitSet {
             let mut out = inset.clone();
-            for (o, (&k, &g)) in out
-                .words
-                .iter_mut()
-                .zip(kill[b].words.iter().zip(&gen[b].words))
-            {
-                *o = (*o & !k) | g;
+            for k in kill[b].iter() {
+                out.remove(k);
             }
+            out.union_with(&gen[b]);
             out
         };
         // Entry pseudo-defs flow in at block 0, whatever its preds.

@@ -50,7 +50,7 @@ pub mod strides;
 pub use branches::{BranchClass, BranchInfo};
 pub use cfg::{Block, Cfg};
 pub use cidi::{BranchCidi, CidiAnalysis, InstVerdict, Verdict, DEFAULT_HORIZON};
-pub use dataflow::{BitSet, Dataflow, DefSite};
+pub use dataflow::{Dataflow, DefSite};
 pub use dom::DomTree;
 pub use lint::{Lint, LintKind};
 pub use loops::LoopInfo;

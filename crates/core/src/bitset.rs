@@ -1,7 +1,8 @@
 //! A fixed-size set of small indices, one bit each. The SRSMT keeps its
 //! live ways in one and the pipeline its issuable window slots, so the
 //! per-cycle walks over them visit only the members, in ascending
-//! order, instead of every way or every window entry. [`BitRows`] is a
+//! order, instead of every way or every window entry; `cfir-analyze`
+//! keeps its reaching-definition sets in them. [`BitRows`] is a
 //! table of such sets in one allocation: the window's per-register
 //! waiting sets and its per-cycle completion buckets.
 
@@ -23,6 +24,13 @@ impl BitSet {
     #[inline]
     pub fn insert(&mut self, i: usize) {
         self.words[i / 64] |= 1 << (i % 64);
+    }
+
+    /// Add every member of `other`, a set of the same size.
+    pub fn union_with(&mut self, other: &BitSet) {
+        for (a, b) in self.words.iter_mut().zip(&other.words) {
+            *a |= b;
+        }
     }
 
     /// Remove `i`.

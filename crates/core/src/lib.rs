@@ -26,8 +26,9 @@
 //! * [`SpecMem`] — the positions of the small, slow speculative-data
 //!   memory of §2.4.6 (the `ci-h-N` configurations of Figure 13).
 //! * [`storage`] — the §3.1 extra-hardware byte accounting (39 KB).
-//! * [`BitSet`] — a fixed-size index set: the SRSMT's live ways, and
-//!   the window slots `cfir-sim`'s issue stage walks.
+//! * [`BitSet`] — a fixed-size index set: the SRSMT's live ways, the
+//!   window slots `cfir-sim`'s issue stage walks, and `cfir-analyze`'s
+//!   reaching-definition sets.
 //!
 //! The replica execution engine itself (dispatching the speculative
 //! instances into the issue queue, executing them at low priority, and

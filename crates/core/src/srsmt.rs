@@ -326,11 +326,6 @@ impl SrsmtEntry {
         freed
     }
 
-    /// Live instances (uncommitted, pre-executed): `commit..head`.
-    pub fn live_instances(&self) -> impl Iterator<Item = u32> + '_ {
-        self.commit..self.head
-    }
-
     /// Address range `[lo, hi]` covered by live load replicas (§2.4.3's
     /// `Range` field, restricted to slots still holding values). For
     /// stride-triggered loads the addresses are known from creation;

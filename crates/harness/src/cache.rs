@@ -1,14 +1,15 @@
 //! Content-addressed on-disk result cache.
 //!
 //! One file per job, named by the FNV-1a hash of the job fingerprint:
-//! `<dir>/<key>.json` holding `{"fingerprint": …, "result": …}`. The
-//! full fingerprint is stored alongside the result and re-checked on
-//! every read, so hash collisions and stale entries (a version bump
-//! changes the fingerprint) read as misses, never as wrong results.
+//! `<dir>/<key>.json` holding the result's own JSON object
+//! (`JobResult::to_json`) led by a `fingerprint` field. The full
+//! fingerprint is re-checked on every read, so hash collisions and
+//! stale entries (a version bump changes the fingerprint) read as
+//! misses, never as wrong results; so do entries of an older encoding,
+//! which carry no `result_version` of this one.
 
-use crate::job::{JobResult, JobSpec};
+use crate::job::{JobResult, JobSpec, RESULT_VERSION};
 use cfir_obs::json;
-use cfir_obs::JsonWriter;
 use std::path::{Path, PathBuf};
 
 /// Handle to a cache directory (created lazily on first write).
@@ -35,23 +36,13 @@ impl Cache {
 
     /// Look up a completed result for `spec`.
     ///
-    /// `Ok(None)` is a plain miss (no file, or a different fingerprint
-    /// behind the same hash). `Err` means the entry exists but is
-    /// malformed — the message names the job and the offending file so
-    /// the caller can warn and re-run instead of aborting the suite.
+    /// `Ok(None)` is a plain miss: no file, an entry of another job
+    /// behind the same hash, or one of an older encoding. `Err` means
+    /// the entry exists but is malformed — the message names the job
+    /// and the offending file so the caller can warn and re-run instead
+    /// of aborting the suite.
     pub fn get(&self, spec: &JobSpec) -> Result<Option<JobResult>, String> {
         let path = self.path_for(spec);
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => {
-                return Err(format!(
-                    "cache entry {} for {}: unreadable: {e}",
-                    path.display(),
-                    spec.display_name()
-                ))
-            }
-        };
         let ctx = |what: &str| {
             format!(
                 "cache entry {} for {}: {what}",
@@ -59,19 +50,18 @@ impl Cache {
                 spec.display_name()
             )
         };
+        let text = match std::fs::read_to_string(&path) {
+            Ok(t) => t,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+            Err(e) => return Err(ctx(&format!("unreadable: {e}"))),
+        };
         let v = json::parse(&text).map_err(|e| ctx(&format!("invalid JSON: {e}")))?;
-        let fp = v
-            .get("fingerprint")
-            .and_then(|x| x.as_str())
-            .ok_or_else(|| ctx("missing `fingerprint`"))?;
-        if fp != spec.fingerprint() {
-            return Ok(None); // stale entry or hash collision: miss
+        let fp = v.get("fingerprint").and_then(|x| x.as_str());
+        let version = v.get("result_version").and_then(|x| x.as_u64());
+        if fp != Some(spec.fingerprint().as_str()) || version != Some(RESULT_VERSION) {
+            return Ok(None); // stale entry, older encoding or hash collision
         }
-        let result = v
-            .get("result")
-            .and_then(|x| x.as_str())
-            .ok_or_else(|| ctx("missing `result`"))?;
-        JobResult::from_json(result)
+        JobResult::decode(&v)
             .map(Some)
             .map_err(|e| ctx(&format!("malformed result: {e}")))
     }
@@ -81,11 +71,6 @@ impl Cache {
     pub fn put(&self, spec: &JobSpec, result: &JobResult) -> Result<(), String> {
         std::fs::create_dir_all(&self.dir)
             .map_err(|e| format!("cache dir {}: {e}", self.dir.display()))?;
-        let mut w = JsonWriter::new();
-        w.begin_obj();
-        w.field_str("fingerprint", &spec.fingerprint());
-        w.field_str("result", &result.to_json());
-        w.end_obj();
         let path = self.path_for(spec);
         // Write-then-rename so a concurrent reader never sees a torn
         // entry; concurrent writers of the same key race benignly (the
@@ -93,7 +78,8 @@ impl Cache {
         let tmp = self
             .dir
             .join(format!("{:016x}.tmp.{}", spec.key(), std::process::id()));
-        std::fs::write(&tmp, w.finish()).map_err(|e| format!("write {}: {e}", tmp.display()))?;
+        std::fs::write(&tmp, result.encode(Some(&spec.fingerprint())))
+            .map_err(|e| format!("write {}: {e}", tmp.display()))?;
         std::fs::rename(&tmp, &path).map_err(|e| format!("rename to {}: {e}", path.display()))
     }
 
@@ -143,6 +129,16 @@ mod tests {
         let doc = std::fs::read_to_string(&path).unwrap();
         std::fs::write(&path, doc.replace("cfir v", "cfir OLD v")).unwrap();
         assert_eq!(cached(&cache), None, "stale entries miss");
+
+        // An entry of the older encoding, the result as a string beside
+        // the fingerprint, misses too instead of reading as malformed.
+        let mut w = cfir_obs::JsonWriter::new();
+        w.begin_obj()
+            .field_str("fingerprint", &spec.fingerprint())
+            .field_str("result", &r.to_json())
+            .end_obj();
+        std::fs::write(&path, w.finish()).unwrap();
+        assert_eq!(cached(&cache), None, "older encodings miss");
     }
 
     #[test]

@@ -237,7 +237,7 @@ impl std::ops::Deref for JobResult {
 
 /// The cache encoding's version; a result of another version is
 /// refused (the fingerprint changes with it anyway).
-const RESULT_VERSION: u64 = 2;
+pub(crate) const RESULT_VERSION: u64 = 2;
 
 impl JobResult {
     /// Reduce finished-run statistics to the carried counters, with
@@ -286,11 +286,21 @@ impl JobResult {
         ]
     }
 
-    /// Serialize for the on-disk cache. Each interval is one array of
-    /// its fields in declaration order.
+    /// Serialize as one JSON object. Each interval is one array of its
+    /// fields in declaration order.
     pub fn to_json(&self) -> String {
+        self.encode(None)
+    }
+
+    /// The [`to_json`](Self::to_json) object, led by a cache entry's
+    /// `fingerprint` when one is given: a cache entry is the result's
+    /// own object, so its snapshot is escaped once.
+    pub(crate) fn encode(&self, fingerprint: Option<&str>) -> String {
         let mut w = JsonWriter::new();
         w.begin_obj();
+        if let Some(fp) = fingerprint {
+            w.field_str("fingerprint", fp);
+        }
         w.field_u64("result_version", RESULT_VERSION)
             .field_str("name", &self.name)
             .field_str("mode", &self.mode_label);
@@ -333,9 +343,14 @@ impl JobResult {
         w.finish()
     }
 
-    /// Parse a cached result; the error names what is malformed.
+    /// Parse a [`to_json`](Self::to_json) document; the error names
+    /// what is malformed.
     pub fn from_json(doc: &str) -> Result<JobResult, String> {
-        let v = json::parse(doc).map_err(|e| format!("invalid JSON: {e}"))?;
+        Self::decode(&json::parse(doc).map_err(|e| format!("invalid JSON: {e}"))?)
+    }
+
+    /// The result in a parsed [`encode`](Self::encode) object.
+    pub(crate) fn decode(v: &JsonValue) -> Result<JobResult, String> {
         let u = |k: &str| -> Result<u64, String> {
             v.get(k)
                 .and_then(|x| x.as_u64())

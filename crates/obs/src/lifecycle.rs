@@ -333,13 +333,6 @@ impl InstRecord {
             .map_or(0, |w| u64::from(w[cause as usize]))
     }
 
-    /// Sum of all wait-slot charges (including `useful`).
-    pub fn wait_total(&self) -> u64 {
-        self.waits
-            .as_ref()
-            .map_or(0, |w| w.iter().map(|&n| u64::from(n)).sum())
-    }
-
     /// Stage timestamps in pipeline order, present ones only.
     pub fn stage_cycles(&self) -> Vec<(&'static str, u64)> {
         [
@@ -1002,11 +995,6 @@ impl ParsedInst {
             .chain(self.retire_cycle)
             .max()
             .unwrap_or(0)
-    }
-
-    /// Sum of all wait charges.
-    pub fn wait_total(&self) -> u64 {
-        self.waits.iter().map(|(_, n)| n).sum()
     }
 }
 

@@ -68,11 +68,6 @@ impl JsonlSink {
         })
     }
 
-    /// Write to any `Write` (tests).
-    pub fn to_writer(out: Box<dyn Write>) -> Self {
-        JsonlSink { out }
-    }
-
     /// Serialize one event as its JSONL line (no trailing newline).
     pub fn line(ev: &TraceEvent) -> String {
         event_line(ev)
@@ -96,7 +91,6 @@ pub struct ChromeSink {
     ring: VecDeque<TraceEvent>,
     cap: usize,
     dropped: u64,
-    out: Option<Box<dyn Write>>,
     path: String,
 }
 
@@ -107,19 +101,7 @@ impl ChromeSink {
             ring: VecDeque::with_capacity(cap.min(1 << 20)),
             cap: cap.max(1),
             dropped: 0,
-            out: None,
             path: path.to_string(),
-        }
-    }
-
-    /// Buffer events and write to `out` on flush (tests).
-    pub fn to_writer(out: Box<dyn Write>, cap: usize) -> Self {
-        ChromeSink {
-            ring: VecDeque::with_capacity(cap.min(1 << 20)),
-            cap: cap.max(1),
-            dropped: 0,
-            out: Some(out),
-            path: String::new(),
         }
     }
 
@@ -176,17 +158,8 @@ impl Sink for ChromeSink {
     }
 
     fn flush(&mut self) {
-        let doc = self.render();
-        match self.out.as_mut() {
-            Some(out) => {
-                let _ = out.write_all(doc.as_bytes());
-                let _ = out.flush();
-            }
-            None => {
-                if let Err(e) = std::fs::write(&self.path, doc) {
-                    eprintln!("cfir-obs: cannot write chrome trace {}: {e}", self.path);
-                }
-            }
+        if let Err(e) = std::fs::write(&self.path, self.render()) {
+            eprintln!("cfir-obs: cannot write chrome trace {}: {e}", self.path);
         }
     }
 }

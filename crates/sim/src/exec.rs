@@ -3,6 +3,7 @@
 use crate::mech::Slot;
 use crate::pipeline::Pipeline;
 use crate::rob::{RobState, Use, Validation};
+use crate::vec_engine::ValFail;
 use cfir_isa::{FuClass, Inst};
 use cfir_obs::{EventKind, Subsystem, WaitDetail, WaitEdgeKind};
 
@@ -132,15 +133,12 @@ impl Pipeline<'_> {
                     let seq = self.rob[i].seq;
                     self.lsq.set_addr(seq, addr);
                     match self.lsq.search_for_load(seq, addr) {
-                        crate::lsq::LoadSearch::Stall => {
-                            let (lsq, rob) = (&self.lsq, &self.rob);
+                        crate::lsq::LoadSearch::Stall(store) => {
+                            let rob = &self.rob;
                             self.obs.wait_edge(
                                 rob[i].lid,
                                 WaitEdgeKind::StoreDisambiguation,
-                                || {
-                                    let s = lsq.blocking_store_for_load(seq, addr)?;
-                                    rob.find_seq(s).map(|j| rob[j].lid)
-                                },
+                                || rob.find_seq(store).map(|j| rob[j].lid),
                                 WaitDetail::None,
                                 self.cycle,
                             );
@@ -474,14 +472,8 @@ impl Pipeline<'_> {
                             // Independent cross-check: if the load's own
                             // base register has become ready, the replica
                             // must hold this instance's exact address.
-                            let exact = match (self.rob[i].inst, self.rob[i].src_phys[0]) {
-                                (Inst::Ld { offset, .. }, Some(p)) if self.rf.is_ready(p) => {
-                                    Some(cfir_emu::MemImage::align(
-                                        self.rf.read(p).wrapping_add(offset as u64),
-                                    ))
-                                }
-                                _ => None,
-                            };
+                            let e = &self.rob[i];
+                            let exact = self.exact_load_addr(e.inst, e.src_phys[0]);
                             match (exact, addr) {
                                 (Some(x), Some(a)) if x != a => Poll::Mismatch,
                                 _ => Poll::Deliver(ent.value_of(replica), addr),
@@ -598,20 +590,15 @@ impl Pipeline<'_> {
             None => {}
         }
         match verdict {
-            Some(true) => {
-                let ent = m.srsmt.get_mut(slot.way).unwrap();
-                ent.confirmed = true;
-                ent.synced = true;
-            }
+            Some(true) => m.mark_aligned(slot.way, true),
             Some(false) => {
-                self.stats.validation_failures += 1;
-                self.stats.valfail_reasons[3] += 1;
-                self.obs
-                    .trace(Subsystem::Vec, 0, self.cycle, || EventKind::Validate {
-                        ok: false,
-                        reason: "address_mismatch",
-                    });
-                self.teardown_srsmt(&mut m, slot.way, "probe_mismatch");
+                self.reject(
+                    &mut m,
+                    slot.way,
+                    ValFail::AddressMismatch,
+                    0,
+                    "probe_mismatch",
+                );
             }
             None => {}
         }

@@ -26,9 +26,10 @@ pub enum LoadSearch {
     CacheAccess,
     /// An older store to the same word supplies the value.
     Forwarded(u64),
-    /// Cannot execute yet (unknown older store address, or matching
-    /// store data not ready).
-    Stall,
+    /// Cannot execute yet, blocked by the older store of this `seq`:
+    /// the youngest with an unknown address, or the matching one whose
+    /// data is not ready.
+    Stall(u64),
 }
 
 /// The bounded load/store queue.
@@ -108,35 +109,17 @@ impl Lsq {
     pub fn search_for_load(&self, seq: u64, addr: u64) -> LoadSearch {
         for e in self.older_stores(seq) {
             match e.addr {
-                None => return LoadSearch::Stall,
+                None => return LoadSearch::Stall(e.seq),
                 Some(a) if a == addr => {
                     return match e.data {
                         Some(d) => LoadSearch::Forwarded(d),
-                        None => LoadSearch::Stall,
+                        None => LoadSearch::Stall(e.seq),
                     };
                 }
                 _ => {}
             }
         }
         LoadSearch::CacheAccess
-    }
-
-    /// The store that currently makes [`Lsq::search_for_load`] return
-    /// [`LoadSearch::Stall`] for the load `seq` at `addr`: the youngest
-    /// older store with an unknown address, or the matching store whose
-    /// data is not ready yet. `None` when nothing blocks (the
-    /// disambiguation side of the lifecycle wait-edge taxonomy).
-    pub fn blocking_store_for_load(&self, seq: u64, addr: u64) -> Option<u64> {
-        for e in self.older_stores(seq) {
-            match e.addr {
-                None => return Some(e.seq),
-                Some(a) if a == addr => {
-                    return if e.data.is_none() { Some(e.seq) } else { None };
-                }
-                _ => {}
-            }
-        }
-        None
     }
 
     /// Remove the head entry when its instruction commits.
@@ -198,7 +181,7 @@ mod tests {
         let mut l = Lsq::new(8);
         l.push(1, true); // no address yet
         l.push(2, false);
-        assert_eq!(l.search_for_load(2, 1000), LoadSearch::Stall);
+        assert_eq!(l.search_for_load(2, 1000), LoadSearch::Stall(1));
         l.set_addr(1, 2000);
         l.set_data(1, 9);
         assert_eq!(l.search_for_load(2, 1000), LoadSearch::CacheAccess);
@@ -210,7 +193,7 @@ mod tests {
         l.push(1, true);
         l.set_addr(1, 1000);
         l.push(2, false);
-        assert_eq!(l.search_for_load(2, 1000), LoadSearch::Stall);
+        assert_eq!(l.search_for_load(2, 1000), LoadSearch::Stall(1));
     }
 
     #[test]
@@ -231,7 +214,7 @@ mod tests {
         l.set_data(1, 5);
         l.push(2, true); // unknown address between the match and the load
         l.push(3, false);
-        assert_eq!(l.search_for_load(3, 1000), LoadSearch::Stall);
+        assert_eq!(l.search_for_load(3, 1000), LoadSearch::Stall(2));
     }
 
     #[test]
@@ -242,18 +225,14 @@ mod tests {
         l.set_addr(2, 1000); // matching, data missing
         l.push(3, false);
         // Youngest blocker first: store 2 matches but has no data.
-        assert_eq!(l.search_for_load(3, 1000), LoadSearch::Stall);
-        assert_eq!(l.blocking_store_for_load(3, 1000), Some(2));
+        assert_eq!(l.search_for_load(3, 1000), LoadSearch::Stall(2));
         l.set_data(2, 7);
         // Now the match forwards; nothing blocks.
         assert_eq!(l.search_for_load(3, 1000), LoadSearch::Forwarded(7));
-        assert_eq!(l.blocking_store_for_load(3, 1000), None);
         // A different address is still behind store 1's unknown addr.
-        assert_eq!(l.search_for_load(3, 2000), LoadSearch::Stall);
-        assert_eq!(l.blocking_store_for_load(3, 2000), Some(1));
+        assert_eq!(l.search_for_load(3, 2000), LoadSearch::Stall(1));
         l.set_addr(1, 3000);
         l.set_data(1, 0);
-        assert_eq!(l.blocking_store_for_load(3, 2000), None);
         assert_eq!(l.search_for_load(3, 2000), LoadSearch::CacheAccess);
     }
 
@@ -302,31 +281,17 @@ mod tests {
                     continue;
                 }
                 match e.addr {
-                    None => return LoadSearch::Stall,
+                    None => return LoadSearch::Stall(e.seq),
                     Some(a) if a == addr => {
                         return match e.data {
                             Some(d) => LoadSearch::Forwarded(d),
-                            None => LoadSearch::Stall,
+                            None => LoadSearch::Stall(e.seq),
                         };
                     }
                     _ => {}
                 }
             }
             LoadSearch::CacheAccess
-        }
-
-        pub fn blocking_store_for_load(l: &Lsq, seq: u64, addr: u64) -> Option<u64> {
-            for e in l.q.iter().rev() {
-                if e.seq >= seq || !e.store {
-                    continue;
-                }
-                match e.addr {
-                    None => return Some(e.seq),
-                    Some(a) if a == addr => return e.data.is_none().then_some(e.seq),
-                    _ => {}
-                }
-            }
-            None
         }
     }
 
@@ -388,11 +353,6 @@ mod tests {
                             fast.search_for_load(seq, addr),
                             reference::search_for_load(&fast, seq, addr),
                             "seed {seed} step {step}: load {seq} at {addr}"
-                        );
-                        assert_eq!(
-                            fast.blocking_store_for_load(seq, addr),
-                            reference::blocking_store_for_load(&fast, seq, addr),
-                            "seed {seed} step {step}: blocker of load {seq} at {addr}"
                         );
                     }
                 }

@@ -158,6 +158,18 @@ impl Mech {
         Some((idx, gen))
     }
 
+    /// Mark the SRSMT entry at `idx` in step with the dynamic
+    /// instruction stream, and confirmed when exact evidence (an exact
+    /// address or a probe's real result) backs the alignment.
+    pub(crate) fn mark_aligned(&mut self, idx: usize, exact: bool) {
+        let ent = self
+            .srsmt
+            .get_mut(idx)
+            .expect("an aligned way holds an entry");
+        ent.synced = true;
+        ent.confirmed |= exact;
+    }
+
     /// Current mis-speculation count of byte PC `bpc`.
     pub(crate) fn misspec(&self, bpc: u64) -> u8 {
         self.misspec_count[(bpc >> 2) as usize]

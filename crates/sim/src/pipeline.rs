@@ -289,7 +289,6 @@ impl<'a> Pipeline<'a> {
                 crate::prof::StaticTruth {
                     rcp: b.rcp,
                     class: b.class.name(),
-                    is_hammock: b.class.is_hammock(),
                 },
             );
         }

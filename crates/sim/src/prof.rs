@@ -111,9 +111,6 @@ pub struct StaticTruth {
     pub rcp: Option<u32>,
     /// Hammock class name (`ifthen`, `ifthenelse`, `loopback`, ...).
     pub class: &'static str,
-    /// `true` for the forward-hammock shapes the dynamic heuristic
-    /// targets.
-    pub is_hammock: bool,
 }
 
 /// Marks an empty slot of [`BranchProf`]'s dense PC table.
@@ -655,7 +652,6 @@ mod tests {
             StaticTruth {
                 rcp: Some(14),
                 class: "ifthen",
-                is_hammock: true,
             },
         );
         assert_eq!(p.static_truth(10).unwrap().rcp, Some(14));

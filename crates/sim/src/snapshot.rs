@@ -293,8 +293,8 @@ fn write_run(w: &mut JsonWriter, name: &str, label: &str, stats: &SimStats) {
     w.end_obj();
 
     w.key("valfail_reasons").begin_obj();
-    for (k, label) in crate::vec_engine::VALFAIL_REASONS.iter().enumerate() {
-        w.field_u64(label, stats.valfail_reasons[k]);
+    for why in crate::vec_engine::ValFail::ALL {
+        w.field_u64(why.label(), stats.valfail_reasons[why as usize]);
     }
     w.end_obj();
 
@@ -515,7 +515,6 @@ mod tests {
             crate::prof::StaticTruth {
                 rcp: Some(0x44),
                 class: "ifthen",
-                is_hammock: true,
             },
         );
         stats.branch_prof.note_rcp_check(0x40, true);

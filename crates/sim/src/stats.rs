@@ -55,10 +55,12 @@ pub struct SimStats {
     pub branches: u64,
     /// Conditional-branch mispredictions (architectural).
     pub mispredicts: u64,
-    /// Reuse validations that failed at decode (seq/stride mismatch).
+    /// Reuse validations that failed (§2.3.4), at decode or when a
+    /// probe's real result contradicted its replica.
     pub validation_failures: u64,
-    /// Failure breakdown: [inst-mismatch, replica-not-ready,
-    /// stride-untrusted-or-changed, address-mismatch, seq-mismatch].
+    /// Failure breakdown by reason: [inst-mismatch, replica-not-ready,
+    /// stride-untrusted-or-changed, address-mismatch, seq-mismatch],
+    /// indexed by the reason's discriminant.
     pub valfail_reasons: [u64; 5],
     /// Reuse validations that passed decode but failed the commit-time
     /// architectural check (triggering a flush).
@@ -372,6 +374,7 @@ mod tests {
 
     #[test]
     fn window_deltas_sum_back_to_the_run() {
+        let seq = crate::vec_engine::ValFail::SeqMismatch as usize;
         let at = |k: u64| {
             let mut s = SimStats {
                 cycles: 100 * k,
@@ -380,7 +383,7 @@ mod tests {
                 reg_high_water: 10 * k,
                 ..Default::default()
             };
-            s.valfail_reasons[4] = 3 * k;
+            s.valfail_reasons[seq] = 3 * k;
             s.stall.charge(cfir_obs::StallCause::Useful, 800 * k);
             s
         };
@@ -390,7 +393,7 @@ mod tests {
         acc.accumulate(&s2.delta_since(&s1));
         assert_eq!((acc.cycles, acc.committed), (300, 750));
         assert_eq!(acc.lifecycle_dropped, 3);
-        assert_eq!(acc.valfail_reasons[4], 9);
+        assert_eq!(acc.valfail_reasons[seq], 9);
         assert_eq!(acc.stall.get(cfir_obs::StallCause::Useful), 2400);
         assert_eq!(acc.reg_high_water, 30, "high-water is maxed, not summed");
     }

@@ -6,21 +6,50 @@ use crate::config::Mode;
 use crate::exec::alu_result;
 use crate::mech::{Mech, RepState, Replica, Slot, SquashReuse};
 use crate::pipeline::Pipeline;
+use crate::regfile::PhysId;
 use crate::rob::{RobEntry, RobState, Use, Validation};
 use cfir_core::srsmt::{AllocOutcome, SeqId, SrsmtEntry, StorageId, VecKind};
 use cfir_isa::{Inst, Program};
 use cfir_obs::{EventKind, Subsystem, WaitEdgeKind};
 use std::collections::BTreeMap;
 
-/// Human-readable labels for the `valfail_reasons` buckets (§2.3.4
-/// validation failure taxonomy). Index k labels `valfail_reasons[k]`.
-pub const VALFAIL_REASONS: [&str; 5] = [
-    "inst_mismatch",
-    "replica_not_ready",
-    "stride_untrusted",
-    "address_mismatch",
-    "seq_mismatch",
-];
+/// Why a validation failed (§2.3.4's taxonomy). The discriminant
+/// indexes `SimStats::valfail_reasons`; the label is both the snapshot
+/// key and the `Validate` trace reason.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ValFail {
+    /// The entry replicates another instruction (PC aliasing), or is gone.
+    InstMismatch,
+    /// No pre-executed instance is available.
+    ReplicaNotReady,
+    /// A load's stride is no longer trusted, or changed.
+    StrideUntrusted,
+    /// The instance's address contradicts the replica's.
+    AddressMismatch,
+    /// A source operand's producer no longer matches the entry.
+    SeqMismatch,
+}
+
+impl ValFail {
+    /// Every reason, in `valfail_reasons` order.
+    pub(crate) const ALL: [ValFail; 5] = [
+        ValFail::InstMismatch,
+        ValFail::ReplicaNotReady,
+        ValFail::StrideUntrusted,
+        ValFail::AddressMismatch,
+        ValFail::SeqMismatch,
+    ];
+
+    pub(crate) fn label(self) -> &'static str {
+        match self {
+            ValFail::InstMismatch => "inst_mismatch",
+            ValFail::ReplicaNotReady => "replica_not_ready",
+            ValFail::StrideUntrusted => "stride_untrusted",
+            ValFail::AddressMismatch => "address_mismatch",
+            ValFail::SeqMismatch => "seq_mismatch",
+        }
+    }
+}
 
 impl Pipeline<'_> {
     /// Address the *next dispatched* instance of the load at `pc` will
@@ -59,6 +88,17 @@ impl Pipeline<'_> {
         })
     }
 
+    /// The exact address of `inst` when it is a load whose base
+    /// register, physical register `base`, is ready.
+    pub(crate) fn exact_load_addr(&self, inst: Inst, base: Option<PhysId>) -> Option<u64> {
+        match (inst, base) {
+            (Inst::Ld { offset, .. }, Some(p)) if self.rf.is_ready(p) => Some(
+                cfir_emu::MemImage::align(self.rf.read(p).wrapping_add(offset as u64)),
+            ),
+            _ => None,
+        }
+    }
+
     // ----------------------------------------------------------------
     // Decode hooks
     // ----------------------------------------------------------------
@@ -74,49 +114,13 @@ impl Pipeline<'_> {
     }
 
     fn mech_decode_inner(&mut self, m: &mut Mech, e: &mut RobEntry) {
-        let pc = e.pc;
-        let bpc = Program::byte_pc(pc);
-        let inst = e.inst;
         let mode = self.cfg.mode;
-
-        // --- CRP tracking (§2.3.2), ci and ci-iw modes ---
-        let mut is_ci = false;
-        if mode.selects_ci() {
-            let reached = m.crp.on_fetch(pc);
-            if reached {
-                is_ci = !inst.is_control()
-                    && inst.dest().is_some()
-                    && m.crp.is_control_independent(inst.sources());
-                if is_ci {
-                    self.stats.branch_prof.mark_selected(m.crp.event);
-                    if mode == Mode::Ci {
-                        // Select the strided loads in the backward slice
-                        // for speculative vectorization (S flag).
-                        for s in inst.sources().iter().flatten() {
-                            for &lp in self.ext[*s as usize].strided_pcs() {
-                                if m.stride.is_strided(lp) && m.stride.set_selected(lp, true) {
-                                    m.set_sel_event(lp, m.crp.event);
-                                }
-                            }
-                        }
-                        // A strided load that is itself control
-                        // independent selects itself.
-                        if inst.is_load() && m.stride.is_strided(bpc) {
-                            m.stride.set_selected(bpc, true);
-                            m.set_sel_event(bpc, m.crp.event);
-                        }
-                    }
-                }
-            }
-            if let Some(d) = inst.dest() {
-                m.crp.on_dest_write(d, is_ci);
-            }
-        }
+        let is_ci = mode.selects_ci() && self.select_ci(m, e.pc, e.inst);
 
         // --- ci-iw: squash-reuse buffer lookup ---
         if mode == Mode::CiIw {
             if is_ci {
-                if let Some(sr) = m.squash_buf[pc as usize].pop_front() {
+                if let Some(sr) = m.squash_buf[e.pc as usize].pop_front() {
                     self.stats.squash_reuse_hits += 1;
                     e.value = sr.value;
                     e.validation = Some(Validation {
@@ -132,222 +136,225 @@ impl Pipeline<'_> {
         if !mode.vectorizes() {
             return;
         }
+        let Some(idx) = m.srsmt.find(Program::byte_pc(e.pc)) else {
+            return;
+        };
+        // Exact address of *this* dynamic load instance, when the base
+        // register is already available (in steady reuse the whole
+        // index chain is reused, so it usually is).
+        let base = e.inst.sources()[0].map(|r| self.rmap[r as usize]);
+        let exact_addr = self.exact_load_addr(e.inst, base);
+        if self.align_entry(m, idx, e.pc, exact_addr) {
+            self.validate(m, idx, e, exact_addr);
+        }
+    }
 
-        // --- Validation (§2.3.4) ---
-        if let Some(idx) = m.srsmt.find(bpc) {
-            // Exact address of *this* dynamic load instance, when the
-            // base register is already available (in steady reuse the
-            // whole index chain is reused, so it usually is).
-            let exact_addr = if let Inst::Ld { offset, .. } = inst {
-                let base = inst.sources()[0].unwrap();
-                let phys = self.rmap[base as usize];
-                if self.rf.is_ready(phys) {
-                    Some(cfir_emu::MemImage::align(
-                        self.rf.read(phys).wrapping_add(offset as u64),
-                    ))
-                } else {
-                    None
-                }
-            } else {
-                None
-            };
-            // Soft miss: no pre-executed instance available right now
-            // (the window ran ahead of the replica engine). Execute
-            // normally; the entry stays for later instances but its
-            // instance numbering is no longer in step.
-            if m.srsmt
-                .get(idx)
-                .map(|ent| ent.decode >= ent.head)
-                .unwrap_or(false)
-            {
-                let is_load_kind = m
-                    .srsmt
-                    .get(idx)
-                    .map(|e| matches!(e.kind, VecKind::Load { .. }))
-                    .unwrap_or(false);
-                if is_load_kind {
-                    // The numbering is no longer in step; re-align on
-                    // (estimate or exact) evidence at a later instance.
-                    // A previously confirmed entry keeps its
-                    // confirmation: realignment snaps back onto the same
-                    // verified address sequence.
-                    if let Some(ent) = m.srsmt.get_mut(idx) {
-                        ent.synced = false;
-                    }
-                } else {
-                    // Dependent entries have no address evidence to
-                    // re-align with: tear down and re-vectorize.
-                    self.teardown_srsmt(m, idx, "soft_miss");
-                }
-                return;
-            }
-            // Synchronisation state machine for loads: a desynced entry
-            // may only validate against exact-address evidence, either
-            // at the current slot or by skipping ahead to the matching
-            // instance.
-            let is_load_entry = m
-                .srsmt
-                .get(idx)
-                .map(|e| matches!(e.kind, VecKind::Load { .. }))
-                .unwrap_or(false);
-            if is_load_entry {
-                let ent = m.srsmt.get(idx).unwrap();
-                let cur_matches = ent
-                    .next_slot()
-                    .map(|k| Some(ent.addr_of(k)) == exact_addr)
-                    .unwrap_or(false);
-                // Alignment evidence: the exact address when the base
-                // register is ready, else the commit-anchored estimate
-                // (last committed address plus one stride per in-flight
-                // instance of this load — exact along a single path).
-                let stride = match ent.kind {
-                    VecKind::Load { stride, .. } => stride,
-                    VecKind::Op => 0,
-                };
-                let evidence = exact_addr.or_else(|| self.frontier_addr(m, pc, stride));
-                if !ent.synced {
-                    match evidence {
-                        None => return, // cannot prove alignment: execute normally
-                        Some(exp) => {
-                            let cur_ev = ent
-                                .next_slot()
-                                .map(|k| ent.addr_of(k) == exp)
-                                .unwrap_or(false);
-                            if cur_ev {
-                                self.obs.trace(Subsystem::Vec, pc as u64, self.cycle, || {
-                                    EventKind::Note {
-                                        msg: format!("sync-accept exp={exp:#x}"),
-                                    }
-                                });
-                                let ent = m.srsmt.get_mut(idx).unwrap();
-                                ent.synced = true;
-                                if exact_addr == Some(exp) {
-                                    ent.confirmed = true;
-                                }
-                            } else {
-                                // Search ahead for the matching instance.
-                                let skip_to = if ent.decode == ent.commit {
-                                    (ent.decode + 1..ent.head)
-                                        .find(|&k| !ent.is_dead(k) && ent.addr_of(k) == exp)
-                                } else {
-                                    None
-                                };
-                                match skip_to {
-                                    Some(k) => {
-                                        let (freed, from) = {
-                                            let ent = m.srsmt.get_mut(idx).unwrap();
-                                            let from = ent.decode;
-                                            (ent.skip_to(k), from)
-                                        };
-                                        self.free_storage(m, &freed);
-                                        let gen = m.srsmt.get(idx).unwrap().gen;
-                                        self.reap_replicas(|r| {
-                                            r.slot.gen == gen && (from..k).contains(&r.slot.k)
-                                        });
-                                        self.teardown_consumers_of(m, bpc);
-                                        if let Some(ent) = m.srsmt.get_mut(idx) {
-                                            ent.synced = true;
-                                            if exact_addr == Some(exp) {
-                                                ent.confirmed = true;
-                                            }
-                                        }
-                                    }
-                                    None => {
-                                        // Exact evidence contradicts every
-                                        // live instance: stale addresses.
-                                        self.stats.validation_failures += 1;
-                                        self.stats.valfail_reasons[3] += 1;
-                                        self.obs.trace(
-                                            Subsystem::Vec,
-                                            pc as u64,
-                                            self.cycle,
-                                            || EventKind::Validate {
-                                                ok: false,
-                                                reason: "address_mismatch",
-                                            },
-                                        );
-                                        self.teardown_srsmt(m, idx, "stale_addresses");
-                                        return;
-                                    }
-                                }
-                            }
+    /// CRP tracking (§2.3.2), ci and ci-iw modes: whether the
+    /// instruction at `pc` is control independent of the last hard
+    /// misprediction. In ci mode such an instruction also selects the
+    /// strided loads in its backward slice for speculative
+    /// vectorization (S flag).
+    fn select_ci(&mut self, m: &mut Mech, pc: u32, inst: Inst) -> bool {
+        let reached = m.crp.on_fetch(pc);
+        let is_ci = reached
+            && !inst.is_control()
+            && inst.dest().is_some()
+            && m.crp.is_control_independent(inst.sources());
+        if is_ci {
+            self.stats.branch_prof.mark_selected(m.crp.event);
+            if self.cfg.mode == Mode::Ci {
+                for s in inst.sources().iter().flatten() {
+                    for &lp in self.ext[*s as usize].strided_pcs() {
+                        if m.stride.is_strided(lp) && m.stride.set_selected(lp, true) {
+                            m.set_sel_event(lp, m.crp.event);
                         }
                     }
-                } else if exact_addr.is_some() && !cur_matches {
-                    // Synced count contradicted by exact evidence:
-                    // desynchronise and retry the alignment next time.
-                    let ent = m.srsmt.get_mut(idx).unwrap();
-                    ent.synced = false;
-                    ent.confirmed = false;
-                    return;
                 }
-            }
-            let r = self.try_validate(m, idx, inst, exact_addr);
-            self.obs.trace(Subsystem::Vec, pc as u64, self.cycle, || {
-                let msg =
-                    match m.srsmt.get(idx) {
-                        Some(ent) => format!(
-                        "validate -> {:?} dec={} com={} head={} synced={} exact={:?} slotaddr={:?}",
-                        r, ent.decode, ent.commit, ent.head, ent.synced,
-                        exact_addr, ent.next_slot().map(|k| ent.addr_of(k))
-                    ),
-                        None => format!("validate -> {r:?} (entry gone)"),
-                    };
-                EventKind::Note { msg }
-            });
-            match r {
-                Ok(replica) => {
-                    let ent = m.srsmt.get_mut(idx).unwrap();
-                    ent.advance_decode();
-                    let slot = Some(Slot {
-                        way: idx,
-                        gen: ent.gen,
-                        k: replica,
-                    });
-                    let event = ent.event;
-                    self.stats.branch_prof.note_validation(event);
-                    let kind = if !ent.confirmed {
-                        // Probe: consume the slot but execute normally;
-                        // the alignment is verified at writeback against
-                        // the real result before any value may be
-                        // delivered.
-                        self.obs
-                            .trace(Subsystem::Vec, pc as u64, self.cycle, || EventKind::Note {
-                                msg: format!("probe k={replica} seq={}", e.seq),
-                            });
-                        Use::Probe { checked: false }
-                    } else {
-                        let pending = !ent.is_complete(replica);
-                        e.value = ent.value_of(replica);
-                        if inst.is_load() && !pending {
-                            e.addr = Some(ent.addr_of(replica));
-                        }
-                        self.obs.trace(Subsystem::Vec, pc as u64, self.cycle, || {
-                            EventKind::Validate {
-                                ok: true,
-                                reason: "ok",
-                            }
-                        });
-                        Use::Take { pending }
-                    };
-                    e.validation = Some(Validation { slot, event, kind });
-                }
-                Err(reason) => {
-                    // §2.3.4: wrong speculation — deallocate and
-                    // re-vectorize with the new operands (falls through
-                    // to the vectorization triggers below).
-                    self.stats.validation_failures += 1;
-                    self.stats.valfail_reasons[reason] += 1;
-                    self.obs.trace(Subsystem::Vec, pc as u64, self.cycle, || {
-                        EventKind::Validate {
-                            ok: false,
-                            reason: VALFAIL_REASONS[reason],
-                        }
-                    });
-                    self.teardown_srsmt(m, idx, "validation_failure");
+                // A strided load that is itself control independent
+                // selects itself.
+                let bpc = Program::byte_pc(pc);
+                if inst.is_load() && m.stride.is_strided(bpc) {
+                    m.stride.set_selected(bpc, true);
+                    m.set_sel_event(bpc, m.crp.event);
                 }
             }
         }
+        if let Some(d) = inst.dest() {
+            m.crp.on_dest_write(d, is_ci);
+        }
+        is_ci
+    }
+
+    /// Keep the entry at `idx` in step with the dynamic instruction
+    /// stream before the instance of `pc` validates against it; returns
+    /// whether validation may go ahead. On a soft miss (no pre-executed
+    /// instance available right now: the window ran ahead of the
+    /// replica engine) the instance executes normally. A desynced load
+    /// entry may only validate against alignment evidence, either at
+    /// the current slot or by skipping ahead to the matching instance.
+    fn align_entry(&mut self, m: &mut Mech, idx: usize, pc: u32, exact_addr: Option<u64>) -> bool {
+        let ent = m.srsmt.get(idx).expect("a found way holds an entry");
+        let load_stride = match ent.kind {
+            VecKind::Load { stride, .. } => Some(stride),
+            VecKind::Op => None,
+        };
+        if ent.decode >= ent.head {
+            match load_stride {
+                // The numbering is no longer in step; re-align on
+                // (estimate or exact) evidence at a later instance. A
+                // previously confirmed entry keeps its confirmation:
+                // realignment snaps back onto the same verified address
+                // sequence.
+                Some(_) => m.srsmt.get_mut(idx).unwrap().synced = false,
+                // Dependent entries have no address evidence to
+                // re-align with: tear down and re-vectorize.
+                None => self.teardown_srsmt(m, idx, "soft_miss"),
+            }
+            return false;
+        }
+        let Some(stride) = load_stride else {
+            return true;
+        };
+        let cur = ent.next_slot().map(|k| ent.addr_of(k));
+        if ent.synced {
+            if exact_addr.is_some() && cur != exact_addr {
+                // Synced count contradicted by exact evidence:
+                // desynchronise and retry the alignment next time.
+                let ent = m.srsmt.get_mut(idx).unwrap();
+                ent.synced = false;
+                ent.confirmed = false;
+                return false;
+            }
+            return true;
+        }
+        // Alignment evidence: the exact address when the base register
+        // is ready, else the commit-anchored estimate (last committed
+        // address plus one stride per in-flight instance of this load —
+        // exact along a single path).
+        let Some(exp) = exact_addr.or_else(|| self.frontier_addr(m, pc, stride)) else {
+            return false; // cannot prove alignment: execute normally
+        };
+        if cur == Some(exp) {
+            self.obs
+                .trace(Subsystem::Vec, pc as u64, self.cycle, || EventKind::Note {
+                    msg: format!("sync-accept exp={exp:#x}"),
+                });
+        } else {
+            // Search ahead for the matching instance.
+            let skip_to = if ent.decode == ent.commit {
+                (ent.decode + 1..ent.head).find(|&k| !ent.is_dead(k) && ent.addr_of(k) == exp)
+            } else {
+                None
+            };
+            let (from, gen, bpc) = (ent.decode, ent.gen, ent.pc);
+            let Some(k) = skip_to else {
+                // The evidence contradicts every live instance: stale
+                // addresses.
+                self.reject(m, idx, ValFail::AddressMismatch, pc, "stale_addresses");
+                return false;
+            };
+            let freed = m.srsmt.get_mut(idx).unwrap().skip_to(k);
+            self.free_storage(m, &freed);
+            self.reap_replicas(|r| r.slot.gen == gen && (from..k).contains(&r.slot.k));
+            // The entries reading this one's instances are out of step.
+            self.teardown_where(
+                m,
+                |c| {
+                    [c.seq1, c.seq2]
+                        .iter()
+                        .any(|s| matches!(*s, SeqId::Vec { pc: p, .. } if p == bpc))
+                },
+                "producer_realigned",
+            );
+        }
+        m.mark_aligned(idx, exact_addr == Some(exp));
+        true
+    }
+
+    /// Validation (§2.3.4) of the instance `e` against the entry at
+    /// `idx`. On success it consumes the entry's next instance: a
+    /// confirmed entry delivers that instance's value, an unconfirmed
+    /// one is probed. A failure is rejected, and `mech_vectorize`
+    /// re-vectorizes the instruction with its new operands.
+    fn validate(&mut self, m: &mut Mech, idx: usize, e: &mut RobEntry, exact_addr: Option<u64>) {
+        let (pc, inst) = (e.pc, e.inst);
+        let r = self.try_validate(m, idx, inst, exact_addr);
+        self.obs.trace(Subsystem::Vec, pc as u64, self.cycle, || {
+            let r = r.map_err(|why| why as usize);
+            let msg = match m.srsmt.get(idx) {
+                Some(ent) => format!(
+                    "validate -> {r:?} dec={} com={} head={} synced={} exact={exact_addr:?} \
+                     slotaddr={:?}",
+                    ent.decode,
+                    ent.commit,
+                    ent.head,
+                    ent.synced,
+                    ent.next_slot().map(|k| ent.addr_of(k))
+                ),
+                None => format!("validate -> {r:?} (entry gone)"),
+            };
+            EventKind::Note { msg }
+        });
+        let replica = match r {
+            Ok(replica) => replica,
+            Err(why) => return self.reject(m, idx, why, pc, "validation_failure"),
+        };
+        let ent = m.srsmt.get_mut(idx).unwrap();
+        ent.advance_decode();
+        let slot = Some(Slot {
+            way: idx,
+            gen: ent.gen,
+            k: replica,
+        });
+        let event = ent.event;
+        self.stats.branch_prof.note_validation(event);
+        let kind = if !ent.confirmed {
+            // Probe: consume the slot but execute normally; the
+            // alignment is verified at writeback against the real
+            // result before any value may be delivered.
+            self.obs
+                .trace(Subsystem::Vec, pc as u64, self.cycle, || EventKind::Note {
+                    msg: format!("probe k={replica} seq={}", e.seq),
+                });
+            Use::Probe { checked: false }
+        } else {
+            let pending = !ent.is_complete(replica);
+            e.value = ent.value_of(replica);
+            if inst.is_load() && !pending {
+                e.addr = Some(ent.addr_of(replica));
+            }
+            self.obs.trace(Subsystem::Vec, pc as u64, self.cycle, || {
+                EventKind::Validate {
+                    ok: true,
+                    reason: "ok",
+                }
+            });
+            Use::Take { pending }
+        };
+        e.validation = Some(Validation { slot, event, kind });
+    }
+
+    /// Reject a failed validation (§2.3.4): count it under `why`, trace
+    /// it at word PC `pc`, and deallocate the entry at `idx` (the
+    /// teardown labelled `teardown`), so that the instruction
+    /// re-vectorizes.
+    pub(crate) fn reject(
+        &mut self,
+        m: &mut Mech,
+        idx: usize,
+        why: ValFail,
+        pc: u32,
+        teardown: &'static str,
+    ) {
+        self.stats.validation_failures += 1;
+        self.stats.valfail_reasons[why as usize] += 1;
+        self.obs.trace(Subsystem::Vec, pc as u64, self.cycle, || {
+            EventKind::Validate {
+                ok: false,
+                reason: why.label(),
+            }
+        });
+        self.teardown_srsmt(m, idx, teardown);
     }
 
     /// Vectorization triggers (§2.3.2 / §2.3.3). Runs *after* rename so
@@ -399,51 +406,33 @@ impl Pipeline<'_> {
         self.mech = Some(m);
     }
 
-    /// Tear down every entry whose sources reference the vectorized
-    /// instruction at `pc` (their instance alignment is no longer
-    /// valid).
-    fn teardown_consumers_of(&mut self, m: &mut Mech, pc: u64) {
-        let victims: Vec<usize> = m
-            .srsmt
-            .iter_valid()
-            .filter(|(_, e)| {
-                matches!(e.seq1, SeqId::Vec { pc: p, .. } if p == pc)
-                    || matches!(e.seq2, SeqId::Vec { pc: p, .. } if p == pc)
-            })
-            .map(|(i, _)| i)
-            .collect();
-        for v in victims {
-            self.teardown_srsmt(m, v, "producer_realigned");
-        }
-    }
-
     /// Check the §2.3.4 validation conditions. Returns the consumed
-    /// instance index on success, the failure-reason bucket otherwise.
+    /// instance index on success, why the validation failed otherwise.
     fn try_validate(
         &self,
         m: &Mech,
         idx: usize,
         inst: Inst,
         expected_addr: Option<u64>,
-    ) -> Result<u32, usize> {
-        let ent = m.srsmt.get(idx).ok_or(0usize)?;
+    ) -> Result<u32, ValFail> {
+        let ent = m.srsmt.get(idx).ok_or(ValFail::InstMismatch)?;
         if ent.inst != inst {
-            return Err(0); // PC aliasing across different instructions
+            return Err(ValFail::InstMismatch); // PC aliasing
         }
-        let replica = ent.next_slot().ok_or(1usize)?;
+        let replica = ent.next_slot().ok_or(ValFail::ReplicaNotReady)?;
         match ent.kind {
             VecKind::Load { stride, .. } => {
                 // "For a load, the stride must keep on being the same."
-                let se = m.stride.lookup(ent.pc).ok_or(2usize)?;
+                let se = m.stride.lookup(ent.pc).ok_or(ValFail::StrideUntrusted)?;
                 if !se.trusted() || se.stride != stride {
-                    return Err(2);
+                    return Err(ValFail::StrideUntrusted);
                 }
                 // Address alignment is enforced by the sync-state
                 // machine in the caller; when exact evidence is present
                 // it must agree with the slot (belt and braces).
                 if let Some(exp) = expected_addr {
                     if exp != ent.addr_of(replica) {
-                        return Err(3);
+                        return Err(ValFail::AddressMismatch);
                     }
                 }
                 Ok(replica)
@@ -455,7 +444,7 @@ impl Pipeline<'_> {
                 if inst.is_load() && ent.is_complete(replica) {
                     if let Some(exp) = expected_addr {
                         if ent.addr_of(replica) != exp {
-                            return Err(3);
+                            return Err(ValFail::AddressMismatch);
                         }
                     }
                 }
@@ -466,12 +455,12 @@ impl Pipeline<'_> {
                 for (seq, src) in [(ent.seq1, srcs[0]), (ent.seq2, srcs[1])] {
                     match (seq, src) {
                         (SeqId::None, None) => {}
-                        (SeqId::None, Some(_)) => return Err(4),
-                        (_, None) => return Err(4),
+                        (SeqId::None, Some(_)) => return Err(ValFail::SeqMismatch),
+                        (_, None) => return Err(ValFail::SeqMismatch),
                         (SeqId::Vec { pc, gen, off }, Some(s)) => {
                             let x = &self.ext[s as usize];
                             if !x.vs || x.seq != pc {
-                                return Err(4);
+                                return Err(ValFail::SeqMismatch);
                             }
                             // Source synchronisation (§2.3.4: the
                             // validation "will wait until the fields
@@ -485,20 +474,20 @@ impl Pipeline<'_> {
                                 .srsmt
                                 .find(pc)
                                 .and_then(|i| m.srsmt.get(i))
-                                .ok_or(4usize)?;
+                                .ok_or(ValFail::SeqMismatch)?;
                             if p.gen != gen || p.decode != off + replica + 1 {
-                                return Err(4);
+                                return Err(ValFail::SeqMismatch);
                             }
                         }
                         (SeqId::SelfLoop, Some(s)) => {
                             let x = &self.ext[s as usize];
                             if !x.vs || x.seq != ent.pc {
-                                return Err(4);
+                                return Err(ValFail::SeqMismatch);
                             }
                         }
                         (SeqId::Scalar(_), Some(s)) => {
                             if self.ext[s as usize].vs {
-                                return Err(4);
+                                return Err(ValFail::SeqMismatch);
                             }
                         }
                     }
@@ -547,17 +536,28 @@ impl Pipeline<'_> {
     /// replicas are *not* squashed — and the DAEC tick (§2.4.2), which
     /// releases idle entries.
     pub(crate) fn srsmt_recovery(&mut self, m: &mut Mech, seq: u64) {
+        self.teardown_where(m, |e| e.creator > seq, "creator_squashed");
+        for ent in m.srsmt.recovery() {
+            self.release_entry(m, &ent);
+        }
+    }
+
+    /// Tear down, in way order, every entry that `victim` picks.
+    /// `reason` labels each teardown in the trace.
+    fn teardown_where(
+        &mut self,
+        m: &mut Mech,
+        victim: impl Fn(&SrsmtEntry) -> bool,
+        reason: &'static str,
+    ) {
         let victims: Vec<usize> = m
             .srsmt
             .iter_valid()
-            .filter(|(_, e)| e.creator > seq)
+            .filter(|(_, e)| victim(e))
             .map(|(i, _)| i)
             .collect();
         for v in victims {
-            self.teardown_srsmt(m, v, "creator_squashed");
-        }
-        for ent in m.srsmt.recovery() {
-            self.release_entry(m, &ent);
+            self.teardown_srsmt(m, v, reason);
         }
     }
 
@@ -614,10 +614,10 @@ impl Pipeline<'_> {
     /// the window has it, else the predictor's last *committed* address
     /// (it trains at commit) plus one stride per in-flight instance.
     fn vectorize_load(&mut self, m: &mut Mech, e: &RobEntry, stride: i64) {
-        let (pc32, bpc) = (e.pc, Program::byte_pc(e.pc));
+        let bpc = Program::byte_pc(e.pc);
         // Address of the instance being decoded (= "instance -1" of the
         // replica stream); the caller's trusted stride makes it known.
-        let Some(base) = self.frontier_addr(m, pc32, stride) else {
+        let Some(base) = self.frontier_addr(m, e.pc, stride) else {
             return;
         };
         let mut ent = SrsmtEntry::new(
@@ -630,24 +630,7 @@ impl Pipeline<'_> {
         );
         ent.event = m.sel_event(bpc);
         ent.creator = e.seq;
-        match m.srsmt.alloc(ent) {
-            AllocOutcome::Placed { idx, evicted } => {
-                if let Some(old) = evicted {
-                    self.release_entry(m, &old);
-                }
-                self.stats.vectorizations += 1;
-                self.obs.trace(Subsystem::Vec, pc32 as u64, self.cycle, || {
-                    EventKind::Vectorize {
-                        kind: "load",
-                        base,
-                        stride,
-                        count: self.cfg.mech.replicas_per_inst as u32,
-                    }
-                });
-                while self.grow_one(m, idx) {}
-            }
-            AllocOutcome::Full => {}
-        }
+        self.install(m, ent);
     }
 
     /// Vectorize an instruction dependent on vectorized producers
@@ -715,7 +698,6 @@ impl Pipeline<'_> {
         // Dependent entries are anchored to their producers' instance
         // streams; require those to be in step at creation.
         ent.synced = true;
-        let wants_seed = seed != 0;
         ent.event = [seqs[0], seqs[1]].iter().find_map(|s| match s {
             SeqId::Vec { pc, .. } => m
                 .srsmt
@@ -724,28 +706,40 @@ impl Pipeline<'_> {
                 .and_then(|p| p.event),
             _ => None,
         });
-        match m.srsmt.alloc(ent) {
-            AllocOutcome::Placed { idx, evicted } => {
-                if let Some(old) = evicted {
-                    self.release_entry(m, &old);
-                }
-                if wants_seed {
-                    let gen = m.srsmt.get(idx).unwrap().gen;
-                    m.add_seed_waiter(seed, idx, gen);
-                }
-                self.stats.vectorizations += 1;
-                self.obs.trace(Subsystem::Vec, e.pc as u64, self.cycle, || {
-                    EventKind::Vectorize {
-                        kind: "op",
-                        base: 0,
-                        stride: 0,
-                        count: self.cfg.mech.replicas_per_inst as u32,
-                    }
-                });
-                while self.grow_one(m, idx) {}
-            }
-            AllocOutcome::Full => {}
+        self.install(m, ent);
+    }
+
+    /// Install a new entry (§2.3.3): release the entry it evicts,
+    /// register a self-loop's seed waiter, count and trace the
+    /// vectorization, and pre-execute its first replicas. A set with no
+    /// deallocatable way leaves the instruction scalar.
+    fn install(&mut self, m: &mut Mech, ent: SrsmtEntry) {
+        let (pc, kind, seed) = (ent.pc, ent.kind, ent.seed);
+        let AllocOutcome::Placed { idx, evicted } = m.srsmt.alloc(ent) else {
+            return;
+        };
+        if let Some(old) = evicted {
+            self.release_entry(m, &old);
         }
+        if seed != 0 {
+            let gen = m.srsmt.get(idx).unwrap().gen;
+            m.add_seed_waiter(seed, idx, gen);
+        }
+        self.stats.vectorizations += 1;
+        let (kind, base, stride) = match kind {
+            VecKind::Load { stride, base } => ("load", base, stride),
+            VecKind::Op => ("op", 0, 0),
+        };
+        // SRSMT stores byte PCs; the trace uses word PCs.
+        self.obs.trace(Subsystem::Vec, pc >> 2, self.cycle, || {
+            EventKind::Vectorize {
+                kind,
+                base,
+                stride,
+                count: self.cfg.mech.replicas_per_inst as u32,
+            }
+        });
+        while self.grow_one(m, idx) {}
     }
 
     /// Deliver a just-produced result to a self-loop entry waiting for

@@ -76,6 +76,12 @@ fn stall_invariant_and_cpi_stack_hold_on_every_kernel_and_mode() {
             s.stall
                 .check_sum(s.cycles, WIDTH)
                 .unwrap_or_else(|e| panic!("{bench} {mode:?}: {e}"));
+            // Every failed validation is counted under one reason.
+            assert_eq!(
+                s.validation_failures,
+                s.valfail_reasons.iter().sum(),
+                "{bench} {mode:?}"
+            );
             let stack = CpiStack::from_breakdown(&s.stall, s.committed_reuse);
             stack
                 .check_sum(s.cycles, WIDTH)
