@@ -350,6 +350,14 @@ impl SrsmtEntry {
         r
     }
 
+    /// Store coherence (§2.4.3): whether a committing store to `addr`
+    /// lands inside the live replica address range, so the entry must be
+    /// torn down and the conventional window squashed.
+    pub fn covers(&self, addr: u64) -> bool {
+        self.live_range()
+            .is_some_and(|(lo, hi)| lo <= addr && addr <= hi)
+    }
+
     /// Whether the entry may be reclaimed (§2.3.3: `decode == commit`
     /// and `issue == 0`).
     pub fn deallocatable(&self) -> bool {
@@ -530,18 +538,6 @@ impl Srsmt {
             }
         }
         released
-    }
-
-    /// Store-coherence check (§2.4.3): indices of load entries whose
-    /// live replica address range contains `addr`. The caller must
-    /// invalidate them and squash the conventional window.
-    pub fn store_check(&self, addr: u64) -> Vec<usize> {
-        self.iter_valid()
-            .filter_map(|(i, e)| match e.live_range() {
-                Some((lo, hi)) if lo <= addr && addr <= hi => Some(i),
-                _ => None,
-            })
-            .collect()
     }
 
     /// Iterate over valid entries in way order.
@@ -783,8 +779,17 @@ mod tests {
         assert!(t.find(0x00).is_some());
     }
 
+    /// Ways whose entry a committing store to `addr` hits, in way order:
+    /// the victims of the pipeline's store-coherence sweep.
+    fn store_hits(t: &Srsmt, addr: u64) -> Vec<usize> {
+        t.iter_valid()
+            .filter(|(_, e)| e.covers(addr))
+            .map(|(i, _)| i)
+            .collect()
+    }
+
     #[test]
-    fn store_check_hits_live_ranges() {
+    fn stores_hit_live_ranges() {
         let mut t = Srsmt::paper();
         let AllocOutcome::Placed { idx: a, .. } = t.alloc(grown(0x40, 2, 2)) else {
             panic!()
@@ -796,9 +801,9 @@ mod tests {
         t.get_mut(a).unwrap().complete_replica(1, 0, Some(1008));
         t.get_mut(b).unwrap().complete_replica(0, 0, Some(5000));
         t.get_mut(b).unwrap().complete_replica(1, 0, Some(5008));
-        assert_eq!(t.store_check(1004), vec![a]);
-        assert_eq!(t.store_check(5000), vec![b]);
-        assert!(t.store_check(2000).is_empty());
+        assert_eq!(store_hits(&t, 1004), vec![a]);
+        assert_eq!(store_hits(&t, 5000), vec![b]);
+        assert!(store_hits(&t, 2000).is_empty());
     }
 
     /// `iter_valid` and `occupancy` agree with a walk of every way.
@@ -844,9 +849,9 @@ mod tests {
         // the pipeline makes of every hit.
         t.get_mut(used).unwrap().complete_replica(0, 0, Some(2000));
         t.get_mut(used).unwrap().complete_replica(1, 0, Some(2008));
-        assert!(t.store_check(9000).is_empty());
+        assert!(store_hits(&t, 9000).is_empty());
         assert_live_set_matches_ways(&t);
-        let hits = t.store_check(2004);
+        let hits = store_hits(&t, 2004);
         assert_eq!(hits, vec![used]);
         assert_live_set_matches_ways(&t);
         t.invalidate(hits[0]);

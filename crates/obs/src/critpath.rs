@@ -294,6 +294,8 @@ const NO_SLOT: u32 = u32::MAX;
 /// One finished log indexed for both walks, built in O(records +
 /// cycles) with no sort and no hash map.
 struct Dag<'a> {
+    /// The log, for the records' wait-edges.
+    log: &'a LifecycleLog,
     /// Every retained record at slot `lid − base`: lids are dense and
     /// handed out in order, so the slots are lid order. A lid the ring
     /// dropped (or one outside the range) has no slot.
@@ -340,6 +342,7 @@ impl<'a> Dag<'a> {
             }
         }
         Dag {
+            log,
             base: lids.0,
             slots,
             len: log.len(),
@@ -455,7 +458,7 @@ fn critical_path(dag: &Dag) -> CritPath {
         // memory/port wait-edges carved out of the span first.
         if let Some(i) = r.issue().filter(|&i| i < t) {
             let mut span = t - i;
-            for e in &r.edges {
+            for e in dag.log.edges(r) {
                 if span == 0 {
                     break;
                 }
@@ -471,9 +474,9 @@ fn critical_path(dag: &Dag) -> CritPath {
         // Dispatch-to-issue: follow the binding (latest-arriving)
         // causal edge to an older record when one explains the wait.
         let d = r.dispatch().or(r.decode()).or(r.fetch()).unwrap_or(start);
-        let binding = r
-            .edges
-            .iter()
+        let binding = dag
+            .log
+            .edges(r)
             .filter_map(|e| {
                 let j = dag.slot(e.target()?)?;
                 let te = value_time(dag.rec(j))?;
@@ -664,7 +667,7 @@ fn project<const N: usize>(dag: &Dag, zeros: [ZeroSet; N], width: u64, window: u
     let mut committed = 0u64;
     for (i, r) in dag.iter() {
         let mut arrive = [0u64; N];
-        for e in &r.edges {
+        for e in dag.log.edges(r) {
             let Some(j) = e.target().and_then(|t| dag.slot(t)) else {
                 continue;
             };

@@ -18,7 +18,7 @@
 //! (or to the synthetic front-end bucket when the window is empty), so
 //! the per-instruction wait-cycle sums reconcile **exactly** with the
 //! aggregate CPI stack: for every cause,
-//! `sum(record.waits[cause]) + frontend[cause] == stall.get(cause)`.
+//! `sum(log.wait(record, cause)) + frontend[cause] == stall.get(cause)`.
 //! [`LifecycleLog::reconcile`] checks this; the pipeline asserts it at
 //! the end of every lifecycle-enabled run.
 //!
@@ -32,8 +32,21 @@
 //!   timeline (`cfir report timeline`), windowed by PC, cycle range, or
 //!   the N-th misprediction squash cluster.
 //!
-//! Records are held in a bounded ring (`cap` retired records, oldest
-//! dropped first) so a 1M-instruction window stays usable; the
+//! ## Storage
+//!
+//! A record owns no heap block. While it is in flight, its wait-edges,
+//! its wait table and its edge-coalescing cursor live beside it in its
+//! active slot; the slot's edge buffer is recycled, so a run in steady
+//! state allocates nothing per record. When it retires, its edges are
+//! appended to one edge column and a non-zero wait table to one waits
+//! column, and the record keeps its position in each. Both columns are
+//! FIFO in retirement order, like the retired ring itself, so reads go
+//! through the log ([`LifecycleLog::edges`], [`LifecycleLog::wait`]).
+//!
+//! Retired records are held in a bounded ring (`cap` retired records,
+//! oldest dropped first) so a 1M-instruction window stays usable; a
+//! dropped record's edges and wait table leave the fronts of the columns
+//! with it, so a capped run's memory stays bounded by the cap. The
 //! reconciliation totals are accumulated at charge time and therefore
 //! stay exact even when old records are dropped.
 
@@ -165,7 +178,7 @@ impl WaitDetail {
 /// ring holds every record of the run. The cycle fields are `u32`,
 /// under the same `u32::MAX - 1` bound as the record's stage
 /// timestamps; the observation count saturates.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct WaitEdge {
     /// Lifecycle id of the thing waited on; 0 when none is identifiable
     /// (lids start at 1). See [`WaitEdge::target`].
@@ -196,6 +209,8 @@ impl WaitEdge {
 const NO_CYCLE: u32 = u32::MAX;
 /// Sentinel for "not dispatched" in [`InstRecord`]'s packed `seq`.
 const NO_SEQ: u64 = u64::MAX;
+/// Sentinel for "no wait table" in [`InstRecord`]'s `waits` position.
+const NO_WAITS: u64 = u64::MAX;
 
 /// Stage indices into [`InstRecord`]'s packed timestamp table.
 const ST_FETCH: usize = 0;
@@ -217,12 +232,13 @@ fn pack_cycle(cycle: u64) -> u32 {
 
 /// One dynamic instruction's lifecycle.
 ///
-/// The record is deliberately packed — stage timestamps, wait charges
-/// and the sequence number are stored in compact sentinel-coded form
-/// behind accessors — because every fetched instruction (wrong path
-/// included) produces one and the retired ring holds them for the
-/// whole run: record size is directly the recorder's memory-bandwidth
-/// and page-fault bill.
+/// The record is deliberately packed — stage timestamps and the
+/// sequence number are stored in compact sentinel-coded form behind
+/// accessors — and owns no heap block: its wait-edges and wait charges
+/// live in the log ([`LifecycleLog::edges`], [`LifecycleLog::wait`]).
+/// Every fetched instruction (wrong path included) produces one and the
+/// retired ring holds them for the whole run: record size is directly
+/// the recorder's memory-bandwidth and page-fault bill.
 #[derive(Debug, Clone)]
 pub struct InstRecord {
     /// Lifecycle id: dense, assigned at fetch/creation, unique across
@@ -231,24 +247,24 @@ pub struct InstRecord {
     pub lid: u64,
     /// Dynamic sequence number ([`NO_SEQ`] until dispatched).
     seq: u64,
+    /// Once retired: position of the first of its `edge_len` edges in
+    /// the log's edge column, counted from the first edge the log ever
+    /// retired, so drops at the column's front do not move it.
+    edge_start: u64,
+    /// Once retired: position of its wait table in the log's waits
+    /// column, counted the same way; [`NO_WAITS`] when it absorbed no
+    /// charge (most wrong-path records).
+    waits: u64,
     /// Interned disassembly id (see [`LifecycleLog::disasm`]) —
     /// thousands of dynamic records share one string per static
     /// instruction.
     disasm: u32,
-    /// Causal wait-edges, coalesced.
-    pub edges: Vec<WaitEdge>,
     /// Static word PC.
     pc: u32,
+    /// Number of coalesced wait-edges, once retired.
+    edge_len: u32,
     /// Stage-entry cycles, [`NO_CYCLE`]-coded, indexed by `ST_*`.
     stages: [u32; NUM_STAGES],
-    /// Commit-slot charges routed to this instruction, by cause.
-    /// Boxed and lazily allocated: only window-head instructions ever
-    /// absorb charges, so the (majority) wrong-path records carry a
-    /// null pointer instead of a 48-byte table. `u32` per record (a
-    /// single record cannot absorb more charges than the run has
-    /// commit slots, and cycles are bounded by [`NO_CYCLE`]); the
-    /// log-level totals stay `u64`.
-    waits: Option<Box<[u32; NUM_CAUSES]>>,
     /// Normal instruction or replica.
     pub lane: InstLane,
     /// How it ended.
@@ -262,20 +278,16 @@ impl InstRecord {
         InstRecord {
             lid,
             seq: NO_SEQ,
+            edge_start: 0,
+            waits: NO_WAITS,
             pc: pc as u32,
             disasm,
+            edge_len: 0,
             lane,
             stages: [NO_CYCLE; NUM_STAGES],
             fate: Fate::InFlight,
             reused: false,
-            waits: None,
-            edges: Vec::new(),
         }
-    }
-
-    fn bump_wait(&mut self, cause: StallCause, slots: u32) {
-        let w = self.waits.get_or_insert_with(|| Box::new([0; NUM_CAUSES]));
-        w[cause as usize] += slots;
     }
 
     fn stage(&self, idx: usize) -> Option<u64> {
@@ -325,14 +337,6 @@ impl InstRecord {
         self.stage(ST_RETIRE)
     }
 
-    /// Commit-slot charges routed to this instruction for `cause`
-    /// (reconciles with the aggregate stall breakdown).
-    pub fn wait(&self, cause: StallCause) -> u64 {
-        self.waits
-            .as_ref()
-            .map_or(0, |w| u64::from(w[cause as usize]))
-    }
-
     /// Stage timestamps in pipeline order, present ones only.
     pub fn stage_cycles(&self) -> Vec<(&'static str, u64)> {
         [
@@ -349,17 +353,41 @@ impl InstRecord {
     }
 }
 
+/// Commit-slot charges routed to one instruction, by cause. `u32` per
+/// record (a single record cannot absorb more charges than the run has
+/// commit slots, and cycles are bounded by [`NO_CYCLE`]); the log-level
+/// totals stay `u64`.
+type WaitTable = [u32; NUM_CAUSES];
+
+/// An in-flight record and what only an in-flight record needs. Retiring
+/// moves its edges and (when non-zero) its wait table into the log's
+/// columns and its emptied edge buffer into the log's spares.
+#[derive(Debug)]
+struct Active {
+    rec: InstRecord,
+    /// Causal wait-edges so far, coalesced.
+    edges: Vec<WaitEdge>,
+    waits: WaitTable,
+    /// `(edge index, cycle)` of the most recent [`LifecycleLog::edge`]
+    /// observation ([`NO_CYCLE`] index = none), so consecutive
+    /// observations of the same condition extend one edge without a
+    /// search.
+    last_edge: (u32, u32),
+}
+
 /// Recycled backing buffers of a finished recorder. Lifecycle-enabled
-/// runs append hundreds of megabytes of records; in a harness process
-/// running many jobs back-to-back, re-growing those buffers from
+/// runs append hundreds of megabytes of records and edges; in a harness
+/// process running many jobs back-to-back, re-growing those buffers from
 /// nothing every job re-pays the whole page-fault bill. Finished
 /// recorders park their (cleared, capacity-preserving) buffers here so
 /// the next recorder starts on memory that is already mapped and warm.
 #[derive(Default)]
 struct RecycledBufs {
     retired: VecDeque<InstRecord>,
-    active: VecDeque<Option<InstRecord>>,
-    active_edge: VecDeque<(u32, u32)>,
+    edges: VecDeque<WaitEdge>,
+    waits: VecDeque<WaitTable>,
+    active: VecDeque<Option<Active>>,
+    spare_edges: Vec<Vec<WaitEdge>>,
 }
 
 /// Process-wide pool of [`RecycledBufs`], bounded so a wide parallel
@@ -384,19 +412,24 @@ pub struct LifecycleLog {
     /// bounded by the machine's in-flight population (window entries
     /// plus replicas) — a hot-path lookup is one subtraction and an
     /// index instead of a hash.
-    active: VecDeque<Option<InstRecord>>,
-    /// Per-slot edge-coalescing memory for `active`: `(edge index,
-    /// cycle)` of the most recent [`LifecycleLog::edge`] observation
-    /// ([`NO_CYCLE`] index = none), so consecutive observations of the
-    /// same condition extend one edge without a side-table lookup.
-    /// Kept out of [`InstRecord`] because it is dead weight once the
-    /// record retires into the ring.
-    active_edge: VecDeque<(u32, u32)>,
+    active: VecDeque<Option<Active>>,
     /// Lid of the front `active` slot.
     active_base: u64,
     /// Number of `Some` slots in `active`.
     active_len: usize,
+    /// Emptied edge buffers of retired slots, handed to the next records
+    /// with their capacity.
+    spare_edges: Vec<Vec<WaitEdge>>,
     retired: VecDeque<InstRecord>,
+    /// The retired records' wait-edges, record after record in
+    /// retirement order.
+    edges: VecDeque<WaitEdge>,
+    /// Column position of `edges`' front: edges dropped with the ring.
+    edges_front: u64,
+    /// The retired records' non-zero wait tables, in retirement order.
+    waits: VecDeque<WaitTable>,
+    /// Column position of `waits`' front: tables dropped with the ring.
+    waits_front: u64,
     dropped: u64,
     /// All slot charges ever made, by cause (survives record drops).
     totals: [u64; NUM_CAUSES],
@@ -426,10 +459,14 @@ impl LifecycleLog {
             start_cycle: 0,
             started: false,
             active: bufs.active,
-            active_edge: bufs.active_edge,
             active_base: 0,
             active_len: 0,
+            spare_edges: bufs.spare_edges,
             retired: bufs.retired,
+            edges: bufs.edges,
+            edges_front: 0,
+            waits: bufs.waits,
+            waits_front: 0,
             dropped: 0,
             totals: [0; NUM_CAUSES],
             frontend: [0; NUM_CAUSES],
@@ -450,33 +487,41 @@ impl LifecycleLog {
         Some(idx)
     }
 
-    fn active_get_mut(&mut self, lid: u64) -> Option<&mut InstRecord> {
+    fn active_get(&self, lid: u64) -> Option<&Active> {
+        self.active[self.active_idx(lid)?].as_ref()
+    }
+
+    fn active_get_mut(&mut self, lid: u64) -> Option<&mut Active> {
         let idx = self.active_idx(lid)?;
         self.active[idx].as_mut()
     }
 
-    fn active_push(&mut self, r: InstRecord) {
+    fn active_push(&mut self, rec: InstRecord) {
         if self.active.is_empty() {
-            self.active_base = r.lid;
+            self.active_base = rec.lid;
         }
-        debug_assert_eq!(r.lid, self.active_base + self.active.len() as u64);
-        self.active.push_back(Some(r));
-        self.active_edge.push_back((NO_CYCLE, 0));
+        debug_assert_eq!(rec.lid, self.active_base + self.active.len() as u64);
+        let edges = self.spare_edges.pop().unwrap_or_default();
+        self.active.push_back(Some(Active {
+            rec,
+            edges,
+            waits: [0; NUM_CAUSES],
+            last_edge: (NO_CYCLE, 0),
+        }));
         self.active_len += 1;
     }
 
-    fn active_remove(&mut self, lid: u64) -> Option<InstRecord> {
+    fn active_remove(&mut self, lid: u64) -> Option<Active> {
         let idx = self.active_idx(lid)?;
-        let r = self.active[idx].take();
+        let a = self.active[idx].take();
         self.active_len -= 1;
         // Advance the window past retired front slots so the span
         // tracks the in-flight population.
         while matches!(self.active.front(), Some(None)) {
             self.active.pop_front();
-            self.active_edge.pop_front();
             self.active_base += 1;
         }
-        r
+        a
     }
 
     /// Whether nothing has been recorded yet.
@@ -513,7 +558,40 @@ impl LifecycleLog {
     pub fn records(&self) -> impl Iterator<Item = &InstRecord> {
         // `active` slots are already in lid order: no sort, no staging
         // allocation.
-        self.retired.iter().chain(self.active.iter().flatten())
+        self.retired
+            .iter()
+            .chain(self.active.iter().flatten().map(|a| &a.rec))
+    }
+
+    /// The coalesced wait-edges of `r`, one of this log's retained
+    /// records, in the order they were first observed.
+    pub fn edges(&self, r: &InstRecord) -> impl Iterator<Item = &WaitEdge> + Clone + '_ {
+        let (head, tail): (&[WaitEdge], &[WaitEdge]) = match r.fate {
+            Fate::InFlight => (self.active_get(r.lid).map_or(&[], |a| &a.edges), &[]),
+            _ => {
+                let at = (r.edge_start - self.edges_front) as usize;
+                deque_range(&self.edges, at, r.edge_len as usize)
+            }
+        };
+        head.iter().chain(tail)
+    }
+
+    /// The wait table of `r`, one of this log's retained records; none
+    /// when it absorbed no charge.
+    fn wait_table(&self, r: &InstRecord) -> Option<&WaitTable> {
+        match r.fate {
+            Fate::InFlight => self.active_get(r.lid).map(|a| &a.waits),
+            _ if r.waits == NO_WAITS => None,
+            _ => Some(&self.waits[(r.waits - self.waits_front) as usize]),
+        }
+    }
+
+    /// Commit-slot charges routed to `r`, one of this log's retained
+    /// records, for `cause` (reconciles with the aggregate stall
+    /// breakdown).
+    pub fn wait(&self, r: &InstRecord, cause: StallCause) -> u64 {
+        self.wait_table(r)
+            .map_or(0, |w| u64::from(w[cause as usize]))
     }
 
     fn note_start(&mut self, cycle: u64) {
@@ -579,36 +657,42 @@ impl LifecycleLog {
 
     /// The instruction entered the window with sequence number `seq`.
     pub fn note_dispatch(&mut self, lid: u64, seq: u64, cycle: u64) {
-        if let Some(r) = self.active_get_mut(lid) {
-            r.seq = seq;
-            r.stages[ST_DISPATCH] = pack_cycle(cycle);
+        if let Some(a) = self.active_get_mut(lid) {
+            a.rec.seq = seq;
+            a.rec.stages[ST_DISPATCH] = pack_cycle(cycle);
         }
     }
 
     /// The instruction issued to a functional unit / port.
     pub fn note_issue(&mut self, lid: u64, cycle: u64) {
-        if let Some(r) = self.active_get_mut(lid) {
-            r.stages[ST_ISSUE] = pack_cycle(cycle);
+        if let Some(a) = self.active_get_mut(lid) {
+            a.rec.stages[ST_ISSUE] = pack_cycle(cycle);
         }
     }
 
     /// The result is available (writeback / reuse delivery).
     pub fn note_complete(&mut self, lid: u64, cycle: u64) {
-        if let Some(r) = self.active_get_mut(lid) {
-            r.stages[ST_COMPLETE] = pack_cycle(cycle);
+        if let Some(a) = self.active_get_mut(lid) {
+            a.rec.stages[ST_COMPLETE] = pack_cycle(cycle);
         }
     }
 
     /// Mark (or clear, when a pending reuse falls back to normal
     /// execution) the reused flag.
     pub fn set_reused(&mut self, lid: u64, reused: bool) {
-        if let Some(r) = self.active_get_mut(lid) {
-            r.reused = reused;
+        if let Some(a) = self.active_get_mut(lid) {
+            a.rec.reused = reused;
         }
     }
 
     fn retire_record(&mut self, lid: u64, cycle: u64, fate: Fate) {
-        let Some(mut r) = self.active_remove(lid) else {
+        let Some(Active {
+            rec: mut r,
+            mut edges,
+            waits,
+            ..
+        }) = self.active_remove(lid)
+        else {
             return;
         };
         let cycle = pack_cycle(cycle);
@@ -625,26 +709,40 @@ impl LifecycleLog {
             }
         }
         if self.cap > 0 && self.retired.len() == self.cap {
-            self.retired.pop_front();
-            self.dropped += 1;
+            self.drop_oldest();
+        }
+        r.edge_start = self.edges_front + self.edges.len() as u64;
+        r.edge_len = edges.len() as u32;
+        self.edges.extend(&edges);
+        edges.clear();
+        self.spare_edges.push(edges);
+        if waits.iter().any(|&w| w != 0) {
+            r.waits = self.waits_front + self.waits.len() as u64;
+            self.waits.push_back(waits);
         }
         self.retired.push_back(r);
+    }
+
+    /// Drop the oldest retired record, with its edges and wait table
+    /// (the fronts of the columns).
+    fn drop_oldest(&mut self) {
+        let Some(r) = self.retired.pop_front() else {
+            return;
+        };
+        self.edges.drain(..r.edge_len as usize);
+        self.edges_front += u64::from(r.edge_len);
+        if r.waits != NO_WAITS {
+            self.waits.pop_front();
+            self.waits_front += 1;
+        }
+        self.dropped += 1;
     }
 
     /// The instruction committed. Charges one `useful` commit slot to
     /// the record so the per-instruction view reconciles with the
     /// aggregate stall attribution.
     pub fn note_commit(&mut self, lid: u64, cycle: u64) {
-        self.totals[StallCause::Useful as usize] += 1;
-        match self.active_idx(lid) {
-            Some(i) => {
-                self.active[i]
-                    .as_mut()
-                    .unwrap()
-                    .bump_wait(StallCause::Useful, 1);
-            }
-            None => self.frontend[StallCause::Useful as usize] += 1,
-        }
+        self.charge(Some(lid), StallCause::Useful, 1);
         self.retire_record(lid, cycle, Fate::Committed);
     }
 
@@ -672,11 +770,8 @@ impl LifecycleLog {
     /// window is empty. Mirrors `StallBreakdown::charge` exactly.
     pub fn charge(&mut self, lid: Option<u64>, cause: StallCause, slots: u64) {
         self.totals[cause as usize] += slots;
-        match lid.and_then(|l| self.active_idx(l)) {
-            Some(i) => self.active[i]
-                .as_mut()
-                .unwrap()
-                .bump_wait(cause, slots as u32),
+        match lid.and_then(|l| self.active_get_mut(l)) {
+            Some(a) => a.waits[cause as usize] += slots as u32,
             None => self.frontend[cause as usize] += slots,
         }
     }
@@ -693,42 +788,41 @@ impl LifecycleLog {
         cycle: u64,
     ) {
         debug_assert_ne!(target, Some(0), "lids start at 1");
-        let Some(slot) = self.active_idx(lid) else {
+        let Some(a) = self.active_get_mut(lid) else {
             return;
         };
-        let r = self.active[slot].as_mut().unwrap();
         let target = target.unwrap_or(0);
         let cycle32 = pack_cycle(cycle);
-        let (last_idx, last) = self.active_edge[slot];
+        let (last_idx, last) = a.last_edge;
         if last_idx != NO_CYCLE {
-            if let Some(e) = r.edges.get_mut(last_idx as usize) {
+            if let Some(e) = a.edges.get_mut(last_idx as usize) {
                 if e.kind == kind && e.target == target && last < cycle32 {
                     e.cycles = e.cycles.saturating_add(1);
-                    self.active_edge[slot] = (last_idx, cycle32);
+                    a.last_edge = (last_idx, cycle32);
                     return;
                 }
             }
         }
         // A different condition (or a re-observation of an old one):
         // extend an existing edge of the same identity, else start one.
-        if let Some((idx, e)) = r
+        if let Some((idx, e)) = a
             .edges
             .iter_mut()
             .enumerate()
             .find(|(_, e)| e.kind == kind && e.target == target)
         {
             e.cycles = e.cycles.saturating_add(1);
-            self.active_edge[slot] = (idx as u32, cycle32);
+            a.last_edge = (idx as u32, cycle32);
             return;
         }
-        r.edges.push(WaitEdge {
+        a.edges.push(WaitEdge {
             target,
             cycles: 1,
             first_cycle: cycle32,
             kind,
             detail,
         });
-        self.active_edge[slot] = ((r.edges.len() - 1) as u32, cycle32);
+        a.last_edge = ((a.edges.len() - 1) as u32, cycle32);
     }
 
     /// Check that the per-instruction wait-cycle sums reconcile exactly
@@ -779,12 +873,12 @@ impl LifecycleLog {
                 1,
                 format!("L\t{sid}\t0\t{}: {}", r.pc(), self.disasm(r)),
             );
-            push(start, 1, format!("L\t{sid}\t1\t{}", metadata_line(r)));
+            push(start, 1, format!("L\t{sid}\t1\t{}", metadata_line(self, r)));
             for &(name, s, e) in &stages {
                 push(s, 2, format!("S\t{sid}\t0\t{name}"));
                 push(e, 3, format!("E\t{sid}\t0\t{name}"));
             }
-            for edge in &r.edges {
+            for edge in self.edges(r) {
                 if let (WaitEdgeKind::Producer, Some(t)) = (edge.kind, edge.target()) {
                     push(u64::from(edge.first_cycle), 4, format!("W\t{sid}\t{t}\t0"));
                 }
@@ -829,17 +923,35 @@ impl Drop for LifecycleLog {
         // recorder in this process; see [`RecycledBufs`].
         let mut bufs = RecycledBufs {
             retired: std::mem::take(&mut self.retired),
+            edges: std::mem::take(&mut self.edges),
+            waits: std::mem::take(&mut self.waits),
             active: std::mem::take(&mut self.active),
-            active_edge: std::mem::take(&mut self.active_edge),
+            spare_edges: std::mem::take(&mut self.spare_edges),
         };
         bufs.retired.clear();
+        bufs.edges.clear();
+        bufs.waits.clear();
         bufs.active.clear();
-        bufs.active_edge.clear();
         if let Ok(mut pool) = BUF_POOL.lock() {
             if pool.len() < BUF_POOL_MAX {
                 pool.push(bufs);
             }
         }
+    }
+}
+
+/// The `len` items of `d` from index `at`, as the (at most) two slices
+/// its ring buffer holds them in. The analysis' walks iterate these as
+/// they did the records' own `Vec`s; a `VecDeque::range` iterator
+/// timed measurably slower there.
+fn deque_range<T>(d: &VecDeque<T>, at: usize, len: usize) -> (&[T], &[T]) {
+    let (a, b) = d.as_slices();
+    if at >= a.len() {
+        (&b[at - a.len()..][..len], &[])
+    } else if at + len <= a.len() {
+        (&a[at..at + len], &[])
+    } else {
+        (&a[at..], &b[..at + len - a.len()])
     }
 }
 
@@ -888,8 +1000,9 @@ fn stage_segments(r: &InstRecord, end_of_trace: u64) -> Vec<(&'static str, u64, 
     merged
 }
 
-/// The machine-parseable metadata carried on label lane 1.
-fn metadata_line(r: &InstRecord) -> String {
+/// The machine-parseable metadata of `log`'s record `r`, carried on
+/// label lane 1.
+fn metadata_line(log: &LifecycleLog, r: &InstRecord) -> String {
     let mut s = format!(
         "pc={} seq={} fate={} reused={} lane={}",
         r.pc(),
@@ -899,8 +1012,9 @@ fn metadata_line(r: &InstRecord) -> String {
         r.lane as u64,
     );
     let mut waits = String::new();
+    let table = log.wait_table(r);
     for cause in ALL_CAUSES {
-        let n = r.wait(cause);
+        let n = table.map_or(0, |w| w[cause as usize]);
         if n > 0 {
             if !waits.is_empty() {
                 waits.push(',');
@@ -912,7 +1026,7 @@ fn metadata_line(r: &InstRecord) -> String {
         let _ = write!(s, " waits={waits}");
     }
     let mut edges = String::new();
-    for e in &r.edges {
+    for e in log.edges(r) {
         if !edges.is_empty() {
             edges.push(',');
         }
@@ -1478,29 +1592,126 @@ mod tests {
     fn edges_coalesce() {
         let log = sample();
         let c = log.records().find(|r| r.pc() == 5).unwrap();
-        assert_eq!(c.edges.len(), 1);
-        assert_eq!(c.edges[0].kind, WaitEdgeKind::Producer);
-        assert_eq!(c.edges[0].cycles, 6);
-        assert_eq!(c.edges[0].first_cycle, 3);
+        let edges: Vec<&WaitEdge> = log.edges(c).collect();
+        assert_eq!(edges.len(), 1);
+        assert_eq!(edges[0].kind, WaitEdgeKind::Producer);
+        assert_eq!(edges[0].cycles, 6);
+        assert_eq!(edges[0].first_cycle, 3);
         let p = log.records().find(|r| r.pc() == 4).unwrap();
-        assert_eq!(p.edges[0].detail, WaitDetail::L2);
-        assert_eq!(p.edges[0].cycles, 2);
+        let edges: Vec<&WaitEdge> = log.edges(p).collect();
+        assert_eq!(edges[0].detail, WaitDetail::L2);
+        assert_eq!(edges[0].cycles, 2);
+    }
+
+    /// An edge as a comparable tuple: kind, target, detail, cycles,
+    /// first cycle.
+    type EdgeKey = (WaitEdgeKind, Option<u64>, WaitDetail, u32, u32);
+
+    fn edge_key(e: &WaitEdge) -> EdgeKey {
+        (e.kind, e.target(), e.detail, e.cycles, e.first_cycle)
     }
 
     #[test]
     fn ring_cap_drops_oldest_but_keeps_totals() {
+        // Record `i` carries `i % 4` edges; the even ones commit with a
+        // `DCacheMiss` charge of `i + 1` slots beside the commit's
+        // `useful` slot, the odd ones are squashed and charge nothing.
+        let edges_of = |i: u64| -> Vec<EdgeKey> {
+            (0..i % 4)
+                .map(|j| {
+                    let (kind, target, detail) = match j {
+                        0 => (WaitEdgeKind::CacheMiss, None, WaitDetail::Mem),
+                        j => (WaitEdgeKind::Producer, Some(j), WaitDetail::None),
+                    };
+                    (kind, target, detail, 1, i as u32)
+                })
+                .collect()
+        };
         let mut log = LifecycleLog::new(2);
-        for i in 0..5 {
+        let mut stall = StallBreakdown::new();
+        for i in 0..9u64 {
             let l = log.begin_fetch(i, || format!("op{i}"), i, i + 1);
             log.note_dispatch(l, i + 1, i + 1);
-            log.note_commit(l, i + 2);
+            for (kind, target, detail, _, first) in edges_of(i) {
+                log.edge(l, kind, target, detail, u64::from(first));
+            }
+            if i % 2 == 0 {
+                log.charge(Some(l), StallCause::DCacheMiss, i + 1);
+                stall.charge(StallCause::DCacheMiss, i + 1);
+                log.note_commit(l, i + 2);
+                stall.charge(StallCause::Useful, 1);
+            } else {
+                log.note_squash(l, i + 2);
+            }
+            if log.dropped() == 0 {
+                continue;
+            }
+            // Each kept record reads exactly its own edges and waits,
+            // and the columns hold nothing but the kept records'.
+            let mut kept_edges = Vec::new();
+            let mut kept_waits = 0;
+            for r in log.records() {
+                let want = edges_of(r.pc());
+                let got: Vec<_> = log.edges(r).map(edge_key).collect();
+                assert_eq!(got, want, "edges of record {}", r.pc());
+                kept_edges.extend(want);
+                let committed = r.pc() % 2 == 0;
+                let miss = if committed { r.pc() + 1 } else { 0 };
+                assert_eq!(log.wait(r, StallCause::DCacheMiss), miss);
+                assert_eq!(log.wait(r, StallCause::Useful), u64::from(committed));
+                kept_waits += usize::from(committed);
+            }
+            let column: Vec<_> = log.edges.iter().map(edge_key).collect();
+            assert_eq!(column, kept_edges, "after record {i}");
+            assert_eq!(log.waits.len(), kept_waits, "after record {i}");
         }
         assert_eq!(log.len(), 2);
-        assert_eq!(log.dropped(), 3);
+        assert_eq!(log.dropped(), 7);
         assert_eq!(log.totals()[StallCause::Useful as usize], 5);
-        let mut stall = StallBreakdown::new();
-        stall.charge(StallCause::Useful, 5);
         assert!(log.reconcile(&stall).is_ok());
+    }
+
+    #[test]
+    fn deque_range_matches_a_contiguous_copy() {
+        // Pop from the front and push at the back so the ring buffer
+        // wraps, then read every range.
+        let mut d: VecDeque<u32> = VecDeque::with_capacity(8);
+        d.extend(0..8);
+        d.drain(..5);
+        d.extend(8..12);
+        let flat: Vec<u32> = d.iter().copied().collect();
+        assert!(!d.as_slices().1.is_empty(), "the buffer must wrap");
+        for at in 0..=flat.len() {
+            for len in 0..=flat.len() - at {
+                let (a, b) = deque_range(&d, at, len);
+                assert_eq!([a, b].concat(), flat[at..at + len], "at {at} len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn slot_edge_buffers_are_recycled() {
+        let mut log = LifecycleLog::new(0);
+        let a = log.begin_fetch(1, || "a".into(), 0, 1);
+        for t in 1..=4 {
+            log.edge(a, WaitEdgeKind::Producer, Some(t), WaitDetail::None, 1);
+        }
+        log.note_squash(a, 2);
+        // The retired slot's emptied buffer is the last spare (the log
+        // may start with spares parked by an earlier one), and the next
+        // record takes it back with its capacity.
+        let spares = log.spare_edges.len();
+        assert!(log.spare_edges.last().unwrap().capacity() >= 4);
+        let b = log.begin_fetch(2, || "b".into(), 2, 3);
+        assert_eq!(log.spare_edges.len(), spares - 1);
+        let slot = log.active_get(b).unwrap();
+        assert!(slot.edges.is_empty() && slot.edges.capacity() >= 4);
+    }
+
+    #[test]
+    fn inst_record_is_72_bytes() {
+        // The retired ring holds one per fetched instruction.
+        assert_eq!(std::mem::size_of::<InstRecord>(), 72);
     }
 
     #[test]

@@ -200,12 +200,10 @@ impl Pipeline<'_> {
                         slots = slots.saturating_sub(1);
                         // Coherence: kill speculative loads covering addr.
                         let mut m = self.mech.take().unwrap();
-                        let hits = m.srsmt.store_check(addr);
-                        if !hits.is_empty() {
-                            self.stats.store_conflicts += hits.len() as u64;
-                            for idx in hits {
-                                self.teardown_srsmt(&mut m, idx, "store_conflict");
-                            }
+                        let hits =
+                            self.teardown_where(&mut m, |e| e.covers(addr), "store_conflict");
+                        if hits > 0 {
+                            self.stats.store_conflicts += hits as u64;
                             flush_after = true;
                         }
                         self.mech = Some(m);

@@ -503,11 +503,13 @@ impl Pipeline<'_> {
                     self.rob.redispatch(i, &self.rf);
                     self.obs.reused(lid, false);
                     if poll == Poll::Mismatch {
-                        let mut m = self.mech.take().unwrap();
-                        if let Some(ent) = m.srsmt.get_mut(idx) {
-                            ent.synced = false;
-                        }
-                        self.mech = Some(m);
+                        // The verdict came from the live entry at `idx`
+                        // (`get_gen` above), and nothing since has
+                        // touched the SRSMT.
+                        self.mech
+                            .as_mut()
+                            .expect("a pending reuse implies the mechanism")
+                            .mark_desynced(idx, false);
                     }
                 }
                 Poll::Deliver(value, addr) => {

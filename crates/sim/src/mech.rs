@@ -170,6 +170,24 @@ impl Mech {
         ent.confirmed |= exact;
     }
 
+    /// Take the SRSMT entry at `idx` out of step with the dynamic
+    /// instruction stream, so it validates again only on alignment
+    /// evidence; the mirror of [`Mech::mark_aligned`]. `contradicted`
+    /// (exact evidence proved the in-step numbering wrong) also
+    /// withdraws its confirmation; otherwise a confirmed entry stays
+    /// confirmed, since realignment snaps back onto the same verified
+    /// address sequence.
+    pub(crate) fn mark_desynced(&mut self, idx: usize, contradicted: bool) {
+        let ent = self
+            .srsmt
+            .get_mut(idx)
+            .expect("a desynced way holds an entry");
+        ent.synced = false;
+        if contradicted {
+            ent.confirmed = false;
+        }
+    }
+
     /// Current mis-speculation count of byte PC `bpc`.
     pub(crate) fn misspec(&self, bpc: u64) -> u8 {
         self.misspec_count[(bpc >> 2) as usize]

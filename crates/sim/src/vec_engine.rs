@@ -201,11 +201,8 @@ impl Pipeline<'_> {
         if ent.decode >= ent.head {
             match load_stride {
                 // The numbering is no longer in step; re-align on
-                // (estimate or exact) evidence at a later instance. A
-                // previously confirmed entry keeps its confirmation:
-                // realignment snaps back onto the same verified address
-                // sequence.
-                Some(_) => m.srsmt.get_mut(idx).unwrap().synced = false,
+                // (estimate or exact) evidence at a later instance.
+                Some(_) => m.mark_desynced(idx, false),
                 // Dependent entries have no address evidence to
                 // re-align with: tear down and re-vectorize.
                 None => self.teardown_srsmt(m, idx, "soft_miss"),
@@ -220,9 +217,7 @@ impl Pipeline<'_> {
             if exact_addr.is_some() && cur != exact_addr {
                 // Synced count contradicted by exact evidence:
                 // desynchronise and retry the alignment next time.
-                let ent = m.srsmt.get_mut(idx).unwrap();
-                ent.synced = false;
-                ent.confirmed = false;
+                m.mark_desynced(idx, true);
                 return false;
             }
             return true;
@@ -542,23 +537,25 @@ impl Pipeline<'_> {
         }
     }
 
-    /// Tear down, in way order, every entry that `victim` picks.
-    /// `reason` labels each teardown in the trace.
-    fn teardown_where(
+    /// Tear down, in way order, every entry that `victim` picks, and
+    /// return how many there were. `reason` labels each teardown in the
+    /// trace.
+    pub(crate) fn teardown_where(
         &mut self,
         m: &mut Mech,
         victim: impl Fn(&SrsmtEntry) -> bool,
         reason: &'static str,
-    ) {
+    ) -> usize {
         let victims: Vec<usize> = m
             .srsmt
             .iter_valid()
             .filter(|(_, e)| victim(e))
             .map(|(i, _)| i)
             .collect();
-        for v in victims {
+        for &v in &victims {
             self.teardown_srsmt(m, v, reason);
         }
+        victims.len()
     }
 
     /// Tear down an SRSMT entry and release it. `reason` labels the

@@ -33,6 +33,9 @@ fn run(bench: &str, mode: Mode) -> (SimStats, Snapshot) {
 
 struct Snapshot {
     records: Vec<cfir_obs::InstRecord>,
+    /// Per cause, the sum of every record's charges, read through
+    /// `LifecycleLog::wait`.
+    record_waits: [u64; NUM_CAUSES],
     frontend: [u64; NUM_CAUSES],
     dropped: u64,
     konata: String,
@@ -42,6 +45,7 @@ impl Snapshot {
     fn of(log: &LifecycleLog) -> Snapshot {
         Snapshot {
             records: log.records().cloned().collect(),
+            record_waits: ALL_CAUSES.map(|c| log.records().map(|r| log.wait(r, c)).sum()),
             frontend: *log.frontend_waits(),
             dropped: log.dropped(),
             konata: log.render_konata(),
@@ -99,8 +103,7 @@ fn wait_sums_reconcile_exactly_with_stall_attribution() {
             let (stats, snap) = run(bench, mode);
             assert_eq!(snap.dropped, 0, "{bench} {mode:?}");
             for cause in ALL_CAUSES {
-                let per_inst: u64 = snap.records.iter().map(|r| r.wait(cause)).sum::<u64>()
-                    + snap.frontend[cause as usize];
+                let per_inst = snap.record_waits[cause as usize] + snap.frontend[cause as usize];
                 assert_eq!(
                     per_inst,
                     stats.stall.get(cause),
