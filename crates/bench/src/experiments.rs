@@ -19,7 +19,13 @@ use cfir_core::{storage, MechConfig};
 use cfir_harness::{
     AggCtx, Artifact, Experiment, ExperimentOutput, JobResult, JobSpec, WorkloadRef,
 };
-use cfir_sim::{harmonic_mean, Estimate, Mode, RegFileSize, SimConfig};
+use cfir_isa::FuClass;
+use cfir_mem::CacheConfig;
+use cfir_predict::{GSHARE_ENTRIES, STRIDE_SETS, STRIDE_WAYS};
+use cfir_sim::{
+    harmonic_mean, Estimate, Mode, RegFileSize, SimConfig, FETCH_WIDTH, FP_ALUS, FP_MULDIVS,
+    INT_ALUS, INT_MULDIVS, ISSUE_WIDTH, LSQ_ENTRIES, MSHRS,
+};
 use cfir_workloads::{WorkloadSpec, NAMES};
 use std::fmt::Write as _;
 
@@ -37,22 +43,35 @@ pub struct Params {
 
 impl Params {
     /// Parameters from `CFIR_INSTS` (default 150\_000) and
-    /// `CFIR_ELEMS` / `CFIR_SEED` (default [`WorkloadSpec`]).
-    pub fn from_env() -> Params {
-        fn var(name: &str) -> Option<u64> {
-            std::env::var(name).ok()?.parse().ok()
+    /// `CFIR_ELEMS` / `CFIR_SEED` (default [`WorkloadSpec`]). An unset
+    /// variable keeps its default; a set one that is not a decimal
+    /// number, or a `CFIR_ELEMS` that is not a power of two (the
+    /// kernels index with the mask `elems - 1`), is an error naming
+    /// the variable and its value.
+    pub fn from_env() -> Result<Params, String> {
+        fn var(name: &str) -> Result<Option<u64>, String> {
+            let Some(raw) = std::env::var_os(name) else {
+                return Ok(None);
+            };
+            let v = raw.to_string_lossy();
+            v.parse()
+                .map(Some)
+                .map_err(|_| format!("{name} wants a number, got `{v}`"))
         }
         let mut spec = WorkloadSpec::default();
-        if let Some(e) = var("CFIR_ELEMS") {
+        if let Some(e) = var("CFIR_ELEMS")? {
+            if !e.is_power_of_two() {
+                return Err(format!("CFIR_ELEMS wants a power of two, got `{e}`"));
+            }
             spec.elems = e;
         }
-        if let Some(x) = var("CFIR_SEED") {
+        if let Some(x) = var("CFIR_SEED")? {
             spec.seed = x;
         }
-        Params {
+        Ok(Params {
             spec,
-            max_insts: var("CFIR_INSTS").unwrap_or(150_000),
-        }
+            max_insts: var("CFIR_INSTS")?.unwrap_or(150_000),
+        })
     }
 }
 
@@ -140,6 +159,20 @@ fn hmean_of(results: &[&JobResult]) -> f64 {
 // Table 1
 // ---------------------------------------------------------------------------
 
+/// A cache's Table 1 row: `64Kb, 2-way, 32B lines, 1 cycle hit`.
+fn cache_row(c: &CacheConfig, hit: u32) -> String {
+    const MB: u64 = 1024 * 1024;
+    let size = if c.size_bytes.is_multiple_of(MB) {
+        format!("{}Mb", c.size_bytes / MB)
+    } else {
+        format!("{}Kb", c.size_bytes / 1024)
+    };
+    format!(
+        "{size}, {}-way, {}B lines, {hit} cycle hit",
+        c.assoc, c.line_bytes
+    )
+}
+
 fn table1(_p: &Params) -> Experiment {
     Experiment {
         name: "table1",
@@ -147,47 +180,48 @@ fn table1(_p: &Params) -> Experiment {
         jobs: Vec::new(),
         aggregate: Box::new(|ctx, _results| {
             let c = SimConfig::paper_baseline();
+            let h = &c.hierarchy;
+            use FuClass::*;
+            let [ia, im, id, fa, fm, fd] = [IntAlu, IntMul, IntDiv, FpAlu, FpMul, FpDiv]
+                .map(|class| class.latency().expect("a fixed-latency class"));
             let mut t = Table::new("Table 1: processor configuration", &["parameter", "value"]);
             let rows: Vec<(&str, String)> = vec![
                 (
                     "Fetch width",
-                    format!("{} instructions (up to 1 taken branch)", c.fetch_width),
+                    format!("{FETCH_WIDTH} instructions (up to 1 taken branch)"),
                 ),
-                ("I-Cache", "64Kb, 2-way, 64B lines, 1 cycle hit".into()),
+                ("I-Cache", cache_row(&h.l1i, h.l1_hit)),
                 (
                     "Branch predictor",
-                    format!("Gshare with {}K entries", c.gshare_entries / 1024),
+                    format!("Gshare with {}K entries", GSHARE_ENTRIES / 1024),
                 ),
                 ("Inst. window size", format!("{} entries", c.window)),
                 (
                     "Int ALUs / mult-div",
-                    format!("{} (1) / {} (2,12)", c.int_alu, c.int_muldiv),
+                    format!("{INT_ALUS} ({ia}) / {INT_MULDIVS} ({im},{id})"),
                 ),
                 (
                     "FP ALUs / mult-div",
-                    format!("{} (2) / {} (4,14)", c.fp_alu, c.fp_muldiv),
+                    format!("{FP_ALUS} ({fa}) / {FP_MULDIVS} ({fm},{fd})"),
                 ),
                 (
                     "Load/store queue",
-                    format!("{} entries, store-load forwarding", c.lsq),
+                    format!("{LSQ_ENTRIES} entries, store-load forwarding"),
                 ),
-                (
-                    "Issue mechanism",
-                    format!("{}-way out of order", c.issue_width),
-                ),
+                ("Issue mechanism", format!("{ISSUE_WIDTH}-way out of order")),
                 (
                     "D-cache",
-                    "64Kb, 2-way, 32B lines, 1 cycle hit, write-back, 16 MSHRs".into(),
+                    format!("{}, write-back, {MSHRS} MSHRs", cache_row(&h.l1d, h.l1_hit)),
                 ),
-                ("L2 cache", "256Kb, 4-way, 32B lines, 6 cycle hit".into()),
+                ("L2 cache", cache_row(&h.l2, h.l2_hit)),
                 (
                     "L3 cache",
-                    "2Mb, 4-way, 64B lines, 18 cycle hit, 100 cycle memory".into(),
+                    format!("{}, {} cycle memory", cache_row(&h.l3, h.l3_hit), h.mem_lat),
                 ),
                 ("Commit width", format!("{} instructions", c.commit_width)),
                 (
                     "Stride predictor",
-                    format!("{}-way x {} sets", c.mech.stride_ways, c.mech.stride_sets),
+                    format!("{STRIDE_WAYS}-way x {STRIDE_SETS} sets"),
                 ),
                 (
                     "SRSMT",
@@ -761,37 +795,43 @@ fn ablations(p: &Params) -> Experiment {
     let mut big = wb.clone();
     big.hierarchy.l1d.size_bytes = 128 * 1024; // nearest pow-2 >= 64+39 KB
 
-    // Group order (12 suite runs each). The aggregator below indexes
-    // these groups, so keep the two lists in sync.
-    let mut groups: Vec<SimConfig> = vec![base.clone(), ungated, naive];
-    for thr in [1u8, 2, 4, u8::MAX] {
+    // Each group is 12 suite runs; `add` returns the index the
+    // aggregator reads the group back by.
+    let mut jobs = Vec::new();
+    let mut add = |cfg: &SimConfig| {
+        jobs.extend(suite_jobs(p, cfg));
+        jobs.len() / NAMES.len() - 1
+    };
+    let g_base = add(&base);
+    let g_ungated = add(&ungated);
+    let g_naive = add(&naive);
+    let daec_thresholds = [1u8, 2, 4, u8::MAX];
+    let g_daec = daec_thresholds.map(|thr| {
         let mut c = config(Mode::Ci, 1, RegFileSize::Finite(256));
         c.mech.daec_threshold = thr;
-        groups.push(c);
-    }
-    for hr in [0usize, 8, 16, 64] {
+        add(&c)
+    });
+    let headrooms = [0usize, 8, 16, 64];
+    let g_headroom = headrooms.map(|hr| {
         let mut c = config(Mode::Ci, 1, RegFileSize::Finite(256));
         c.mech.replica_headroom = hr;
-        groups.push(c);
-    }
-    groups.push(first);
-    groups.push(wb);
-    groups.push(big);
-    for thr in [4u8, 8, u8::MAX] {
+        add(&c)
+    });
+    let g_first = add(&first);
+    let g_wb = add(&wb);
+    let g_big = add(&big);
+    let blacklists = [4u8, 8, u8::MAX];
+    let g_blacklist = blacklists.map(|thr| {
         let mut c = base.clone();
         c.mech.misspec_blacklist = thr;
-        groups.push(c);
-    }
+        add(&c)
+    });
 
-    let mut jobs = Vec::new();
-    for g in &groups {
-        jobs.extend(suite_jobs(p, g));
-    }
     Experiment {
         name: "ablations",
         title: "Ablations: gating, RCP heuristics, DAEC, headroom, priority, L1 budget, blacklist",
         jobs,
-        aggregate: Box::new(|ctx, results| {
+        aggregate: Box::new(move |ctx, results| {
             let group = |i: usize| &results[i * NAMES.len()..(i + 1) * NAMES.len()];
             let hm = |i: usize| f3(hmean_of(group(i)));
             let mut stdout = String::new();
@@ -808,48 +848,48 @@ fn ablations(p: &Params) -> Experiment {
             };
 
             let mut t = Table::new("Ablation: MBS hard-branch gating", &["variant", "HM IPC"]);
-            t.row(vec!["gated (paper)".into(), hm(0)]);
-            t.row(vec!["ungated (every mispredict)".into(), hm(1)]);
-            emit("abl_gating", &t, &concat(&[0, 1]))?;
+            t.row(vec!["gated (paper)".into(), hm(g_base)]);
+            t.row(vec!["ungated (every mispredict)".into(), hm(g_ungated)]);
+            emit("abl_gating", &t, &concat(&[g_base, g_ungated]))?;
 
             let mut t = Table::new(
                 "Ablation: re-convergence heuristics",
                 &["variant", "HM IPC"],
             );
-            t.row(vec!["full Fig-2 heuristics".into(), hm(0)]);
-            t.row(vec!["naive fall-through".into(), hm(2)]);
-            emit("abl_rcp", &t, &concat(&[0, 2]))?;
+            t.row(vec!["full Fig-2 heuristics".into(), hm(g_base)]);
+            t.row(vec!["naive fall-through".into(), hm(g_naive)]);
+            emit("abl_rcp", &t, &concat(&[g_base, g_naive]))?;
 
             let mut t = Table::new(
                 "Ablation: DAEC threshold (256 registers, where pressure bites)",
                 &["threshold", "HM IPC"],
             );
-            for (gi, thr) in [1u8, 2, 4, u8::MAX].into_iter().enumerate() {
+            for (thr, g) in daec_thresholds.into_iter().zip(g_daec) {
                 let label = if thr == u8::MAX {
                     "off".to_string()
                 } else {
                     thr.to_string()
                 };
-                t.row(vec![label, hm(3 + gi)]);
+                t.row(vec![label, hm(g)]);
             }
-            emit("abl_daec", &t, &concat(&[3, 4, 5, 6]))?;
+            emit("abl_daec", &t, &concat(&g_daec))?;
 
             let mut t = Table::new(
                 "Ablation: replica register headroom (256 registers)",
                 &["headroom", "HM IPC"],
             );
-            for (gi, hr) in [0usize, 8, 16, 64].into_iter().enumerate() {
-                t.row(vec![hr.to_string(), hm(7 + gi)]);
+            for (hr, g) in headrooms.into_iter().zip(g_headroom) {
+                t.row(vec![hr.to_string(), hm(g)]);
             }
-            emit("abl_headroom", &t, &concat(&[7, 8, 9, 10]))?;
+            emit("abl_headroom", &t, &concat(&g_headroom))?;
 
             let mut t = Table::new(
                 "Ablation: replica issue priority (S2.4.1)",
                 &["variant", "HM IPC"],
             );
-            t.row(vec!["replicas last (paper)".into(), hm(0)]);
-            t.row(vec!["replicas first".into(), hm(11)]);
-            emit("abl_priority", &t, &concat(&[0, 11]))?;
+            t.row(vec!["replicas last (paper)".into(), hm(g_base)]);
+            t.row(vec!["replicas first".into(), hm(g_first)]);
+            emit("abl_priority", &t, &concat(&[g_base, g_first]))?;
 
             // §3.1: "using this amount of extra hardware in, i.e., the
             // L1 data cache only increases about 5% the performance" —
@@ -858,24 +898,24 @@ fn ablations(p: &Params) -> Experiment {
                 "Ablation: spend the mechanism's 39 KB on the L1D instead (S3.1)",
                 &["variant", "HM IPC"],
             );
-            t.row(vec!["wb, 64 KB L1D".into(), hm(12)]);
-            t.row(vec!["wb, 128 KB L1D".into(), hm(13)]);
-            t.row(vec!["ci, 64 KB L1D".into(), hm(0)]);
-            emit("abl_l1_budget", &t, &concat(&[12, 13, 0]))?;
+            t.row(vec!["wb, 64 KB L1D".into(), hm(g_wb)]);
+            t.row(vec!["wb, 128 KB L1D".into(), hm(g_big)]);
+            t.row(vec!["ci, 64 KB L1D".into(), hm(g_base)]);
+            emit("abl_l1_budget", &t, &concat(&[g_wb, g_big, g_base]))?;
 
             let mut t = Table::new(
                 "Ablation: mis-speculation blacklist threshold",
                 &["threshold", "HM IPC"],
             );
-            for (gi, thr) in [4u8, 8, u8::MAX].into_iter().enumerate() {
+            for (thr, g) in blacklists.into_iter().zip(g_blacklist) {
                 let label = if thr == u8::MAX {
                     "off (default)".to_string()
                 } else {
                     thr.to_string()
                 };
-                t.row(vec![label, hm(14 + gi)]);
+                t.row(vec![label, hm(g)]);
             }
-            emit("abl_blacklist", &t, &concat(&[14, 15, 16]))?;
+            emit("abl_blacklist", &t, &concat(&g_blacklist))?;
 
             Ok(ExperimentOutput { stdout, artifacts })
         }),
@@ -1003,7 +1043,6 @@ fn exp_bottleneck(p: &Params) -> Experiment {
         jobs,
         aggregate: Box::new(move |ctx, results| {
             use cfir_obs::critpath::{CPI_GROUPS, SCENARIOS};
-            let parse = |r: &JobResult| cfir_obs::json::parse(&r.snapshot);
             let scen_keys: Vec<&str> = SCENARIOS.iter().map(|&(k, _)| k).collect();
             let mut header: Vec<&str> = vec!["bench", "mode", "cycles"];
             header.extend(CPI_GROUPS.iter().copied());
@@ -1015,12 +1054,7 @@ fn exp_bottleneck(p: &Params) -> Experiment {
             for (mi, mode) in modes.iter().enumerate() {
                 for (bi, bench) in NAMES.iter().enumerate() {
                     let r = results[mi * NAMES.len() + bi];
-                    let v = parse(r)?;
-                    let dropped = v
-                        .get("lifecycle")
-                        .and_then(|lc| lc.get("dropped"))
-                        .and_then(|d| d.as_u64())
-                        .unwrap_or(0);
+                    let dropped = r.lifecycle_dropped;
                     if dropped > 0 {
                         return Err(format!(
                             "{bench}/{}: {dropped} lifecycle records dropped — \
@@ -1028,10 +1062,11 @@ fn exp_bottleneck(p: &Params) -> Experiment {
                             mode.label()
                         ));
                     }
+                    let v = cfir_obs::json::parse(&r.snapshot)?;
                     let b = v
                         .get("bottleneck")
                         .ok_or_else(|| format!("{bench}/{}: no bottleneck object", mode.label()))?;
-                    let cycles = v.get("cycles").and_then(|x| x.as_u64()).unwrap_or(0);
+                    let cycles = r.cycles;
                     let mut row = vec![bench.to_string(), mode.label().into(), cycles.to_string()];
                     for key in CPI_GROUPS {
                         let slots = b
@@ -1078,9 +1113,7 @@ fn exp_bottleneck(p: &Params) -> Experiment {
                 &["bench", "measured", "projected_bp", "oracle_bp", "ratio"],
             );
             for (bi, bench) in NAMES.iter().enumerate() {
-                let o = results[modes.len() * NAMES.len() + bi];
-                let v = parse(o)?;
-                let oracle = v.get("cycles").and_then(|x| x.as_u64()).unwrap_or(0);
+                let oracle = results[modes.len() * NAMES.len() + bi].cycles;
                 let ratio = projected_bp[bi] as f64 / oracle.max(1) as f64;
                 vt.row(vec![
                     bench.to_string(),
@@ -1593,58 +1626,40 @@ fn smoke(p: &Params) -> Experiment {
 // Registry and profiles
 // ---------------------------------------------------------------------------
 
-/// Names of every registered experiment, in canonical (suite) order.
-pub const EXPERIMENT_NAMES: [&str; 20] = [
-    "table1",
-    "fig04",
-    "fig05",
-    "fig08",
-    "fig09",
-    "fig10",
-    "fig11",
-    "fig12",
-    "fig13",
-    "fig14",
-    "exp_regs",
-    "exp_coherence",
-    "ablations",
-    "exp_limit",
-    "exp_warmup",
-    "exp_bottleneck",
-    "exp_cidi",
-    "exp_sampling",
-    "sweep",
-    "smoke",
-];
-
-/// Build one experiment by name (`sweep` gets its default axes).
-pub fn by_name(p: &Params, name: &str) -> Option<Experiment> {
-    Some(match name {
-        "table1" => table1(p),
-        "fig04" => fig04(p),
-        "fig05" => fig05(p),
-        "fig08" => fig08(p),
-        "fig09" => fig09(p),
-        "fig10" => fig10(p),
-        "fig11" => fig11(p),
-        "fig12" => fig12(p),
-        "fig13" => fig13(p),
-        "fig14" => fig14(p),
-        "exp_regs" => exp_regs(p),
-        "exp_coherence" => exp_coherence(p),
-        "ablations" => ablations(p),
-        "exp_limit" => exp_limit(p),
-        "exp_warmup" => exp_warmup(p),
-        "exp_bottleneck" => exp_bottleneck(p),
-        "exp_cidi" => exp_cidi(p),
-        "exp_sampling" => exp_sampling(p),
-        "sweep" => sweep_experiment(p, &SweepAxes::default()),
-        "smoke" => smoke(p),
-        _ => return None,
-    })
+/// The `sweep` experiment over its default axes.
+fn sweep_default(p: &Params) -> Experiment {
+    sweep_experiment(p, &SweepAxes::default())
 }
 
-/// Resolve a profile name to its experiment list.
+/// An experiment's constructor.
+type Build = fn(&Params) -> Experiment;
+
+/// Every registered experiment in canonical (suite) order: its name,
+/// its constructor and the profiles besides `all` that run it.
+const REGISTRY: [(&str, Build, &[&str]); 20] = [
+    ("table1", table1, &["smoke", "figures"]),
+    ("fig04", fig04, &["figures"]),
+    ("fig05", fig05, &["figures"]),
+    ("fig08", fig08, &["figures"]),
+    ("fig09", fig09, &["figures"]),
+    ("fig10", fig10, &["figures"]),
+    ("fig11", fig11, &["figures"]),
+    ("fig12", fig12, &["figures"]),
+    ("fig13", fig13, &["figures"]),
+    ("fig14", fig14, &["figures"]),
+    ("exp_regs", exp_regs, &["extras"]),
+    ("exp_coherence", exp_coherence, &["extras"]),
+    ("ablations", ablations, &["ablations"]),
+    ("exp_limit", exp_limit, &["extras"]),
+    ("exp_warmup", exp_warmup, &["extras"]),
+    ("exp_bottleneck", exp_bottleneck, &["extras"]),
+    ("exp_cidi", exp_cidi, &["extras"]),
+    ("exp_sampling", exp_sampling, &["extras"]),
+    ("sweep", sweep_default, &["extras"]),
+    ("smoke", smoke, &["smoke"]),
+];
+
+/// Profile names, in `--list` order.
 ///
 /// * `smoke` — the CI fast path: `table1` (config drift gate) plus the
 ///   five-mode smoke matrix (perf gate baseline).
@@ -1652,26 +1667,30 @@ pub fn by_name(p: &Params, name: &str) -> Option<Experiment> {
 /// * `ablations` — the seven design-choice ablations.
 /// * `extras` — the beyond-the-paper experiments.
 /// * `all` — everything, in canonical order.
+pub const PROFILES: [&str; 5] = ["smoke", "figures", "ablations", "extras", "all"];
+
+/// Names of every registered experiment, in canonical (suite) order.
+pub fn experiment_names() -> impl Iterator<Item = &'static str> {
+    REGISTRY.iter().map(|&(name, ..)| name)
+}
+
+/// Build one experiment by name.
+pub fn by_name(p: &Params, name: &str) -> Option<Experiment> {
+    REGISTRY
+        .iter()
+        .find(|&&(n, ..)| n == name)
+        .map(|&(_, build, _)| build(p))
+}
+
+/// Resolve a profile name (one of [`PROFILES`]) to its experiment
+/// list, in canonical order.
 pub fn profile(name: &str) -> Option<Vec<&'static str>> {
-    Some(match name {
-        "smoke" => vec!["table1", "smoke"],
-        "figures" => vec![
-            "table1", "fig04", "fig05", "fig08", "fig09", "fig10", "fig11", "fig12", "fig13",
-            "fig14",
-        ],
-        "ablations" => vec!["ablations"],
-        "extras" => vec![
-            "exp_regs",
-            "exp_coherence",
-            "exp_limit",
-            "exp_warmup",
-            "exp_bottleneck",
-            "exp_cidi",
-            "exp_sampling",
-            "sweep",
-        ],
-        "all" => EXPERIMENT_NAMES.to_vec(),
-        _ => return None,
+    PROFILES.contains(&name).then(|| {
+        REGISTRY
+            .iter()
+            .filter(|&&(_, _, profiles)| name == "all" || profiles.contains(&name))
+            .map(|&(n, ..)| n)
+            .collect()
     })
 }
 
@@ -1685,7 +1704,7 @@ mod tests {
             spec: WorkloadSpec::default(),
             max_insts: 1000,
         };
-        for name in EXPERIMENT_NAMES {
+        for name in experiment_names() {
             let e = by_name(&p, name).expect(name);
             assert_eq!(e.name, name);
         }
@@ -1694,7 +1713,7 @@ mod tests {
 
     #[test]
     fn profiles_resolve_to_registered_names() {
-        for prof in ["smoke", "figures", "ablations", "extras", "all"] {
+        for prof in PROFILES {
             let names = profile(prof).expect(prof);
             assert!(!names.is_empty());
             let p = Params {
@@ -1706,7 +1725,7 @@ mod tests {
             }
         }
         assert!(profile("bogus").is_none());
-        assert_eq!(profile("all").unwrap().len(), EXPERIMENT_NAMES.len());
+        assert_eq!(profile("all").unwrap().len(), REGISTRY.len());
     }
 
     #[test]

@@ -15,8 +15,13 @@
 //!
 //! * `CFIR_INSTS` — committed instructions per benchmark per config
 //!   (default 150_000);
-//! * `CFIR_ELEMS` — data-array elements (default 16384);
+//! * `CFIR_ELEMS` — data-array elements, a power of two (default
+//!   16384);
 //! * `CFIR_SEED` — workload data seed (default 0xC0FFEE).
+//!
+//! A variable that is set but does not parse, or a `CFIR_ELEMS` that
+//! is not a power of two, is an error (`Params::from_env`), which
+//! `cfir suite` reports as a usage error.
 //!
 //! With `cfir suite --emit-json`, each experiment additionally writes
 //! `<name>.json` next to its CSV: the versioned table plus one full

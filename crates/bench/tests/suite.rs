@@ -2,7 +2,7 @@
 //! `cfir-harness` pool: parallel determinism, cache resume, and
 //! failure isolation — the properties `cfir suite` is built on.
 
-use cfir_bench::experiments::config;
+use cfir_bench::experiments::{by_name, config, Params};
 use cfir_harness::{
     run_suite, Artifact, Experiment, ExperimentOutput, JobSpec, SuiteOptions, WorkloadRef,
 };
@@ -98,6 +98,33 @@ fn opts(out: &std::path::Path, cache: &std::path::Path, jobs: usize) -> SuiteOpt
         quiet: true,
         ..SuiteOptions::default()
     }
+}
+
+/// `table1` renders every row of Table 1 and of the §3.1 storage
+/// table from the definitions the simulator runs with, so a machine
+/// parameter that moves changes these bytes.
+#[test]
+fn table1_artifacts_match_the_committed_baselines() {
+    let (out, cache) = (scratch("t1-out"), scratch("t1-cache"));
+    let mut o = opts(&out, &cache, 1);
+    o.emit_json = true;
+    let p = Params {
+        spec: WorkloadSpec::default(),
+        max_insts: 1000,
+    };
+    let r = run_suite(vec![by_name(&p, "table1").unwrap()], &o);
+    assert!(r.all_ok(), "{}", r.summary_line());
+    let baselines = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results/baselines");
+    let drifted: Vec<&str> = ["table1.json", "table1_storage.json"]
+        .into_iter()
+        .filter(|name| {
+            std::fs::read(out.join(name)).unwrap() != std::fs::read(baselines.join(name)).unwrap()
+        })
+        .collect();
+    assert!(
+        drifted.is_empty(),
+        "{drifted:?} differ from results/baselines/ (`cfir report check` shows the rows)"
+    );
 }
 
 #[test]

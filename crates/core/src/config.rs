@@ -1,7 +1,11 @@
 //! Configuration knobs of the CI/DV mechanism.
 
 /// All mechanism parameters, defaulting to the configuration evaluated
-/// in the paper (§3.1, Table 1).
+/// in the paper (§3.1, Table 1). Values no run varies are constants
+/// instead: the stride predictor's geometry
+/// ([`cfir_predict::STRIDE_SETS`] × [`cfir_predict::STRIDE_WAYS`]), the
+/// NRBQ's capacity (in [`crate::storage`], its only reader) and the
+/// speculative memory's latency (`cfir-sim`'s mechanism state).
 #[derive(Debug, Clone)]
 pub struct MechConfig {
     /// Speculative replicas generated per vectorized instruction
@@ -10,10 +14,6 @@ pub struct MechConfig {
     /// Propagated strided-load PCs per rename-map entry (Figure 4
     /// sweeps 1, 2, 4; SpecInt2000 needs 1.7 on average).
     pub strided_pc_slots: usize,
-    /// NRBQ capacity (16 entries, §3.1). Only the §3.1 storage budget
-    /// reads it: the simulator takes the CRP's initial mask from an
-    /// exact walk of its window instead of ORing NRBQ masks.
-    pub nrbq_entries: usize,
     /// DAEC threshold: replica registers of an entry untouched across
     /// this many misprediction recoveries are released (§2.4.2: 2).
     pub daec_threshold: u8,
@@ -25,16 +25,9 @@ pub struct MechConfig {
     pub srsmt_sets: usize,
     /// SRSMT associativity.
     pub srsmt_ways: usize,
-    /// Stride predictor geometry: sets × ways (256 × 4, Table 1).
-    pub stride_sets: usize,
-    /// Stride predictor associativity.
-    pub stride_ways: usize,
     /// Speculative data memory positions (`ci-h-N` of Figure 13);
     /// `None` = monolithic register file holds replica values.
     pub specmem_positions: Option<usize>,
-    /// Speculative-memory access latency in cycles ("twice slower than
-    /// the register file", §2.4.6).
-    pub specmem_latency: u32,
     /// Gate the CI scheme to hard-to-predict branches via the MBS
     /// (§2.3.1). Disabling treats every misprediction as hard
     /// (ablation).
@@ -66,16 +59,12 @@ impl Default for MechConfig {
         MechConfig {
             replicas_per_inst: 4,
             strided_pc_slots: 2,
-            nrbq_entries: 16,
             daec_threshold: 2,
             mbs_sets: 64,
             mbs_ways: 4,
             srsmt_sets: 64,
             srsmt_ways: 4,
-            stride_sets: 256,
-            stride_ways: 4,
             specmem_positions: None,
-            specmem_latency: 2,
             mbs_gating: true,
             full_rcp_heuristic: true,
             replica_headroom: 16,
@@ -110,11 +99,9 @@ mod tests {
         let c = MechConfig::paper();
         assert_eq!(c.replicas_per_inst, 4);
         assert_eq!(c.strided_pc_slots, 2);
-        assert_eq!(c.nrbq_entries, 16);
         assert_eq!(c.daec_threshold, 2);
         assert_eq!((c.mbs_sets, c.mbs_ways), (64, 4));
         assert_eq!((c.srsmt_sets, c.srsmt_ways), (64, 4));
-        assert_eq!((c.stride_sets, c.stride_ways), (256, 4));
         assert!(c.specmem_positions.is_none());
         assert!(c.mbs_gating);
         assert!(c.full_rcp_heuristic);
@@ -125,6 +112,5 @@ mod tests {
     fn specmem_variant() {
         let c = MechConfig::paper_with_specmem(768);
         assert_eq!(c.specmem_positions, Some(768));
-        assert_eq!(c.specmem_latency, 2);
     }
 }

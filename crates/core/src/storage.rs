@@ -6,6 +6,12 @@
 //! print them.
 
 use crate::MechConfig;
+use cfir_predict::{STRIDE_SETS, STRIDE_WAYS};
+
+/// NRBQ capacity (16 entries, §3.1). Only the storage budget reads it:
+/// the simulator takes the CRP's initial mask from an exact walk of its
+/// window instead of ORing NRBQ masks (DESIGN.md decision 12).
+const NRBQ_ENTRIES: usize = 16;
 
 /// Byte sizes of every added structure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,9 +57,9 @@ pub fn report(cfg: &MechConfig) -> StorageReport {
     let mbs_entry_bytes = 8;
     StorageReport {
         srsmt: cfg.srsmt_sets * cfg.srsmt_ways * srsmt_entry_bytes,
-        stride: cfg.stride_sets * cfg.stride_ways * stride_entry_bytes,
+        stride: STRIDE_SETS * STRIDE_WAYS * stride_entry_bytes,
         mbs: cfg.mbs_sets * cfg.mbs_ways * mbs_entry_bytes,
-        nrbq: cfg.nrbq_entries * 8,
+        nrbq: NRBQ_ENTRIES * 8,
         crp: 16,
         rename_ext: 16 * 64,
     }

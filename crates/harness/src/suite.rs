@@ -230,21 +230,33 @@ pub fn run_suite(experiments: Vec<Experiment>, opts: &SuiteOptions) -> SuiteRepo
     // (and only that one) counts it as executed/cached; everyone else
     // attributes it to `deduped`.
     let mut owner: Vec<usize> = Vec::new();
-    // Per experiment: its jobs as indices into `unique`.
+    // Per experiment: its jobs as indices into `unique`, and the
+    // distinct ones among them in first-occurrence order.
     let mut exp_jobs: Vec<Vec<usize>> = Vec::new();
+    let mut exp_distinct: Vec<Vec<usize>> = Vec::new();
+    // The last experiment that listed each unique point.
+    let mut last_lister: Vec<usize> = Vec::new();
     for (e, exp) in experiments.iter().enumerate() {
+        let mut distinct = Vec::new();
         let idxs = exp
             .jobs
             .iter()
             .map(|spec| {
-                *by_fp.entry(spec.fingerprint()).or_insert_with(|| {
+                let i = *by_fp.entry(spec.fingerprint()).or_insert_with(|| {
                     unique.push(spec.clone());
                     owner.push(e);
+                    last_lister.push(usize::MAX);
                     unique.len() - 1
-                })
+                });
+                if last_lister[i] != e {
+                    last_lister[i] = e;
+                    distinct.push(i);
+                }
+                i
             })
             .collect();
         exp_jobs.push(idxs);
+        exp_distinct.push(distinct);
     }
 
     let mut report = SuiteReport {
@@ -273,14 +285,9 @@ pub fn run_suite(experiments: Vec<Experiment>, opts: &SuiteOptions) -> SuiteRepo
 
     // Experiments whose every point is already resolved aggregate now;
     // the rest stream in as the pool completes their last point.
-    let mut remaining: Vec<usize> = exp_jobs
+    let mut remaining: Vec<usize> = exp_distinct
         .iter()
-        .map(|idxs| {
-            let mut seen = std::collections::HashSet::new();
-            idxs.iter()
-                .filter(|&&i| outcomes[i].is_none() && seen.insert(i))
-                .count()
-        })
+        .map(|idxs| idxs.iter().filter(|&&i| outcomes[i].is_none()).count())
         .collect();
     let mut statuses: Vec<Option<ExperimentStatus>> = experiments.iter().map(|_| None).collect();
     let finalize = |e: usize,
@@ -292,18 +299,16 @@ pub fn run_suite(experiments: Vec<Experiment>, opts: &SuiteOptions) -> SuiteRepo
             finalize_experiment(exp, &exp_jobs[e], outcomes, &ctx, opts);
         status.wall = t0.elapsed();
         status.jobs = exp_jobs[e].len();
-        let mut seen = std::collections::HashSet::new();
-        for &i in &exp_jobs[e] {
-            if owner[i] == e && seen.insert(i) {
-                if from_cache[i] {
-                    status.cached += 1;
-                } else {
-                    status.executed += 1;
-                }
+        // Executed plus cached is the distinct points this experiment
+        // owns; every other job of its list was deduplicated.
+        for &i in exp_distinct[e].iter().filter(|&&i| owner[i] == e) {
+            if from_cache[i] {
+                status.cached += 1;
             } else {
-                status.deduped += 1;
+                status.executed += 1;
             }
         }
+        status.deduped = status.jobs - status.cached - status.executed;
         if !opts.quiet {
             match &status.error {
                 None => print!("{stdout_block}"),
@@ -318,12 +323,9 @@ pub fn run_suite(experiments: Vec<Experiment>, opts: &SuiteOptions) -> SuiteRepo
 
     // Which experiments does each unique job belong to?
     let mut members: Vec<Vec<usize>> = vec![Vec::new(); unique.len()];
-    for (e, idxs) in exp_jobs.iter().enumerate() {
-        let mut seen = std::collections::HashSet::new();
-        for &i in idxs {
-            if outcomes[i].is_none() && seen.insert(i) {
-                members[i].push(e);
-            }
+    for (e, idxs) in exp_distinct.iter().enumerate() {
+        for &i in idxs.iter().filter(|&&i| outcomes[i].is_none()) {
+            members[i].push(e);
         }
     }
 

@@ -1,5 +1,9 @@
 //! Gshare conditional-branch predictor with speculative history.
 
+/// Gshare entries of Table 1 (64K): the simulator's predictor and the
+/// sampled runs' warming predictor are both [`Gshare::paper`].
+pub const GSHARE_ENTRIES: usize = 64 * 1024;
+
 /// Gshare predictor: `entries` 2-bit counters indexed by
 /// `(pc >> 2) ^ history`. Table 1 uses 64K entries.
 #[derive(Debug, Clone)]
@@ -31,9 +35,9 @@ impl Gshare {
         }
     }
 
-    /// The paper's 64K-entry configuration.
+    /// The paper's [`GSHARE_ENTRIES`]-entry configuration.
     pub fn paper() -> Self {
-        Self::new(64 * 1024)
+        Self::new(GSHARE_ENTRIES)
     }
 
     #[inline]

@@ -29,5 +29,5 @@
 pub mod gshare;
 pub mod stride;
 
-pub use gshare::Gshare;
-pub use stride::{StrideEntry, StridePredictor};
+pub use gshare::{Gshare, GSHARE_ENTRIES};
+pub use stride::{StrideEntry, StridePredictor, STRIDE_SETS, STRIDE_WAYS};

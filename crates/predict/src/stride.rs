@@ -6,6 +6,13 @@
 //! `> 1`) and the `S` flag that marks the load as *selected for
 //! speculative vectorization* by the control-independence mechanism.
 
+/// Stride predictor geometry of Table 1: sets × ways (256 × 4). The
+/// simulator's predictor is [`StridePredictor::paper`], and the §3.1
+/// storage accounting charges the same table.
+pub const STRIDE_SETS: usize = 256;
+/// Stride predictor associativity (Table 1: 4-way).
+pub const STRIDE_WAYS: usize = 4;
+
 /// One stride-predictor entry (Figure 3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StrideEntry {
@@ -85,9 +92,10 @@ impl StridePredictor {
         }
     }
 
-    /// The paper's configuration: 4-way set associative with 256 sets.
+    /// The paper's configuration: [`STRIDE_WAYS`]-way set associative
+    /// with [`STRIDE_SETS`] sets.
     pub fn paper() -> Self {
-        Self::new(256, 4)
+        Self::new(STRIDE_SETS, STRIDE_WAYS)
     }
 
     #[inline]

@@ -47,13 +47,13 @@ pub struct WarmingEmulator<'a> {
 
 impl<'a> WarmingEmulator<'a> {
     /// Build a warming emulator over `prog` with initial memory `mem`,
-    /// sized to match the detailed configuration `cfg` (predictor
-    /// entries, cache geometry).
+    /// its caches sized to match the detailed configuration `cfg` (the
+    /// predictor is [`Gshare::paper`], as in the detailed core).
     pub fn new(prog: &'a Program, mem: MemImage, cfg: &SimConfig) -> Self {
         WarmingEmulator {
             prog,
             emu: Emulator::new(mem),
-            gshare: Gshare::new(cfg.gshare_entries),
+            gshare: Gshare::paper(),
             hier: Hierarchy::new(cfg.hierarchy.clone()),
             ghist: 0,
         }

@@ -87,42 +87,24 @@ impl RegFileSize {
 /// Full simulator configuration. Defaults reproduce Table 1 with the
 /// paper's preferred mechanism parameters (4 replicas, 2 stridedPC
 /// slots, 2 wide ports are *not* default — port count is explicit).
+/// Table 1's values that no run varies are constants beside their
+/// readers instead: widths, LSQ and functional units
+/// ([`crate::FETCH_WIDTH`], …), MSHRs ([`crate::MSHRS`]), the wide
+/// bus's loads per access, and the gshare size
+/// ([`cfir_predict::GSHARE_ENTRIES`]).
 #[derive(Debug, Clone)]
 pub struct SimConfig {
     /// Machine variant.
     pub mode: Mode,
-    /// Fetch width (8, up to 1 taken branch).
-    pub fetch_width: u32,
-    /// Decode-to-rename pipeline depth in cycles (front-end latency
-    /// that sets the misprediction penalty floor).
-    pub decode_delay: u32,
-    /// Issue width (8-way out of order).
-    pub issue_width: u32,
     /// Commit width (8).
     pub commit_width: u32,
     /// Instruction window / ROB entries (256; grows to the register
     /// count for configurations beyond 256 registers, §3.2).
     pub window: u32,
-    /// Load/store queue entries (64).
-    pub lsq: u32,
     /// Physical registers.
     pub regs: RegFileSize,
     /// L1 data cache ports (1 or 2; the `x` of `scalxp`/`wbxp`/`cixp`).
     pub dports: u32,
-    /// Loads served by one wide-bus access (4, §2.4.5).
-    pub wide_loads_per_access: u32,
-    /// Simple int ALUs (6).
-    pub int_alu: u32,
-    /// Int mult/div units (3).
-    pub int_muldiv: u32,
-    /// Simple FP units (4).
-    pub fp_alu: u32,
-    /// FP mult/div units (2).
-    pub fp_muldiv: u32,
-    /// Outstanding L1D misses (16).
-    pub mshrs: u32,
-    /// Gshare entries (64K).
-    pub gshare_entries: usize,
     /// Cache hierarchy geometry/latencies.
     pub hierarchy: HierarchyConfig,
     /// Mechanism parameters (replicas, stridedPC slots, tables).
@@ -155,21 +137,10 @@ impl SimConfig {
     pub fn paper_baseline() -> Self {
         SimConfig {
             mode: Mode::Scalar,
-            fetch_width: 8,
-            decode_delay: 2,
-            issue_width: 8,
             commit_width: 8,
             window: 256,
-            lsq: 64,
             regs: RegFileSize::Finite(256),
             dports: 1,
-            wide_loads_per_access: 4,
-            int_alu: 6,
-            int_muldiv: 3,
-            fp_alu: 4,
-            fp_muldiv: 2,
-            mshrs: 16,
-            gshare_entries: 64 * 1024,
             hierarchy: HierarchyConfig::paper(),
             mech: MechConfig::paper(),
             max_insts: 1_000_000,
@@ -231,17 +202,8 @@ mod tests {
     #[test]
     fn baseline_matches_table1() {
         let c = SimConfig::paper_baseline();
-        assert_eq!(c.fetch_width, 8);
-        assert_eq!(c.issue_width, 8);
         assert_eq!(c.commit_width, 8);
         assert_eq!(c.window, 256);
-        assert_eq!(c.lsq, 64);
-        assert_eq!(c.int_alu, 6);
-        assert_eq!(c.int_muldiv, 3);
-        assert_eq!(c.fp_alu, 4);
-        assert_eq!(c.fp_muldiv, 2);
-        assert_eq!(c.mshrs, 16);
-        assert_eq!(c.gshare_entries, 64 * 1024);
     }
 
     #[test]

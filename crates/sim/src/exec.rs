@@ -7,6 +7,11 @@ use crate::vec_engine::ValFail;
 use cfir_isa::{FuClass, Inst};
 use cfir_obs::{EventKind, Subsystem, WaitDetail, WaitEdgeKind};
 
+/// Outstanding L1D misses (16).
+pub const MSHRS: usize = 16;
+/// Loads served by one wide-bus access (4, §2.4.5).
+const WIDE_LOADS_PER_ACCESS: u32 = 4;
+
 /// Result of an ALU-class instruction (`Alu`, `AluImm`, `Fp`) on
 /// source values `a` and `b`; `None` for any other instruction.
 pub(crate) fn alu_result(inst: Inst, a: u64, b: u64) -> Option<u64> {
@@ -23,10 +28,10 @@ impl Pipeline<'_> {
     /// consume it if so.
     pub(crate) fn take_fu(&mut self, class: FuClass) -> bool {
         let slot = match class {
-            FuClass::IntAlu | FuClass::Store => &mut self.res.int_alu,
-            FuClass::IntMul | FuClass::IntDiv => &mut self.res.int_muldiv,
-            FuClass::FpAlu => &mut self.res.fp_alu,
-            FuClass::FpMul | FuClass::FpDiv => &mut self.res.fp_muldiv,
+            FuClass::IntAlu | FuClass::Store => &mut self.res.int_alus,
+            FuClass::IntMul | FuClass::IntDiv => &mut self.res.int_muldivs,
+            FuClass::FpAlu => &mut self.res.fp_alus,
+            FuClass::FpMul | FuClass::FpDiv => &mut self.res.fp_muldivs,
             FuClass::Load => unreachable!("loads arbitrate for D-ports"),
         };
         if *slot == 0 {
@@ -39,7 +44,7 @@ impl Pipeline<'_> {
     /// Arbitrate a load's D-cache access. Returns the latency, or
     /// `None` when no bandwidth (or MSHR) is available this cycle.
     /// Counts one L1 access per *port use* (Figure 8's metric): with
-    /// the wide bus, up to `wide_loads_per_access` loads share one
+    /// the wide bus, up to [`WIDE_LOADS_PER_ACCESS`] loads share one
     /// access to the same line.
     pub(crate) fn arbitrate_load(&mut self, addr: u64) -> Option<u32> {
         let wide = self.cfg.mode.wide_bus();
@@ -65,11 +70,11 @@ impl Pipeline<'_> {
             if wide {
                 self.res
                     .wide_groups
-                    .push((line, self.cfg.wide_loads_per_access - 1, lat));
+                    .push((line, WIDE_LOADS_PER_ACCESS - 1, lat));
             }
             return Some(lat);
         }
-        if self.outstanding_misses.len() >= self.cfg.mshrs as usize && !self.hier.l1d.probe(addr) {
+        if self.outstanding_misses.len() >= MSHRS && !self.hier.l1d.probe(addr) {
             return None; // would miss and MSHRs are full
         }
         let lat = self.hier.access_data(addr, false);
@@ -87,7 +92,7 @@ impl Pipeline<'_> {
         if wide {
             self.res
                 .wide_groups
-                .push((line, self.cfg.wide_loads_per_access - 1, lat));
+                .push((line, WIDE_LOADS_PER_ACCESS - 1, lat));
         }
         Some(lat)
     }

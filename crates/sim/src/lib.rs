@@ -49,8 +49,12 @@ mod stats;
 mod vec_engine;
 
 pub use config::{Mode, RegFileSize, SimConfig};
+pub use exec::MSHRS;
 pub use observe::CommitRecord;
-pub use pipeline::{Pipeline, PipelineSnapshot, RunExit, WarmStart};
+pub use pipeline::{
+    Pipeline, PipelineSnapshot, RunExit, WarmStart, FETCH_WIDTH, FP_ALUS, FP_MULDIVS, INT_ALUS,
+    INT_MULDIVS, ISSUE_WIDTH, LSQ_ENTRIES,
+};
 pub use prof::{BranchProf, BranchScore};
 pub use snapshot::{run_json, Estimate, SampledRun, WindowRow, SCHEMA_VERSION};
 pub use stats::{harmonic_mean, IntervalSample, SimStats};

@@ -18,6 +18,10 @@ use std::collections::VecDeque;
 /// real event.
 pub(crate) const SEL_EVENT_EMPTY: u64 = u64::MAX;
 
+/// Speculative-memory access latency in cycles ("twice slower than the
+/// register file", §2.4.6).
+const SPECMEM_LATENCY: u32 = 2;
+
 /// Execution state of one replica instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RepState {
@@ -115,11 +119,11 @@ impl Mech {
     pub fn new(cfg: &MechConfig, prog_len: usize) -> Self {
         let specmem = cfg
             .specmem_positions
-            .map(|n| SpecMem::new(n, cfg.specmem_latency));
+            .map(|n| SpecMem::new(n, SPECMEM_LATENCY));
         Mech {
             mbs: Mbs::new(cfg.mbs_sets, cfg.mbs_ways),
             crp: Crp::new(),
-            stride: StridePredictor::new(cfg.stride_sets, cfg.stride_ways),
+            stride: StridePredictor::paper(),
             srsmt: Srsmt::new(cfg.srsmt_sets, cfg.srsmt_ways, cfg.daec_threshold),
             specmem,
             sel_event: vec![SEL_EVENT_EMPTY; prog_len],
@@ -233,6 +237,11 @@ mod tests {
     fn specmem_configured_when_requested() {
         let m = Mech::new(&MechConfig::paper_with_specmem(256), 16);
         assert_eq!(m.specmem.as_ref().unwrap().capacity(), 256);
+        assert_eq!(
+            m.specmem.as_ref().unwrap().latency,
+            2,
+            "twice the register file's"
+        );
     }
 
     #[test]

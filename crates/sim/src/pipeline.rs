@@ -38,6 +38,24 @@ use std::collections::VecDeque;
 
 const NLR: usize = NUM_LOGICAL_REGS;
 
+/// Fetch width (8, up to 1 taken branch).
+pub const FETCH_WIDTH: u32 = 8;
+/// Decode-to-rename pipeline depth in cycles (front-end latency that
+/// sets the misprediction penalty floor).
+const DECODE_DELAY: u32 = 2;
+/// Issue width (8-way out of order); dispatch renames as many.
+pub const ISSUE_WIDTH: u32 = 8;
+/// Load/store queue entries (64).
+pub const LSQ_ENTRIES: usize = 64;
+/// Simple int ALUs (6).
+pub const INT_ALUS: u32 = 6;
+/// Int mult/div units (3).
+pub const INT_MULDIVS: u32 = 3;
+/// Simple FP units (4).
+pub const FP_ALUS: u32 = 4;
+/// FP mult/div units (2).
+pub const FP_MULDIVS: u32 = 2;
+
 /// Sentinel for an empty [`Pipeline::jr_btb`] slot (no program target
 /// can be `u32::MAX`).
 pub(crate) const JR_BTB_EMPTY: u32 = u32::MAX;
@@ -60,10 +78,10 @@ pub(crate) struct Fetched {
 #[derive(Debug, Default)]
 pub(crate) struct CycleRes {
     pub issue: u32,
-    pub int_alu: u32,
-    pub int_muldiv: u32,
-    pub fp_alu: u32,
-    pub fp_muldiv: u32,
+    pub int_alus: u32,
+    pub int_muldivs: u32,
+    pub fp_alus: u32,
+    pub fp_muldivs: u32,
     pub dports: u32,
     /// Open wide-bus line groups this cycle: (line, loads left, latency).
     pub wide_groups: Vec<(u64, u32, u32)>,
@@ -114,7 +132,7 @@ pub struct WarmStart<'w> {
     pub pc: u32,
     /// Committed global branch history (16-bit, as commit maintains it).
     pub ghist: u64,
-    /// Gshare counter table (length must match `cfg.gshare_entries`).
+    /// Gshare counter table (length must be [`cfir_predict::GSHARE_ENTRIES`]).
     pub gshare_table: &'w [u8],
     /// Gshare speculative history at the checkpoint.
     pub gshare_history: u64,
@@ -240,9 +258,9 @@ impl<'a> Pipeline<'a> {
         } else {
             None
         };
-        let gshare = Gshare::new(cfg.gshare_entries);
+        let gshare = Gshare::paper();
         let hier = Hierarchy::new(cfg.hierarchy.clone());
-        let lsq = Lsq::new(cfg.lsq as usize);
+        let lsq = Lsq::new(LSQ_ENTRIES);
         let mut pipe = Pipeline {
             prog,
             stats: SimStats::default(),
@@ -469,11 +487,11 @@ impl<'a> Pipeline<'a> {
         // Reset the per-cycle resource pool in place: `wide_groups`
         // keeps its allocation across cycles instead of being dropped
         // and re-grown every cycle of a wide-bus run.
-        self.res.issue = self.cfg.issue_width;
-        self.res.int_alu = self.cfg.int_alu;
-        self.res.int_muldiv = self.cfg.int_muldiv;
-        self.res.fp_alu = self.cfg.fp_alu;
-        self.res.fp_muldiv = self.cfg.fp_muldiv;
+        self.res.issue = ISSUE_WIDTH;
+        self.res.int_alus = INT_ALUS;
+        self.res.int_muldivs = INT_MULDIVS;
+        self.res.fp_alus = FP_ALUS;
+        self.res.fp_muldivs = FP_MULDIVS;
         self.res.dports = self.cfg.dports;
         self.res.wide_groups.clear();
         self.res.specmem_reads = 2;
@@ -595,7 +613,7 @@ impl<'a> Pipeline<'a> {
         if self.fetch_halted || self.cycle < self.fetch_wait_until {
             return;
         }
-        if self.decode_q.len() >= (3 * self.cfg.fetch_width) as usize {
+        if self.decode_q.len() >= (3 * FETCH_WIDTH) as usize {
             return; // decoupled front end: bounded fetch buffer
         }
         // One I-cache access per fetch cycle.
@@ -605,7 +623,7 @@ impl<'a> Pipeline<'a> {
             return;
         }
         let mut taken_seen = false;
-        for _ in 0..self.cfg.fetch_width {
+        for _ in 0..FETCH_WIDTH {
             let pc = self.fetch_pc;
             let Some(&inst) = self.prog.fetch(pc) else {
                 // Ran off the program: stop fetching (workloads halt).
@@ -643,7 +661,7 @@ impl<'a> Pipeline<'a> {
                     _ => (false, pc + 1),
                 }
             };
-            let ready_at = self.cycle + self.cfg.decode_delay as u64;
+            let ready_at = self.cycle + DECODE_DELAY as u64;
             let lid = self.obs.fetch(pc, inst, self.cycle, ready_at);
             self.decode_q.push_back(Fetched {
                 pc,
@@ -673,7 +691,7 @@ impl<'a> Pipeline<'a> {
     // ----------------------------------------------------------------
 
     fn dispatch(&mut self) {
-        for _ in 0..self.cfg.issue_width {
+        for _ in 0..ISSUE_WIDTH {
             let Some(f) = self.decode_q.front().copied() else {
                 break;
             };

@@ -30,8 +30,10 @@ trap 'rm -rf "$tmp"' EXIT
 
 # Snapshot bundle (current schema): the perf gate.
 cp "$tmp/smoke.json" results/baselines/smoke.json
-# Machine-configuration table (a drift gate, not a perf gate).
+# Machine-configuration table and the S3.1 storage table (drift gates,
+# not perf gates; both are rendered from the simulator's definitions).
 cp "$tmp/table1.json" results/baselines/table1.json
+cp "$tmp/table1_storage.json" results/baselines/table1_storage.json
 # Sampled-vs-full accuracy table (window counts, estimates,
 # half-widths); CI compares byte-for-byte.
 cp "$tmp/exp_sampling.csv" results/baselines/sampling.csv

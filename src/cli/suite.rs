@@ -24,7 +24,7 @@ use super::{parse_regs, write_file, Args};
 use cfir::sim::Mode;
 use cfir::workloads::NAMES;
 use cfir_bench::experiments::{
-    by_name, profile, sweep_experiment, Params, SweepAxes, EXPERIMENT_NAMES,
+    by_name, experiment_names, profile, sweep_experiment, Params, SweepAxes, PROFILES,
 };
 use cfir_harness::{run_suite, Experiment, SuiteOptions};
 use std::time::Duration;
@@ -51,20 +51,20 @@ sweep axes (only with the `sweep` experiment):
   --ports N,..      L1D ports (default 1)
   --replicas N,..   replicas per vectorized instruction (default 4)
   --bench NAME      one kernel instead of the whole suite
-env: CFIR_INSTS, CFIR_ELEMS, CFIR_SEED
+env: CFIR_INSTS, CFIR_ELEMS (a power of two), CFIR_SEED;
+     a set value that does not parse is a usage error
 exit: 0 all ok; 1 any job/aggregation failed; 2 usage error";
 
 const CMD: &str = "cfir suite";
 
-fn list() {
-    let p = Params::from_env();
+fn list(p: &Params) {
     println!("experiments:");
-    for name in EXPERIMENT_NAMES {
-        let e = by_name(&p, name).expect("every registered name builds");
+    for name in experiment_names() {
+        let e = by_name(p, name).expect("every registered name builds");
         println!("  {:<14} {:>4} jobs  {}", e.name, e.jobs.len(), e.title);
     }
     println!("profiles:");
-    for prof in ["smoke", "figures", "ablations", "extras", "all"] {
+    for prof in PROFILES {
         let names = profile(prof).expect("every listed profile resolves");
         println!("  {:<14} {}", prof, names.join(" "));
     }
@@ -165,11 +165,12 @@ pub fn main(args: Vec<String>) {
             _ => a.unexpected(&arg),
         }
     }
+    let mut p = Params::from_env().unwrap_or_else(|e| a.fail(&e));
     if do_list {
-        return list();
+        return list(&p);
     }
     if all {
-        names = EXPERIMENT_NAMES.iter().map(|s| s.to_string()).collect();
+        names = experiment_names().map(String::from).collect();
     } else {
         // Keep first occurrence of each requested name.
         let mut seen = std::collections::HashSet::new();
@@ -182,7 +183,6 @@ pub fn main(args: Vec<String>) {
         a.fail("--modes/--regs/--ports/--replicas/--bench set the axes of the `sweep` experiment, which is not selected");
     }
 
-    let mut p = Params::from_env();
     if let Some(n) = insts {
         p.max_insts = n;
     }

@@ -75,6 +75,30 @@ fn bad_arguments_exit_2_with_usage_on_every_subcommand() {
     }
 }
 
+/// A run-size variable that is set must parse, and `CFIR_ELEMS` must
+/// be a power of two (the kernels index with the mask `elems - 1`).
+#[test]
+fn malformed_run_size_variables_exit_2_naming_the_variable() {
+    for (var, value) in [
+        ("CFIR_INSTS", "20k"),
+        ("CFIR_ELEMS", "1000"),
+        ("CFIR_SEED", "x"),
+    ] {
+        let what = format!("{var}={value} cfir suite --list");
+        let out = Command::new(env!("CARGO_BIN_EXE_cfir"))
+            .args(["suite", "--list"])
+            .env(var, value)
+            .output()
+            .expect("spawn cfir");
+        let stderr = assert_exit(&out, 2, &what);
+        assert!(
+            stderr.contains(var) && stderr.contains(value),
+            "{what}: want the variable and its value\nstderr: {stderr}"
+        );
+        assert!(stderr.contains("usage: cfir suite"), "{what}: {stderr}");
+    }
+}
+
 /// `cfir <sub> ... --emit-json <path>` for each JSON-emitting
 /// subcommand, or `cfir run ... --pipeview <path>` for `run
 /// --pipeview`, with cheap arguments (`sample` needs a kernel long
