@@ -12,6 +12,8 @@
 //! biased* (easy to predict) and the CI scheme is not activated for it;
 //! anything else is considered hard to predict.
 
+use crate::MechConfig;
+
 const COUNTER_MAX: u8 = 15;
 const COUNTER_MID: u8 = 8;
 
@@ -54,9 +56,11 @@ impl Mbs {
         }
     }
 
-    /// The paper's 4-way × 64-set table.
+    /// The table the simulator runs with ([`MechConfig::paper`]: the
+    /// paper's 4-way × 64-set table).
     pub fn paper() -> Self {
-        Self::new(64, 4)
+        let c = MechConfig::paper();
+        Self::new(c.mbs_sets, c.mbs_ways)
     }
 
     #[inline]

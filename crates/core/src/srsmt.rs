@@ -37,7 +37,7 @@
 //! The replica *execution* engine lives in `cfir-sim`; this module owns
 //! the architectural state machine.
 
-use crate::BitSet;
+use crate::{BitSet, MechConfig};
 use cfir_isa::Inst;
 
 /// Identifier of a replica's destination storage: a physical register
@@ -432,9 +432,11 @@ impl Srsmt {
         }
     }
 
-    /// The paper's 4-way × 64-set table with DAEC threshold 2.
+    /// The table the simulator runs with ([`MechConfig::paper`]: the
+    /// paper's 4-way × 64-set table with DAEC threshold 2).
     pub fn paper() -> Self {
-        Self::new(64, 4, 2)
+        let c = MechConfig::paper();
+        Self::new(c.srsmt_sets, c.srsmt_ways, c.daec_threshold)
     }
 
     #[inline]

@@ -17,6 +17,7 @@ use crate::cache::Cache;
 use crate::job::{JobResult, JobSpec};
 use crate::pool::{self, JobOutcome, PoolOptions};
 use std::collections::HashMap;
+use std::io::Write as _;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -311,7 +312,11 @@ pub fn run_suite(experiments: Vec<Experiment>, opts: &SuiteOptions) -> SuiteRepo
         status.deduped = status.jobs - status.cached - status.executed;
         if !opts.quiet {
             match &status.error {
-                None => print!("{stdout_block}"),
+                // A closed stdout is not this experiment's failure: the
+                // caller's own stdout write after the suite reports it.
+                None => {
+                    let _ = std::io::stdout().write_all(stdout_block.as_bytes());
+                }
                 Some(err) => eprintln!("cfir: experiment {} FAILED: {err}", exp.name),
             }
         }

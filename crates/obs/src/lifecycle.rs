@@ -51,7 +51,7 @@
 //! stay exact even when old records are dropped.
 
 use crate::stall::{StallBreakdown, StallCause, ALL_CAUSES, NUM_CAUSES};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
 use std::sync::{Mutex, OnceLock};
 
@@ -124,18 +124,6 @@ impl WaitEdgeKind {
             WaitEdgeKind::Port => "port",
             WaitEdgeKind::StoreDisambiguation => "store_disamb",
             WaitEdgeKind::ReplicaValue => "replica_value",
-        }
-    }
-
-    /// Inverse of [`WaitEdgeKind::key`].
-    pub fn parse(s: &str) -> Option<WaitEdgeKind> {
-        match s {
-            "producer" => Some(WaitEdgeKind::Producer),
-            "cache_miss" => Some(WaitEdgeKind::CacheMiss),
-            "port" => Some(WaitEdgeKind::Port),
-            "store_disamb" => Some(WaitEdgeKind::StoreDisambiguation),
-            "replica_value" => Some(WaitEdgeKind::ReplicaValue),
-            _ => None,
         }
     }
 }
@@ -850,71 +838,123 @@ impl LifecycleLog {
     /// pipeview document. Open it in the Konata viewer, or parse it
     /// back with [`parse_konata`].
     pub fn render_konata(&self) -> String {
-        // Group commands by cycle; within a cycle order by command
-        // class (I/L before S/E before W/R) then insertion.
-        let mut by_cycle: BTreeMap<u64, Vec<(u8, String)>> = BTreeMap::new();
-        let mut push = |cycle: u64, prio: u8, line: String| {
-            by_cycle.entry(cycle).or_default().push((prio, line));
-        };
-        let last_cycle = self
-            .records()
-            .flat_map(|r| r.stage_cycles().into_iter().map(|(_, c)| c))
+        let recs: Vec<&InstRecord> = self.records().collect();
+        let end_of_trace = recs
+            .iter()
+            .flat_map(|r| r.stages)
+            .filter(|&c| c != NO_CYCLE)
             .max()
-            .unwrap_or(0);
-        for r in self.records() {
-            let stages = stage_segments(r, last_cycle + 1);
-            let Some(&(_, start, _)) = stages.first() else {
+            .unwrap_or(0)
+            + 1;
+        let mut cmds: Vec<Cmd> = Vec::new();
+        for (rec, r) in recs.iter().enumerate() {
+            let (segs, n) = stage_segments(r, end_of_trace);
+            let Some(&(_, start, _)) = segs[..n].first() else {
                 continue;
             };
-            let sid = r.lid;
-            push(start, 0, format!("I\t{sid}\t{sid}\t{}", r.lane as u64));
-            push(
-                start,
-                1,
-                format!("L\t{sid}\t0\t{}: {}", r.pc(), self.disasm(r)),
-            );
-            push(start, 1, format!("L\t{sid}\t1\t{}", metadata_line(self, r)));
-            for &(name, s, e) in &stages {
-                push(s, 2, format!("S\t{sid}\t0\t{name}"));
-                push(e, 3, format!("E\t{sid}\t0\t{name}"));
+            let rec = u32::try_from(rec).expect("fewer than 2^32 records");
+            let mut ord = 0;
+            let mut push = |cycle, class, arg| {
+                cmds.push(Cmd {
+                    cycle,
+                    class,
+                    rec,
+                    ord,
+                    arg,
+                });
+                ord += 1;
+            };
+            push(start, Class::I, 0);
+            push(start, Class::L, 0);
+            for &(name, s, e) in &segs[..n] {
+                push(s, Class::S, u64::from(name));
+                push(e, Class::E, u64::from(name));
             }
             for edge in self.edges(r) {
                 if let (WaitEdgeKind::Producer, Some(t)) = (edge.kind, edge.target()) {
-                    push(u64::from(edge.first_cycle), 4, format!("W\t{sid}\t{t}\t0"));
+                    push(edge.first_cycle, Class::W, t);
                 }
             }
-            if let Some(retire) = r.retire() {
-                let ty = match r.fate {
-                    Fate::Squashed => 1,
-                    _ => 0,
-                };
-                push(retire, 5, format!("R\t{sid}\t{sid}\t{ty}"));
+            if r.stages[ST_RETIRE] != NO_CYCLE {
+                let flush = u64::from(r.fate == Fate::Squashed);
+                push(r.stages[ST_RETIRE], Class::R, flush);
             }
         }
+        // Every key is distinct, so the unstable sort is deterministic.
+        cmds.sort_unstable_by_key(|c| (c.cycle, c.class, c.rec, c.ord));
+
         let mut out = String::from("Kanata\t0004\n");
-        let mut cur: Option<u64> = None;
-        for (cycle, mut lines) in by_cycle {
+        let mut cur: Option<u32> = None;
+        for c in &cmds {
             match cur {
                 None => {
-                    let _ = writeln!(out, "C=\t{cycle}");
+                    let _ = writeln!(out, "C=\t{}", c.cycle);
                 }
-                Some(prev) if cycle > prev => {
-                    let _ = writeln!(out, "C\t{}", cycle - prev);
+                Some(prev) if c.cycle > prev => {
+                    let _ = writeln!(out, "C\t{}", c.cycle - prev);
                 }
                 _ => {}
             }
-            cur = Some(cycle);
-            lines.sort_by_key(|(p, _)| *p);
-            for (_, l) in lines {
-                out.push_str(&l);
-                out.push('\n');
-            }
+            cur = Some(c.cycle);
+            let r = recs[c.rec as usize];
+            let sid = r.lid;
+            let _ = match c.class {
+                Class::I => writeln!(out, "I\t{sid}\t{sid}\t{}", r.lane as u64),
+                Class::L => {
+                    let _ = write!(
+                        out,
+                        "L\t{sid}\t0\t{}: {}\nL\t{sid}\t1\t",
+                        r.pc(),
+                        self.disasm(r)
+                    );
+                    write_metadata(&mut out, self, r);
+                    writeln!(out)
+                }
+                Class::S => writeln!(out, "S\t{sid}\t0\t{}", STAGE_NAMES[c.arg as usize]),
+                Class::E => writeln!(out, "E\t{sid}\t0\t{}", STAGE_NAMES[c.arg as usize]),
+                Class::W => writeln!(out, "W\t{sid}\t{}\t0", c.arg),
+                Class::R => writeln!(out, "R\t{sid}\t{sid}\t{}", c.arg),
+            };
         }
         if cur.is_none() {
             out.push_str("C=\t0\n");
         }
         out
     }
+}
+
+/// A Konata command's kind. Within a cycle, commands are written in
+/// this order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Class {
+    /// `I`: the record enters the trace.
+    I,
+    /// `L`: its two labels, the disassembly (lane 0) and the metadata
+    /// (lane 1).
+    L,
+    /// `S`: a stage starts.
+    S,
+    /// `E`: a stage ends.
+    E,
+    /// `W`: a dependency on a producer.
+    W,
+    /// `R`: the record retires or is flushed.
+    R,
+}
+
+/// One command of [`LifecycleLog::render_konata`]'s document, ordered
+/// by `(cycle, class, rec, ord)`.
+#[derive(Debug, Clone, Copy)]
+struct Cmd {
+    cycle: u32,
+    class: Class,
+    /// Position of the record in [`LifecycleLog::records`].
+    rec: u32,
+    /// Position of the command among its record's.
+    ord: u32,
+    /// The stage-name id (`S`, `E`; see [`STAGE_NAMES`]), the producer
+    /// lid (`W`) or the flush flag (`R`).
+    arg: u64,
 }
 
 impl Drop for LifecycleLog {
@@ -955,147 +995,128 @@ fn deque_range<T>(d: &VecDeque<T>, at: usize, len: usize) -> (&[T], &[T]) {
     }
 }
 
-/// The stage segments `[(name, start, end)]` a record renders as.
-/// `end_of_trace` bounds records still in flight.
-fn stage_segments(r: &InstRecord, end_of_trace: u64) -> Vec<(&'static str, u64, u64)> {
+/// Konata stage names: indexed by `ST_FETCH..=ST_COMPLETE`, then the
+/// reuse stage [`RU`].
+const STAGE_NAMES: [&str; 6] = ["F", "Dc", "Ds", "Ex", "Cm", "Ru"];
+/// The reuse stage's index in [`STAGE_NAMES`].
+const RU: u8 = 5;
+
+/// The stage segments `(name id, start, end)` a record renders as, at
+/// most one per stage before retire, and their count; name ids index
+/// [`STAGE_NAMES`]. `end_of_trace` bounds records still in flight.
+fn stage_segments(r: &InstRecord, end_of_trace: u32) -> ([(u8, u32, u32); 5], usize) {
     // Pipeline-order timestamps; each segment runs to the next present
     // timestamp, the last one to retire (or the end of the trace).
-    let points: Vec<(&'static str, u64)> = [
-        ("F", r.fetch()),
-        ("Dc", r.decode()),
-        ("Ds", r.dispatch()),
-        ("Ex", r.issue()),
-        ("Cm", r.complete()),
-    ]
-    .into_iter()
-    .filter_map(|(n, c)| c.map(|c| (n, c)))
-    .collect();
-    let fin = r.retire().unwrap_or(end_of_trace);
-    let mut segs = Vec::with_capacity(points.len());
-    for (i, &(name, start)) in points.iter().enumerate() {
-        let end = points.get(i + 1).map(|&(_, c)| c).unwrap_or(fin).max(start);
+    let fin = match r.stages[ST_RETIRE] {
+        NO_CYCLE => end_of_trace,
+        c => c,
+    };
+    let mut points = (ST_FETCH..=ST_COMPLETE)
+        .filter(|&i| r.stages[i] != NO_CYCLE)
+        .peekable();
+    let mut segs = [(0, 0, 0); 5];
+    let mut n = 0;
+    while let Some(i) = points.next() {
+        let start = r.stages[i];
+        let next = points.peek().map(|&j| r.stages[j]);
+        let end = next.unwrap_or(fin).max(start);
         // Reused instructions skip execution: their window residency
         // renders as the dedicated reuse stage.
-        let name = if r.reused && matches!(name, "Ds" | "Ex") {
-            "Ru"
+        let name = if r.reused && matches!(i, ST_DISPATCH | ST_ISSUE) {
+            RU
         } else {
-            name
+            i as u8
         };
-        if end > start {
-            segs.push((name, start, end));
-        } else if i + 1 == points.len() && segs.is_empty() {
+        let end = if end > start {
+            end
+        } else if next.is_none() && n == 0 {
             // Everything collapsed into one cycle: keep one 1-cycle
             // segment so the record is visible.
-            segs.push((name, start, start + 1));
+            start + 1
+        } else {
+            continue;
+        };
+        // Merge adjacent same-name segments (Ru from Ds and Ex).
+        match segs[..n].last_mut() {
+            Some(last) if last.0 == name && last.2 == start => last.2 = end,
+            _ => {
+                segs[n] = (name, start, end);
+                n += 1;
+            }
         }
     }
-    // Merge adjacent same-name segments (e.g. Ru+Ru from Ds and Ex).
-    let mut merged: Vec<(&'static str, u64, u64)> = Vec::with_capacity(segs.len());
-    for s in segs {
-        match merged.last_mut() {
-            Some(last) if last.0 == s.0 && last.2 == s.1 => last.2 = s.2,
-            _ => merged.push(s),
-        }
-    }
-    merged
+    (segs, n)
 }
 
-/// The machine-parseable metadata of `log`'s record `r`, carried on
-/// label lane 1.
-fn metadata_line(log: &LifecycleLog, r: &InstRecord) -> String {
-    let mut s = format!(
-        "pc={} seq={} fate={} reused={} lane={}",
-        r.pc(),
-        r.seq().map(|q| q.to_string()).unwrap_or_else(|| "-".into()),
+/// Write the machine-parseable metadata of `log`'s record `r`, carried
+/// on label lane 1, to `out`.
+fn write_metadata(out: &mut String, log: &LifecycleLog, r: &InstRecord) {
+    let _ = write!(out, "pc={} seq=", r.pc());
+    let _ = match r.seq() {
+        Some(q) => write!(out, "{q}"),
+        None => write!(out, "-"),
+    };
+    let _ = write!(
+        out,
+        " fate={} reused={} lane={}",
         r.fate.key(),
         r.reused as u8,
         r.lane as u64,
     );
-    let mut waits = String::new();
-    let table = log.wait_table(r);
-    for cause in ALL_CAUSES {
-        let n = table.map_or(0, |w| w[cause as usize]);
-        if n > 0 {
-            if !waits.is_empty() {
-                waits.push(',');
+    if let Some(table) = log.wait_table(r) {
+        let mut sep = " waits=";
+        for cause in ALL_CAUSES {
+            let n = table[cause as usize];
+            if n > 0 {
+                let _ = write!(out, "{sep}{}:{n}", cause.key());
+                sep = ",";
             }
-            let _ = write!(waits, "{}:{}", cause.key(), n);
         }
     }
-    if !waits.is_empty() {
-        let _ = write!(s, " waits={waits}");
-    }
-    let mut edges = String::new();
+    let mut sep = " edges=";
     for e in log.edges(r) {
-        if !edges.is_empty() {
-            edges.push(',');
-        }
-        let _ = write!(edges, "{}", e.kind.key());
+        let _ = write!(out, "{sep}{}", e.kind.key());
+        sep = ",";
         if e.detail != WaitDetail::None {
-            let _ = write!(edges, "[{}]", e.detail.key());
+            let _ = write!(out, "[{}]", e.detail.key());
         }
         if let Some(t) = e.target() {
-            let _ = write!(edges, ">{t}");
+            let _ = write!(out, ">{t}");
         }
-        let _ = write!(edges, ":{}@{}", e.cycles, e.first_cycle);
+        let _ = write!(out, ":{}@{}", e.cycles, e.first_cycle);
     }
-    if !edges.is_empty() {
-        let _ = write!(s, " edges={edges}");
-    }
-    s
 }
 
 // --------------------------------------------------------------------
-// Parser (round-trip) + ASCII timeline renderer
+// Parser + ASCII timeline renderer
 // --------------------------------------------------------------------
 
-/// One wait-edge as read back from a trace.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ParsedEdge {
-    /// Edge kind.
-    pub kind: WaitEdgeKind,
-    /// Detail string (cache level / port name), empty when none.
-    pub detail: String,
-    /// Target lifecycle id, when present.
-    pub target: Option<u64>,
-    /// Cycles observed.
-    pub cycles: u64,
-    /// First cycle observed.
-    pub first_cycle: u64,
-}
-
-/// One instruction as read back from a Konata trace.
+/// One instruction as read back from a Konata trace: what
+/// [`render_timeline`] draws. The label and the stage names borrow the
+/// document.
 #[derive(Debug, Clone)]
-pub struct ParsedInst {
+pub struct ParsedInst<'a> {
     /// Lifecycle id (Konata sid/iid).
     pub sid: u64,
     /// Lane (0 normal, 1 replica).
     pub tid: u64,
     /// Left-pane label (`pc: disasm`).
-    pub label: String,
+    pub label: &'a str,
     /// Static word PC (from the metadata).
     pub pc: Option<u64>,
-    /// Dynamic sequence number, when dispatched.
-    pub seq: Option<u64>,
     /// Fate (from the metadata).
     pub fate: Fate,
     /// Whether it reused a replica value.
     pub reused: bool,
-    /// `(cause_key, slots)` wait charges.
-    pub waits: Vec<(String, u64)>,
-    /// Causal wait-edges.
-    pub edges: Vec<ParsedEdge>,
     /// Stage segments `(name, start, end)`, in order.
-    pub stages: Vec<(String, u64, u64)>,
+    pub stages: Vec<(&'a str, u64, u64)>,
     /// Retire cycle (`R` command).
     pub retire_cycle: Option<u64>,
     /// Whether the `R` command was a flush (squash).
     pub flushed: bool,
-    /// Producer sids from `W` commands.
-    pub deps: Vec<u64>,
 }
 
-impl ParsedInst {
+impl ParsedInst<'_> {
     /// First cycle of any stage.
     pub fn start(&self) -> u64 {
         self.stages.iter().map(|&(_, s, _)| s).min().unwrap_or(0)
@@ -1112,70 +1133,24 @@ impl ParsedInst {
     }
 }
 
-/// A parsed Konata trace.
+/// A parsed Konata trace, borrowing its document.
 #[derive(Debug, Clone, Default)]
-pub struct ParsedTrace {
+pub struct ParsedTrace<'a> {
     /// Instructions, ordered by sid.
-    pub insts: Vec<ParsedInst>,
+    pub insts: Vec<ParsedInst<'a>>,
 }
 
+/// Read the metadata keys the timeline uses (`pc`, `fate`, `reused`);
+/// the others (`seq`, `lane`, `waits`, `edges`) are skipped.
 fn parse_meta(inst: &mut ParsedInst, meta: &str) -> Result<(), String> {
     for tok in meta.split_whitespace() {
-        let Some((k, v)) = tok.split_once('=') else {
-            continue;
-        };
-        match k {
-            "pc" => inst.pc = v.parse().ok(),
-            "seq" => inst.seq = v.parse().ok(),
-            "fate" => {
+        match tok.split_once('=') {
+            Some(("pc", v)) => inst.pc = v.parse().ok(),
+            Some(("fate", v)) => {
                 inst.fate =
                     Fate::parse(v).ok_or_else(|| format!("bad fate `{v}` for sid {}", inst.sid))?
             }
-            "reused" => inst.reused = v == "1",
-            "lane" => {}
-            "waits" => {
-                for w in v.split(',') {
-                    let (c, n) = w
-                        .split_once(':')
-                        .ok_or_else(|| format!("bad wait `{w}` for sid {}", inst.sid))?;
-                    let n: u64 = n.parse().map_err(|_| format!("bad wait count `{w}`"))?;
-                    inst.waits.push((c.to_string(), n));
-                }
-            }
-            "edges" => {
-                for espec in v.split(',') {
-                    // kind[detail]>target:cycles@first
-                    let (head, tail) = espec
-                        .split_once(':')
-                        .ok_or_else(|| format!("bad edge `{espec}`"))?;
-                    let (cycles, first) = tail
-                        .split_once('@')
-                        .ok_or_else(|| format!("bad edge `{espec}`"))?;
-                    let (head, target) = match head.split_once('>') {
-                        Some((h, t)) => (
-                            h,
-                            Some(
-                                t.parse()
-                                    .map_err(|_| format!("bad edge target `{espec}`"))?,
-                            ),
-                        ),
-                        None => (head, None),
-                    };
-                    let (kind_s, detail) = match head.split_once('[') {
-                        Some((k, d)) => (k, d.trim_end_matches(']').to_string()),
-                        None => (head, String::new()),
-                    };
-                    let kind = WaitEdgeKind::parse(kind_s)
-                        .ok_or_else(|| format!("unknown edge kind `{kind_s}`"))?;
-                    inst.edges.push(ParsedEdge {
-                        kind,
-                        detail,
-                        target,
-                        cycles: cycles.parse().map_err(|_| format!("bad edge `{espec}`"))?,
-                        first_cycle: first.parse().map_err(|_| format!("bad edge `{espec}`"))?,
-                    });
-                }
-            }
+            Some(("reused", v)) => inst.reused = v == "1",
             _ => {}
         }
     }
@@ -1184,8 +1159,10 @@ fn parse_meta(inst: &mut ParsedInst, meta: &str) -> Result<(), String> {
 
 /// Parse a Konata (`Kanata 0004`) document produced by
 /// [`LifecycleLog::render_konata`] (it also accepts the common subset
-/// emitted by gem5's O3 pipeview conversion).
-pub fn parse_konata(text: &str) -> Result<ParsedTrace, String> {
+/// emitted by gem5's O3 pipeview conversion) into the rows
+/// [`render_timeline`] draws. Dependency (`W`) lines are checked and
+/// skipped.
+pub fn parse_konata(text: &str) -> Result<ParsedTrace<'_>, String> {
     let mut lines = text.lines().enumerate();
     match lines.next() {
         Some((_, h)) if h.starts_with("Kanata") => {}
@@ -1194,7 +1171,7 @@ pub fn parse_konata(text: &str) -> Result<ParsedTrace, String> {
     let mut cycle: u64 = 0;
     let mut insts: HashMap<u64, ParsedInst> = HashMap::new();
     // Stages still open per (sid, name).
-    let mut open: HashMap<(u64, String), usize> = HashMap::new();
+    let mut open: HashMap<(u64, &str), usize> = HashMap::new();
     for (ln, line) in lines {
         let mut f = line.split('\t');
         let cmd = f.next().unwrap_or("");
@@ -1215,46 +1192,43 @@ pub fn parse_konata(text: &str) -> Result<ParsedTrace, String> {
                 insts.entry(sid).or_insert(ParsedInst {
                     sid,
                     tid,
-                    label: String::new(),
+                    label: "",
                     pc: None,
-                    seq: None,
                     fate: Fate::InFlight,
                     reused: false,
-                    waits: Vec::new(),
-                    edges: Vec::new(),
                     stages: Vec::new(),
                     retire_cycle: None,
                     flushed: false,
-                    deps: Vec::new(),
                 });
             }
             "L" => {
                 let sid = num("bad sid")?;
                 let lane = num("bad label lane")?;
-                let text = f.collect::<Vec<_>>().join("\t");
+                // The text is the rest of the line, tabs included.
+                let text = line.splitn(4, '\t').nth(3).unwrap_or("");
                 let inst = insts
                     .get_mut(&sid)
                     .ok_or_else(|| ctx("label for unknown sid"))?;
                 if lane == 0 {
                     inst.label = text;
                 } else {
-                    parse_meta(inst, &text)?;
+                    parse_meta(inst, text)?;
                 }
             }
             "S" => {
                 let sid = num("bad sid")?;
                 let _lane = num("bad lane")?;
-                let name = f.next().ok_or_else(|| ctx("missing stage"))?.to_string();
+                let name = f.next().ok_or_else(|| ctx("missing stage"))?;
                 let inst = insts
                     .get_mut(&sid)
                     .ok_or_else(|| ctx("stage for unknown sid"))?;
-                open.insert((sid, name.clone()), inst.stages.len());
+                open.insert((sid, name), inst.stages.len());
                 inst.stages.push((name, cycle, cycle));
             }
             "E" => {
                 let sid = num("bad sid")?;
                 let _lane = num("bad lane")?;
-                let name = f.next().ok_or_else(|| ctx("missing stage"))?.to_string();
+                let name = f.next().ok_or_else(|| ctx("missing stage"))?;
                 if let Some(idx) = open.remove(&(sid, name)) {
                     if let Some(inst) = insts.get_mut(&sid) {
                         if let Some(seg) = inst.stages.get_mut(idx) {
@@ -1274,12 +1248,9 @@ pub fn parse_konata(text: &str) -> Result<ParsedTrace, String> {
                 inst.flushed = ty == 1;
             }
             "W" => {
-                let sid = num("bad sid")?;
-                let producer = num("bad producer sid")?;
+                let _sid = num("bad sid")?;
+                let _producer = num("bad producer sid")?;
                 let _ty = num("bad dep type")?;
-                if let Some(inst) = insts.get_mut(&sid) {
-                    inst.deps.push(producer);
-                }
             }
             _ => return Err(ctx("unknown command")),
         }
@@ -1306,13 +1277,19 @@ pub struct TimelineOpts {
     pub cycle_range: Option<(u64, u64)>,
     /// Window around the N-th (1-based) misprediction squash cluster.
     pub around_mispredict: Option<usize>,
-    /// Maximum timeline columns (0 = default 96).
+    /// Maximum timeline columns: 0 for the default 96, else at least
+    /// 24.
     pub max_cols: usize,
 }
 
+/// The narrowest timeline [`render_timeline`] lays out (`cfir report
+/// timeline --width` takes the same floor): the `--around-mispredict`
+/// window opens 12 cycles before its cluster.
+const MIN_TIMELINE_COLS: usize = 24;
+
 /// Squash clusters: `(first_squash_cycle, squashed_count)`, grouping
 /// flush retires less than 8 cycles apart.
-pub fn squash_clusters(trace: &ParsedTrace) -> Vec<(u64, usize)> {
+pub fn squash_clusters(trace: &ParsedTrace<'_>) -> Vec<(u64, usize)> {
     let mut cycles: Vec<u64> = trace
         .insts
         .iter()
@@ -1334,7 +1311,13 @@ pub fn squash_clusters(trace: &ParsedTrace) -> Vec<(u64, usize)> {
 /// each column one cycle. Squashed wrong-path instructions end in `x`;
 /// reused instructions spend their window time in the `R` stage and
 /// retire with `C` like any commit.
-pub fn render_timeline(trace: &ParsedTrace, opts: &TimelineOpts) -> Result<String, String> {
+pub fn render_timeline(trace: &ParsedTrace<'_>, opts: &TimelineOpts) -> Result<String, String> {
+    if (1..MIN_TIMELINE_COLS).contains(&opts.max_cols) {
+        return Err(format!(
+            "a timeline needs at least {MIN_TIMELINE_COLS} columns, not {}",
+            opts.max_cols
+        ));
+    }
     if trace.insts.is_empty() {
         return Err("trace contains no instructions".into());
     }
@@ -1411,7 +1394,7 @@ pub fn render_timeline(trace: &ParsedTrace, opts: &TimelineOpts) -> Result<Strin
     for i in rows {
         let mut grid = vec![' '; cols];
         for (name, s, e) in &i.stages {
-            let ch = match name.as_str() {
+            let ch = match *name {
                 "F" => 'F',
                 "Dc" => 'd',
                 "Ds" => '.',
@@ -1727,17 +1710,6 @@ mod tests {
         assert_eq!(p.fate, Fate::Committed);
         assert_eq!(p.retire_cycle, Some(10));
         assert!(!p.flushed);
-        assert_eq!(p.seq, Some(1));
-        assert_eq!(
-            p.waits,
-            vec![("useful".to_string(), 1), ("dcache_miss".to_string(), 48)]
-        );
-        assert_eq!(p.edges[0].kind, WaitEdgeKind::CacheMiss);
-        assert_eq!(p.edges[0].detail, "l2");
-
-        let c = by_pc(5);
-        assert_eq!(c.deps, vec![p.sid], "W edge points at the producer");
-        assert_eq!(c.edges[0].target, Some(p.sid));
 
         let w = by_pc(6);
         assert!(w.flushed);
@@ -1746,7 +1718,7 @@ mod tests {
         let u = by_pc(7);
         assert!(u.reused);
         assert!(
-            u.stages.iter().any(|(n, _, _)| n == "Ru"),
+            u.stages.iter().any(|(n, _, _)| *n == "Ru"),
             "reuse stage present: {:?}",
             u.stages
         );
@@ -1774,7 +1746,8 @@ mod tests {
     #[test]
     fn timeline_distinguishes_squashed_from_reused() {
         let log = sample();
-        let trace = parse_konata(&log.render_konata()).unwrap();
+        let doc = log.render_konata();
+        let trace = parse_konata(&doc).unwrap();
         let out = render_timeline(&trace, &TimelineOpts::default()).unwrap();
         assert!(out.contains("[squashed]"), "{out}");
         assert!(out.contains("[reused]"), "{out}");
@@ -1821,6 +1794,34 @@ mod tests {
             }
         )
         .is_err());
+    }
+
+    #[test]
+    fn timeline_refuses_a_width_below_24_columns() {
+        let log = sample();
+        let doc = log.render_konata();
+        let trace = parse_konata(&doc).unwrap();
+        let opts = |max_cols, around_mispredict| TimelineOpts {
+            max_cols,
+            around_mispredict,
+            ..Default::default()
+        };
+        // The mispredict window opens 12 cycles before its cluster, so
+        // a width up to 12 has no room for the cluster at all.
+        for cols in [1, 11, 12, 23] {
+            for around in [None, Some(1)] {
+                let err = render_timeline(&trace, &opts(cols, around)).unwrap_err();
+                assert!(err.contains("24"), "width {cols}: {err}");
+            }
+        }
+        // 0 is the default width.
+        for cols in [0, 24] {
+            let out = render_timeline(&trace, &opts(cols, Some(1))).unwrap();
+            assert!(
+                out.contains("cluster #1 at cycle 10"),
+                "width {cols}: {out}"
+            );
+        }
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! Integration tests for the per-instruction lifecycle recorder: stage
 //! timestamps must be monotonic, squashes must postdate dispatch, the
 //! per-instruction wait-cycle sums must reconcile *exactly* with the
-//! aggregate stall attribution, and a real run's Konata trace must
-//! round-trip through the parser.
+//! aggregate stall attribution, a real run's Konata trace must
+//! round-trip through the parser, and the Konata documents and timelines
+//! of three real runs are pinned byte for byte.
 
 use cfir_obs::stall::{ALL_CAUSES, NUM_CAUSES};
-use cfir_obs::{parse_konata, Fate, LifecycleLog};
+use cfir_obs::{fnv1a64, parse_konata, render_timeline, Fate, LifecycleLog, TimelineOpts};
 use cfir_sim::{Mode, Pipeline, RegFileSize, SimConfig, SimStats};
 use cfir_workloads::{by_name, WorkloadSpec};
 
@@ -13,6 +14,11 @@ use cfir_workloads::{by_name, WorkloadSpec};
 /// effectively-unbounded ring, returning the stats and a snapshot of
 /// the recorder's contents.
 fn run(bench: &str, mode: Mode) -> (SimStats, Snapshot) {
+    run_capped(bench, mode, 1 << 22)
+}
+
+/// [`run`] with a ring of `cap` retired records.
+fn run_capped(bench: &str, mode: Mode, cap: usize) -> (SimStats, Snapshot) {
     let spec = WorkloadSpec {
         iters: 1 << 30,
         elems: 1024,
@@ -25,7 +31,7 @@ fn run(bench: &str, mode: Mode) -> (SimStats, Snapshot) {
         .with_max_insts(20_000);
     cfg.cosim_check = false;
     let mut p = Pipeline::new(&w.prog, w.mem.clone(), cfg);
-    p.enable_lifecycle(1 << 22);
+    p.enable_lifecycle(cap);
     p.run();
     let snap = Snapshot::of(p.lifecycle().expect("lifecycle enabled"));
     (p.stats.clone(), snap)
@@ -148,4 +154,62 @@ fn konata_trace_of_a_real_run_round_trips() {
         trace.insts.iter().any(|i| i.reused),
         "expected reused instructions in a Ci-mode gzip run"
     );
+}
+
+/// The FNV-1a digests of three real runs' Konata documents and of two
+/// timelines over each (`cfir report timeline --around-mispredict 1`
+/// and `--pc N --width 120`). The capped bzip2 run covers the ring's
+/// drop path. A change to the Konata writer, its parser or the timeline
+/// must leave every byte as it is; a change that moves simulated
+/// results moves these too.
+#[test]
+fn pipeview_documents_and_timelines_are_pinned() {
+    // (kernel, mode, ring cap, --pc, [document, mispredict timeline,
+    // pc timeline])
+    let pins: [(&str, Mode, usize, u64, [u64; 3]); 3] = [
+        (
+            "gzip",
+            Mode::Ci,
+            1 << 22,
+            9,
+            [0xc602a3398b336af6, 0xa262585f5c047542, 0xb198b10032572d06],
+        ),
+        (
+            "mcf",
+            Mode::Scalar,
+            1 << 22,
+            9,
+            [0xd2a2401528751e7e, 0x9aa10fa03ed43f6e, 0x9b4eade409895bf8],
+        ),
+        (
+            "bzip2",
+            Mode::Ci,
+            2_000,
+            11,
+            [0x1dd2921a34d2ebb1, 0xa21ed145aeb5a87c, 0x3f2421563c96b0fa],
+        ),
+    ];
+    for (bench, mode, cap, pc, want) in pins {
+        let (_, snap) = run_capped(bench, mode, cap);
+        let trace = parse_konata(&snap.konata).expect("round-trip parse");
+        let timeline = |opts: TimelineOpts| {
+            render_timeline(&trace, &opts)
+                .unwrap_or_else(|e| panic!("{bench} {mode:?}: no timeline: {e}"))
+        };
+        let around = timeline(TimelineOpts {
+            around_mispredict: Some(1),
+            ..Default::default()
+        });
+        let by_pc = timeline(TimelineOpts {
+            pc: Some(pc),
+            max_cols: 120,
+            ..Default::default()
+        });
+        let got = [&snap.konata, &around, &by_pc].map(|s| fnv1a64(s.as_bytes()));
+        assert_eq!(
+            got, want,
+            "{bench} {mode:?} cap {cap}: digests of [document, mispredict timeline, \
+             pc timeline] are {got:#018x?}"
+        );
+    }
 }

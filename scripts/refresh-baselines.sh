@@ -64,13 +64,17 @@ cp "$tmp/exp_cidi_validation.csv" results/baselines/cidi_validation.csv
 CFIR_UPDATE_BASELINES=1 cargo test --release --test differential_gate
 
 # Konata digests of CI's pipeview step: the LCG-parity loop, uncapped
-# and with a 2000-record ring. CI writes the documents to the same
-# paths and runs `sha256sum -c` against this file.
+# and with a 2000-record ring, and the two timelines CI reads back from
+# the uncapped document. CI writes all four to the same paths and runs
+# `sha256sum -c` against this file.
 printf 'li r1, 0\nli r2, 400\nli r3, 12345\nli r5, 0\ntop:\nmuli r3, r3, 1103515245\naddi r3, r3, 12345\nsrli r4, r3, 16\nandi r4, r4, 1\nbeqz r4, skip\naddi r5, r5, 1\nskip:\naddi r1, r1, 1\nblt r1, r2, top\nhalt\n' > /tmp/pv.asm
 ./target/release/cfir run /tmp/pv.asm --mode ci --pipeview /tmp/pv.kanata > /dev/null
 ./target/release/cfir run /tmp/pv.asm --mode ci --pipeview /tmp/pv-cap.kanata \
   --pipeview-cap 2000 > /dev/null
-sha256sum /tmp/pv.kanata /tmp/pv-cap.kanata > results/baselines/pipeview.sha256
+./target/release/cfir report timeline /tmp/pv.kanata --around-mispredict 1 > /tmp/pv-timeline.txt
+./target/release/cfir report timeline /tmp/pv.kanata --pc 4 --width 120 > /tmp/pv-pc-timeline.txt
+sha256sum /tmp/pv.kanata /tmp/pv-cap.kanata /tmp/pv-timeline.txt /tmp/pv-pc-timeline.txt \
+  > results/baselines/pipeview.sha256
 
 # Static-analysis reports for every kernel (lints + RCP agreement).
 # CI reruns `cfir analyze --all --check --baseline` against this file.

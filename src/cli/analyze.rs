@@ -82,7 +82,7 @@ pub fn main(args: Vec<String>) {
         let an = analyze(&prog);
         let agreement = Agreement::compute(&prog, &an.branches);
         if !json {
-            println!(
+            outln!(
                 "{:10} {:4} insts {:3} blocks {:3} edges {:2} loops (depth {}) \
                  branches {:2}  rcp agree {}/{} hammock, {}/{} all  lints {}",
                 prog.name,
@@ -99,12 +99,15 @@ pub fn main(args: Vec<String>) {
                 an.lints.len(),
             );
             for l in &an.lints {
-                println!("    lint: {l}");
+                outln!("    lint: {l}");
             }
             for d in &agreement.divergences {
-                println!(
+                outln!(
                     "    divergence at pc {}: static {:?} vs estimate {:?} ({})",
-                    d.pc, d.static_rcp, d.estimate, d.class
+                    d.pc,
+                    d.static_rcp,
+                    d.estimate,
+                    d.class
                 );
             }
         }
@@ -190,5 +193,5 @@ pub fn main(args: Vec<String>) {
     }
     // Same wording as before the tools became subcommands: CI logs
     // compare this stdout.
-    println!("cfir-analyze: check ok ({} kernels)", results.len());
+    outln!("cfir-analyze: check ok ({} kernels)", results.len());
 }

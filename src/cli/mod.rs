@@ -1,11 +1,30 @@
 //! Plumbing shared by every `cfir` subcommand: an argument cursor with
-//! the common value parsers, kernel-or-assembly program loading, and
-//! the `--emit-json [path.json]` writer.
+//! the common value parsers, kernel-or-assembly program loading, the
+//! `--emit-json [path.json]` writer, and the stdout writer behind
+//! `out!`/`outln!`.
 //!
 //! Exit codes are the same in every subcommand: 2 when the command
 //! cannot start (unknown flag, malformed value, unknown kernel,
 //! unreadable input), 1 when it ran and failed (a gate, a regression,
-//! a divergence, an output file that cannot be written), 0 otherwise.
+//! a divergence, an output file or a stdout that cannot be written),
+//! 0 otherwise.
+
+/// `print!` through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::cli::write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    () => {
+        $crate::cli::write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        $crate::cli::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 pub mod analyze;
 pub mod report;
@@ -161,6 +180,17 @@ pub fn write_file(cmd: &str, path: &str, contents: &str) {
     }
 }
 
+/// Write to stdout, the one path of every subcommand's stdout. When
+/// the write fails (the reader has exited, the disk is full) the
+/// command ran and could not write its output: it exits 1 at once and
+/// prints nothing more, where `print!` would panic.
+pub fn write_stdout(args: std::fmt::Arguments) {
+    use std::io::Write as _;
+    if std::io::stdout().write_fmt(args).is_err() {
+        exit(1)
+    }
+}
+
 /// The `--emit-json [path.json]` writer: the document goes to `path`
 /// (see [`write_file`]), or to stdout when no path was given.
 pub fn emit_json(cmd: &str, path: Option<&str>, doc: &str) {
@@ -169,7 +199,7 @@ pub fn emit_json(cmd: &str, path: Option<&str>, doc: &str) {
             write_file(cmd, p, doc);
             eprintln!("[json written to {p}]");
         }
-        None => println!("{doc}"),
+        None => outln!("{doc}"),
     }
 }
 

@@ -70,7 +70,7 @@ fn timeline(mut a: Args) {
         .unwrap_or_else(|e| input_fail(CMD, &format!("cannot read {path}: {e}")));
     let trace = parse_konata(&text).unwrap_or_else(|e| input_fail(CMD, &format!("{path}: {e}")));
     let out = render_timeline(&trace, &opts).unwrap_or_else(|e| input_fail(CMD, &e.to_string()));
-    print!("{out}");
+    out!("{out}");
 }
 
 fn load(path: &str) -> JsonValue {
@@ -118,13 +118,13 @@ pub fn main(args: Vec<String>) {
     }
     let files: Vec<&str> = files.iter().map(String::as_str).collect();
     let render =
-        |out: Result<String, String>| print!("{}", out.unwrap_or_else(|e| input_fail(CMD, &e)));
+        |out: Result<String, String>| out!("{}", out.unwrap_or_else(|e| input_fail(CMD, &e)));
 
     match (sub.as_deref(), files.as_slice()) {
         (None, [path]) => {
             let doc = load(path);
             warn_dropped(path, &doc);
-            print!("{}", report::render(&doc));
+            out!("{}", report::render(&doc));
         }
         (Some("cidi"), [path]) => render(report::render_cidi(&load(path))),
         (Some("sampling"), [path]) => render(report::render_sampling(&load(path), None)),
@@ -144,7 +144,7 @@ pub fn main(args: Vec<String>) {
             let dropped = warn_dropped(new, &new_doc);
             let outcome =
                 report::diff(&old_doc, &new_doc, tolerance).unwrap_or_else(|e| input_fail(CMD, &e));
-            print!("{}", outcome.report);
+            out!("{}", outcome.report);
             if outcome.regressed {
                 eprintln!(
                     "{CMD}: regression beyond {:.2}% tolerance",
@@ -156,7 +156,7 @@ pub fn main(args: Vec<String>) {
                 eprintln!("{CMD}: failing --check: the run dropped lifecycle records");
                 exit(1)
             }
-            println!("ok (tolerance {:.2}%)", tolerance * 100.0);
+            outln!("ok (tolerance {:.2}%)", tolerance * 100.0);
         }
         _ => a.fail("wrong number of files for this report"),
     }

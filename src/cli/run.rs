@@ -117,7 +117,7 @@ pub fn main(args: Vec<String>) {
     if emu {
         let mut emu = Emulator::new(mem);
         let stop = emu.run(&prog, insts);
-        println!("emulator: {stop:?} after {} instructions", emu.retired);
+        outln!("emulator: {stop:?} after {} instructions", emu.retired);
         print_regs(|r| emu.reg(r));
         if let Some((lo, hi)) = dump {
             print_mem(&emu.mem, lo, hi);
@@ -143,11 +143,11 @@ pub fn main(args: Vec<String>) {
         pipe.enable_lifecycle(pipeview_cap);
     }
     if pipeview > 0 {
-        println!("cycle  fetch-pc  decq  rob(done)  lsq  regs  replicas  srsmt  committed");
+        outln!("cycle  fetch-pc  decq  rob(done)  lsq  regs  replicas  srsmt  committed");
         for _ in 0..pipeview {
             pipe.step();
             let s = pipe.snapshot();
-            println!(
+            outln!(
                 "{:5}  {:8}  {:4}  {:4}({:3})  {:3}  {:4}  {:8}  {:5}  {:9}",
                 s.cycle,
                 s.fetch_pc,
@@ -161,7 +161,7 @@ pub fn main(args: Vec<String>) {
                 s.committed
             );
         }
-        println!();
+        outln!();
     }
     let exit_reason = pipe.run();
     let s = &pipe.stats;
@@ -180,7 +180,7 @@ pub fn main(args: Vec<String>) {
             &run_json(&target, mode.label(), s),
         );
     } else {
-        println!(
+        outln!(
             "{}: {exit_reason:?}  committed={} cycles={} IPC={:.3} mispredict={:.1}% reuse={:.1}%",
             mode.label(),
             s.committed,
@@ -192,9 +192,9 @@ pub fn main(args: Vec<String>) {
         print_regs(|r| pipe.arch_reg(r));
     }
     if trace > 0 {
-        println!("\nlast {trace} commits:");
+        outln!("\nlast {trace} commits:");
         for c in pipe.commit_log() {
-            println!(
+            outln!(
                 "  [{:>8}] seq {:>8} pc {:>5} {:28} = {:#x}{}",
                 c.cycle,
                 c.seq,
@@ -215,20 +215,20 @@ fn addr(a: &Args, s: &str) -> u64 {
 }
 
 fn print_regs(read: impl Fn(u8) -> u64) {
-    println!("non-zero registers:");
+    outln!("non-zero registers:");
     for r in 1..64u8 {
         let v = read(r);
         if v != 0 {
-            println!("  r{r:<2} = {v:#x} ({v})");
+            outln!("  r{r:<2} = {v:#x} ({v})");
         }
     }
 }
 
 fn print_mem(mem: &MemImage, lo: u64, hi: u64) {
-    println!("memory [{lo:#x}..{hi:#x}):");
+    outln!("memory [{lo:#x}..{hi:#x}):");
     let mut a = lo & !7;
     while a < hi {
-        println!("  {a:#08x}: {:#018x}", mem.read(a));
+        outln!("  {a:#08x}: {:#018x}", mem.read(a));
         a += 8;
     }
 }

@@ -109,7 +109,7 @@ pub fn main(args: Vec<String>) {
     match a.peek() {
         Some("--list") => {
             for n in cfir::workloads::NAMES {
-                println!("{n}");
+                outln!("{n}");
             }
             return;
         }
@@ -166,12 +166,12 @@ pub fn main(args: Vec<String>) {
             let doc = run_json(&name, c.mode.label(), &p.stats);
             emit_json(CMD, json_path.as_deref(), &doc);
         } else {
-            println!(
+            outln!(
                 "{name} ({}) — full detailed run{}",
                 c.mode.label(),
                 if halted { " (halted)" } else { "" }
             );
-            println!(
+            outln!(
                 "  committed {}  cycles {}  ipc {:.4}  reuse {:.4}",
                 p.stats.committed,
                 p.stats.cycles,
@@ -189,14 +189,14 @@ pub fn main(args: Vec<String>) {
         return;
     }
 
-    println!(
+    outln!(
         "{name} ({}) — sampled: period {} / warmup {} / window {}",
         c.mode.label(),
         s.period,
         s.warmup,
         s.window
     );
-    println!(
+    outln!(
         "budget {} insts: {} fast-forwarded, {} detailed ({} measured), {} windows{}",
         insts,
         s.ff_insts,
@@ -205,9 +205,9 @@ pub fn main(args: Vec<String>) {
         s.windows.len(),
         if s.halted { ", halted" } else { "" }
     );
-    println!("  window  start_inst        checkpoint  committed  cycles    ipc   reuse  ci_expl");
+    outln!("  window  start_inst        checkpoint  committed  cycles    ipc   reuse  ci_expl");
     for (k, w) in s.windows.iter().enumerate() {
-        println!(
+        outln!(
             "  {k:6}  {:10}  {:016x}  {:9}  {:6}  {:5.3}  {:6.4}  {:7.4}",
             w.start_inst,
             w.checkpoint_id,
@@ -219,9 +219,9 @@ pub fn main(args: Vec<String>) {
         );
     }
     let pm = |e: &cfir_sample::Estimate| format!("{:.4} ± {:.4} (n={})", e.mean, e.half_width, e.n);
-    println!("  IPC          {}", pm(&s.ipc));
-    println!("  reuse rate   {}", pm(&s.reuse_rate));
-    println!("  CI exploited {}", pm(&s.ci_exploited));
+    outln!("  IPC          {}", pm(&s.ipc));
+    outln!("  reuse rate   {}", pm(&s.reuse_rate));
+    outln!("  CI exploited {}", pm(&s.ci_exploited));
 }
 
 fn replay(mut a: Args) {
@@ -239,21 +239,23 @@ fn replay(mut a: Args) {
         .with_mode(c.mode)
         .with_regs(c.regs);
     let rep = replay_window(&prog, &ckpt, &cfg, c.scfg.warmup, c.scfg.window);
-    println!(
+    outln!(
         "{name} ({}) — replayed checkpoint {:016x} @ inst {}",
         c.mode.label(),
         ckpt.content_id(),
         ckpt.retired
     );
-    println!(
+    outln!(
         "  warmup committed {}  measured committed {}  cycles {}{}",
         rep.warmup_committed,
         rep.row.committed,
         rep.row.cycles,
         if rep.halted { "  (halted)" } else { "" }
     );
-    println!(
+    outln!(
         "  ipc {:.4}  reuse {:.4}  ci_exploited {:.4}",
-        rep.row.ipc, rep.row.reuse_rate, rep.row.ci_exploited
+        rep.row.ipc,
+        rep.row.reuse_rate,
+        rep.row.ci_exploited
     );
 }

@@ -65,10 +65,10 @@ pub fn main(args: Vec<String>) {
             }
         }
         if (case + 1) % 50 == 0 {
-            println!("{}/{} cases clean", case + 1, cases);
+            outln!("{}/{} cases clean", case + 1, cases);
         }
     }
-    println!(
+    outln!(
         "all {cases} cases clean across {} modes ({total_reuse} values reused)",
         MODES.len()
     );

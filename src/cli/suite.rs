@@ -58,15 +58,15 @@ exit: 0 all ok; 1 any job/aggregation failed; 2 usage error";
 const CMD: &str = "cfir suite";
 
 fn list(p: &Params) {
-    println!("experiments:");
+    outln!("experiments:");
     for name in experiment_names() {
         let e = by_name(p, name).expect("every registered name builds");
-        println!("  {:<14} {:>4} jobs  {}", e.name, e.jobs.len(), e.title);
+        outln!("  {:<14} {:>4} jobs  {}", e.name, e.jobs.len(), e.title);
     }
-    println!("profiles:");
+    outln!("profiles:");
     for prof in PROFILES {
         let names = profile(prof).expect("every listed profile resolves");
-        println!("  {:<14} {}", prof, names.join(" "));
+        outln!("  {:<14} {}", prof, names.join(" "));
     }
 }
 
@@ -204,7 +204,7 @@ pub fn main(args: Vec<String>) {
             eprintln!("{CMD}: {}: {err}", e.name);
         }
     }
-    println!("{}", report.summary_line());
+    outln!("{}", report.summary_line());
     if let Some(path) = &bench_json {
         // Key order and the original three keys are stable; newer
         // fields only ever append (downstream tooling greps these).
@@ -254,7 +254,7 @@ pub fn main(args: Vec<String>) {
         }
         doc.push_str("]}}\n");
         write_file(CMD, path, &doc);
-        println!("[bench summary written to {path}]");
+        outln!("[bench summary written to {path}]");
     }
     std::process::exit(if report.all_ok() { 0 } else { 1 })
 }

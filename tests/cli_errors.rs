@@ -1,11 +1,12 @@
 //! The `cfir` binary's shared error contract, checked on every
 //! subcommand: bad arguments exit 2 with the usage text and never
-//! panic, and the file writers (`--emit-json [path.json]`, `run
+//! panic, the file writers (`--emit-json [path.json]`, `run
 //! --pipeview PATH`) create missing directories but exit 1, naming the
-//! path, when the file cannot be written.
+//! path, when the file cannot be written, and a stdout that cannot be
+//! written exits 1.
 
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn cfir(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_cfir"))
@@ -164,4 +165,22 @@ fn emit_json_creates_directories_and_fails_cleanly() {
     }
     let _ = std::fs::remove_file(asm);
     let _ = std::fs::remove_file(blocker);
+}
+
+/// A stdout whose reader has exited is output the command cannot
+/// write: exit 1, not a panic. The 5,000-commit listing is larger than
+/// a pipe's buffer, so the write fails however late the reader goes.
+#[test]
+fn a_closed_stdout_exits_1_without_a_panic() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_cfir"))
+        .args(["run", "gzip", "--insts", "20000", "--trace", "5000"])
+        .env_remove("CFIR_TRACE")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn cfir");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait for cfir");
+    let stderr = assert_exit(&out, 1, "cfir run with a closed stdout");
+    assert!(stderr.is_empty(), "nothing printed: {stderr}");
 }
