@@ -462,9 +462,10 @@ fn critical_path(dag: &Dag) -> CritPath {
                 if span == 0 {
                     break;
                 }
-                if matches!(e.kind, WaitEdgeKind::CacheMiss | WaitEdgeKind::Port) {
+                let kind = e.kind();
+                if matches!(kind, WaitEdgeKind::CacheMiss | WaitEdgeKind::Port) {
                     let take = u64::from(e.cycles).min(span);
-                    w.add(r.pc(), cls(EdgeClass::from_wait(e.kind, e.detail)), take);
+                    w.add(r.pc(), cls(EdgeClass::from_wait(kind, e.detail())), take);
                     span -= take;
                 }
             }
@@ -480,7 +481,7 @@ fn critical_path(dag: &Dag) -> CritPath {
             .filter_map(|e| {
                 let j = dag.slot(e.target()?)?;
                 let te = value_time(dag.rec(j))?;
-                (te < t && te > d).then_some((te, dag.rec(j).lid, j, e.kind, e.detail))
+                (te < t && te > d).then_some((te, dag.rec(j).lid, j, e.kind(), e.detail()))
             })
             .max_by_key(|&(te, lid, ..)| (te, lid));
         if let Some((te, _, j, kind, detail)) = binding {
@@ -662,8 +663,9 @@ fn project<const N: usize>(dag: &Dag, zeros: [ZeroSet; N], width: u64, window: u
     // Projected value-availability per slot and lane, in cycles after
     // `start`. A lane that skips a record leaves it 0, and a record not
     // reached yet is 0 too, so taking the max over every retained
-    // dependence is exactly "older, kept producers only".
-    let mut proj: Vec<[u64; N]> = vec![[0; N]; dag.slots.len()];
+    // dependence is exactly "older, kept producers only". Stored
+    // saturating at `u32::MAX` (see `store_proj`).
+    let mut proj: Vec<[u32; N]> = vec![[0; N]; dag.slots.len()];
     let mut committed = 0u64;
     for (i, r) in dag.iter() {
         let mut arrive = [0u64; N];
@@ -671,10 +673,10 @@ fn project<const N: usize>(dag: &Dag, zeros: [ZeroSet; N], width: u64, window: u
             let Some(j) = e.target().and_then(|t| dag.slot(t)) else {
                 continue;
             };
-            let replica = e.kind == WaitEdgeKind::ReplicaValue;
+            let replica = e.kind() == WaitEdgeKind::ReplicaValue;
             for (k, lane) in lanes.iter().enumerate() {
                 if !(replica && lane.zero.replica_value) {
-                    arrive[k] = arrive[k].max(proj[j][k]);
+                    arrive[k] = arrive[k].max(u64::from(proj[j][k]));
                 }
             }
         }
@@ -722,7 +724,7 @@ fn project<const N: usize>(dag: &Dag, zeros: [ZeroSet; N], width: u64, window: u
             }
             // Execution latency at its observed cost.
             let p = t + if z.reused_exec && r.reused { 0 } else { exec };
-            proj[i][k] = p;
+            proj[i][k] = store_proj(p);
             if occupies {
                 lane.inorder_front = lane.inorder_front.max(p);
                 lane.occupancy.push_back(lane.inorder_front);
@@ -752,6 +754,17 @@ fn project<const N: usize>(dag: &Dag, zeros: [ZeroSet; N], width: u64, window: u
             projected
         }
     })
+}
+
+/// A projected time as the projection table stores it: saturated at
+/// `u32::MAX`. Exact for every output: a projection only adds and takes
+/// maxima, so a time computed from a saturated entry is at least
+/// `u32::MAX` exactly when the true time is, and is otherwise the true
+/// time; and every lane's result is clamped to the measured span, which
+/// the `u32` cycle bound keeps below `u32::MAX`, so both come out as the
+/// clamp.
+fn store_proj(p: u64) -> u32 {
+    u32::try_from(p).unwrap_or(u32::MAX)
 }
 
 // ---------------------------------------------------------------------------
@@ -942,6 +955,16 @@ mod tests {
                 ("perfect_everything", 103),
             ]
         );
+    }
+
+    #[test]
+    fn projection_table_saturates_at_u32_max() {
+        for p in [0, 1, u64::from(u32::MAX) - 1] {
+            assert_eq!(u64::from(store_proj(p)), p);
+        }
+        for p in [u64::from(u32::MAX), 1 << 32, (1 << 32) + 5, u64::MAX] {
+            assert_eq!(store_proj(p), u32::MAX, "{p}");
+        }
     }
 
     #[test]

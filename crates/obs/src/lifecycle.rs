@@ -39,9 +39,11 @@
 //! active slot; the slot's edge buffer is recycled, so a run in steady
 //! state allocates nothing per record. When it retires, its edges are
 //! appended to one edge column and a non-zero wait table to one waits
-//! column, and the record keeps its position in each. Both columns are
-//! FIFO in retirement order, like the retired ring itself, so reads go
-//! through the log ([`LifecycleLog::edges`], [`LifecycleLog::wait`]).
+//! column, and the record keeps its position in each, modulo 2^32. Both
+//! columns are FIFO in retirement order, like the retired ring itself,
+//! so reads go through the log ([`LifecycleLog::edges`],
+//! [`LifecycleLog::wait`]) as a wrapping distance from the column's
+//! front.
 //!
 //! Retired records are held in a bounded ring (`cap` retired records,
 //! oldest dropped first) so a 1M-instruction window stays usable; a
@@ -98,6 +100,7 @@ impl Fate {
 
 /// What an instruction waited on (the causal side of a stall).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum WaitEdgeKind {
     /// An older in-flight producer of a source operand (`target` is the
     /// producer's lifecycle id).
@@ -116,6 +119,15 @@ pub enum WaitEdgeKind {
 }
 
 impl WaitEdgeKind {
+    /// Every kind, indexed by discriminant (decodes [`WaitEdge::kind`]).
+    const ALL: [WaitEdgeKind; 5] = [
+        WaitEdgeKind::Producer,
+        WaitEdgeKind::CacheMiss,
+        WaitEdgeKind::Port,
+        WaitEdgeKind::StoreDisambiguation,
+        WaitEdgeKind::ReplicaValue,
+    ];
+
     /// Stable key used in the trace metadata.
     pub fn key(self) -> &'static str {
         match self {
@@ -129,9 +141,10 @@ impl WaitEdgeKind {
 }
 
 /// Kind-specific detail of a wait-edge: the cache level that served a
-/// miss or the contended port. A closed set, so an edge stores one byte
+/// miss or the contended port. A closed set, so an edge stores four bits
 /// instead of a string slice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum WaitDetail {
     /// No detail.
     None,
@@ -146,6 +159,16 @@ pub enum WaitDetail {
 }
 
 impl WaitDetail {
+    /// Every detail, indexed by discriminant (decodes
+    /// [`WaitEdge::detail`]).
+    const ALL: [WaitDetail; 5] = [
+        WaitDetail::None,
+        WaitDetail::L2,
+        WaitDetail::L3,
+        WaitDetail::Mem,
+        WaitDetail::DPorts,
+    ];
+
     /// Stable key used in the trace metadata (empty for
     /// [`WaitDetail::None`]).
     pub fn key(self) -> &'static str {
@@ -159,32 +182,56 @@ impl WaitDetail {
     }
 }
 
+/// Bits of [`WaitEdge`]'s packed target that hold the lid; the top byte
+/// holds the kind (high nibble) and the detail (low nibble).
+const TARGET_BITS: u32 = 56;
+const TARGET_MASK: u64 = (1 << TARGET_BITS) - 1;
+/// The packed target with its detail nibble cleared: an edge's identity
+/// for coalescing, `(kind, target)`.
+const IDENTITY_MASK: u64 = !(0xf << TARGET_BITS);
+
 /// One coalesced wait-edge: `cycles` observations of the same condition
 /// starting at `first_cycle`.
 ///
-/// Packed to 24 bytes: most records carry a few edges and the retired
-/// ring holds every record of the run. The cycle fields are `u32`,
-/// under the same `u32::MAX - 1` bound as the record's stage
-/// timestamps; the observation count saturates.
+/// Packed to 16 bytes: most records carry a few edges and the retired
+/// ring holds every record of the run. The kind and the detail ride in
+/// the top byte of the target lid, which stays far below 2^56 (a
+/// lifecycle-enabled run is bounded at `u32::MAX - 1` cycles and creates
+/// a few lids per cycle). The cycle fields are `u32`, under the same
+/// bound as the record's stage timestamps; the observation count
+/// saturates.
 #[derive(Debug, Clone, Copy)]
 pub struct WaitEdge {
-    /// Lifecycle id of the thing waited on; 0 when none is identifiable
-    /// (lids start at 1). See [`WaitEdge::target`].
-    target: u64,
+    /// `kind << 60 | detail << 56 | target lid`, the lid 0 when none is
+    /// identifiable (lids start at 1). See [`WaitEdge::target`].
+    packed: u64,
     /// Cycles this condition was observed (consecutive or not).
     pub cycles: u32,
     /// First cycle it was observed.
     pub first_cycle: u32,
-    /// What was waited on.
-    pub kind: WaitEdgeKind,
-    /// Kind-specific detail (cache level, port).
-    pub detail: WaitDetail,
 }
 
 impl WaitEdge {
+    /// The packed target of an edge of `kind` on `target` (0 = none).
+    fn pack(kind: WaitEdgeKind, target: u64, detail: WaitDetail) -> u64 {
+        debug_assert!(target <= TARGET_MASK, "lid {target} exceeds 56 bits");
+        (kind as u64) << (TARGET_BITS + 4) | (detail as u64) << TARGET_BITS | target
+    }
+
     /// Lifecycle id of the thing waited on, when identifiable.
     pub fn target(&self) -> Option<u64> {
-        (self.target != 0).then_some(self.target)
+        let t = self.packed & TARGET_MASK;
+        (t != 0).then_some(t)
+    }
+
+    /// What was waited on.
+    pub fn kind(&self) -> WaitEdgeKind {
+        WaitEdgeKind::ALL[(self.packed >> (TARGET_BITS + 4)) as usize]
+    }
+
+    /// Kind-specific detail (cache level, port).
+    pub fn detail(&self) -> WaitDetail {
+        WaitDetail::ALL[(self.packed >> TARGET_BITS & 0xf) as usize]
     }
 }
 
@@ -197,8 +244,14 @@ impl WaitEdge {
 const NO_CYCLE: u32 = u32::MAX;
 /// Sentinel for "not dispatched" in [`InstRecord`]'s packed `seq`.
 const NO_SEQ: u64 = u64::MAX;
-/// Sentinel for "no wait table" in [`InstRecord`]'s `waits` position.
-const NO_WAITS: u64 = u64::MAX;
+/// The bit of [`InstRecord`]'s `edge_len` byte that says the record has
+/// a wait table; the low seven bits count its edges.
+const HAS_WAITS: u8 = 0x80;
+/// Most edges a record may hold: what the seven bits beside
+/// [`HAS_WAITS`] count. The simulator's records hold one edge per
+/// distinct `(kind, target)`, so at most 68: 2 producers, 63 older
+/// stores (the LSQ holds 64 entries) and one of each target-less kind.
+const MAX_EDGES: usize = HAS_WAITS as usize - 1;
 
 /// Stage indices into [`InstRecord`]'s packed timestamp table.
 const ST_FETCH: usize = 0;
@@ -220,13 +273,15 @@ fn pack_cycle(cycle: u64) -> u32 {
 
 /// One dynamic instruction's lifecycle.
 ///
-/// The record is deliberately packed — stage timestamps and the
-/// sequence number are stored in compact sentinel-coded form behind
-/// accessors — and owns no heap block: its wait-edges and wait charges
-/// live in the log ([`LifecycleLog::edges`], [`LifecycleLog::wait`]).
-/// Every fetched instruction (wrong path included) produces one and the
-/// retired ring holds them for the whole run: record size is directly
-/// the recorder's memory-bandwidth and page-fault bill.
+/// The record is deliberately packed (56 bytes, pinned by a test) —
+/// stage timestamps and the sequence number are stored in compact
+/// sentinel-coded form behind accessors — and owns no heap block: its
+/// wait-edges and wait charges live in the log ([`LifecycleLog::edges`],
+/// [`LifecycleLog::wait`]), and its disassembly is the log's text for
+/// its `(pc, lane)` ([`LifecycleLog::disasm`]). Every fetched
+/// instruction (wrong path included) produces one and the retired ring
+/// holds them for the whole run: record size is directly the recorder's
+/// memory-bandwidth and page-fault bill.
 #[derive(Debug, Clone)]
 pub struct InstRecord {
     /// Lifecycle id: dense, assigned at fetch/creation, unique across
@@ -235,24 +290,23 @@ pub struct InstRecord {
     pub lid: u64,
     /// Dynamic sequence number ([`NO_SEQ`] until dispatched).
     seq: u64,
-    /// Once retired: position of the first of its `edge_len` edges in
-    /// the log's edge column, counted from the first edge the log ever
-    /// retired, so drops at the column's front do not move it.
-    edge_start: u64,
-    /// Once retired: position of its wait table in the log's waits
-    /// column, counted the same way; [`NO_WAITS`] when it absorbed no
-    /// charge (most wrong-path records).
-    waits: u64,
-    /// Interned disassembly id (see [`LifecycleLog::disasm`]) —
-    /// thousands of dynamic records share one string per static
-    /// instruction.
-    disasm: u32,
+    /// Once retired: position of the first of its edges in the log's
+    /// edge column, modulo 2^32. Positions count from the first edge the
+    /// log ever retired, so drops at the column's front do not move
+    /// them, and are read back as a wrapping distance from the column's
+    /// front, which stays exact while the retained span fits in 32 bits.
+    edge_start: u32,
+    /// Once retired with a wait table ([`HAS_WAITS`]): its position in
+    /// the log's waits column, counted the same way. Most wrong-path
+    /// records absorb no charge and have none.
+    waits: u32,
     /// Static word PC.
     pc: u32,
-    /// Number of coalesced wait-edges, once retired.
-    edge_len: u32,
     /// Stage-entry cycles, [`NO_CYCLE`]-coded, indexed by `ST_*`.
     stages: [u32; NUM_STAGES],
+    /// Once retired: the number of coalesced wait-edges (at most
+    /// [`MAX_EDGES`]), with [`HAS_WAITS`] set when it has a wait table.
+    edge_len: u8,
     /// Normal instruction or replica.
     pub lane: InstLane,
     /// How it ended.
@@ -262,20 +316,30 @@ pub struct InstRecord {
 }
 
 impl InstRecord {
-    fn new(lid: u64, pc: u64, disasm: u32, lane: InstLane) -> Self {
+    fn new(lid: u64, pc: u64, lane: InstLane) -> Self {
         InstRecord {
             lid,
             seq: NO_SEQ,
             edge_start: 0,
-            waits: NO_WAITS,
+            waits: 0,
             pc: pc as u32,
-            disasm,
             edge_len: 0,
             lane,
             stages: [NO_CYCLE; NUM_STAGES],
             fate: Fate::InFlight,
             reused: false,
         }
+    }
+
+    /// Number of coalesced wait-edges, once retired.
+    fn edge_count(&self) -> usize {
+        usize::from(self.edge_len & !HAS_WAITS)
+    }
+
+    /// Position of its wait table in the waits column, once retired;
+    /// none when it absorbed no charge.
+    fn waits_at(&self) -> Option<u32> {
+        (self.edge_len & HAS_WAITS != 0).then_some(self.waits)
     }
 
     fn stage(&self, idx: usize) -> Option<u64> {
@@ -412,12 +476,14 @@ pub struct LifecycleLog {
     /// The retired records' wait-edges, record after record in
     /// retirement order.
     edges: VecDeque<WaitEdge>,
-    /// Column position of `edges`' front: edges dropped with the ring.
-    edges_front: u64,
+    /// Column position of `edges`' front, modulo 2^32: edges dropped
+    /// with the ring.
+    edges_front: u32,
     /// The retired records' non-zero wait tables, in retirement order.
     waits: VecDeque<WaitTable>,
-    /// Column position of `waits`' front: tables dropped with the ring.
-    waits_front: u64,
+    /// Column position of `waits`' front, modulo 2^32: tables dropped
+    /// with the ring.
+    waits_front: u32,
     dropped: u64,
     /// All slot charges ever made, by cause (survives record drops).
     totals: [u64; NUM_CAUSES],
@@ -426,10 +492,10 @@ pub struct LifecycleLog {
     /// Disassembly ids interned per `(word pc, lane)`, at index
     /// `pc * 2 + lane` ([`NOT_INTERNED`] until first seen): the text is
     /// a pure function of the static instruction, so it is formatted
-    /// once, stored in `strings`, and every dynamic record carries a
-    /// 4-byte id.
+    /// once, stored in `strings`, and a record finds it by its own PC
+    /// and lane.
     interned: Vec<u32>,
-    /// Interned disassembly texts, indexed by the records' ids.
+    /// Interned disassembly texts, indexed by the ids in `interned`.
     strings: Vec<Box<str>>,
 }
 
@@ -557,8 +623,8 @@ impl LifecycleLog {
         let (head, tail): (&[WaitEdge], &[WaitEdge]) = match r.fate {
             Fate::InFlight => (self.active_get(r.lid).map_or(&[], |a| &a.edges), &[]),
             _ => {
-                let at = (r.edge_start - self.edges_front) as usize;
-                deque_range(&self.edges, at, r.edge_len as usize)
+                let at = r.edge_start.wrapping_sub(self.edges_front) as usize;
+                deque_range(&self.edges, at, r.edge_count())
             }
         };
         head.iter().chain(tail)
@@ -569,8 +635,7 @@ impl LifecycleLog {
     fn wait_table(&self, r: &InstRecord) -> Option<&WaitTable> {
         match r.fate {
             Fate::InFlight => self.active_get(r.lid).map(|a| &a.waits),
-            _ if r.waits == NO_WAITS => None,
-            _ => Some(&self.waits[(r.waits - self.waits_front) as usize]),
+            _ => Some(&self.waits[r.waits_at()?.wrapping_sub(self.waits_front) as usize]),
         }
     }
 
@@ -589,9 +654,9 @@ impl LifecycleLog {
         }
     }
 
-    /// Interned disassembly id for `(pc, lane)`; `disasm` is only
+    /// Intern the disassembly of `(pc, lane)`; `disasm` is only
     /// invoked the first time the static instruction is seen.
-    fn intern(&mut self, pc: u64, lane: InstLane, disasm: impl FnOnce() -> String) -> u32 {
+    fn intern(&mut self, pc: u64, lane: InstLane, disasm: impl FnOnce() -> String) {
         let at = pc as usize * 2 + lane as usize;
         if at >= self.interned.len() {
             self.interned.resize(at + 1, NOT_INTERNED);
@@ -600,12 +665,12 @@ impl LifecycleLog {
             self.interned[at] = self.strings.len() as u32;
             self.strings.push(disasm().into_boxed_str());
         }
-        self.interned[at]
     }
 
     /// The interned disassembly text of one of this log's records.
     pub fn disasm(&self, r: &InstRecord) -> &str {
-        &self.strings[r.disasm as usize]
+        let id = self.interned[r.pc as usize * 2 + r.lane as usize];
+        &self.strings[id as usize]
     }
 
     /// New record for a fetched instruction; `decode_ready` is the
@@ -621,8 +686,8 @@ impl LifecycleLog {
         self.note_start(cycle);
         let lid = self.next_lid;
         self.next_lid += 1;
-        let disasm = self.intern(pc, InstLane::Normal, disasm);
-        let mut r = InstRecord::new(lid, pc, disasm, InstLane::Normal);
+        self.intern(pc, InstLane::Normal, disasm);
+        let mut r = InstRecord::new(lid, pc, InstLane::Normal);
         r.stages[ST_FETCH] = pack_cycle(cycle);
         r.stages[ST_DECODE] = pack_cycle(decode_ready);
         self.active_push(r);
@@ -636,8 +701,8 @@ impl LifecycleLog {
         self.note_start(cycle);
         let lid = self.next_lid;
         self.next_lid += 1;
-        let disasm = self.intern(pc, InstLane::Replica, disasm);
-        let mut r = InstRecord::new(lid, pc, disasm, InstLane::Replica);
+        self.intern(pc, InstLane::Replica, disasm);
+        let mut r = InstRecord::new(lid, pc, InstLane::Replica);
         r.stages[ST_DISPATCH] = pack_cycle(cycle);
         self.active_push(r);
         lid
@@ -699,13 +764,18 @@ impl LifecycleLog {
         if self.cap > 0 && self.retired.len() == self.cap {
             self.drop_oldest();
         }
-        r.edge_start = self.edges_front + self.edges.len() as u64;
-        r.edge_len = edges.len() as u32;
+        assert!(
+            edges.len() <= MAX_EDGES,
+            "a record holds at most {MAX_EDGES} edges"
+        );
+        r.edge_start = self.edges_front.wrapping_add(self.edges.len() as u32);
+        r.edge_len = edges.len() as u8;
         self.edges.extend(&edges);
         edges.clear();
         self.spare_edges.push(edges);
         if waits.iter().any(|&w| w != 0) {
-            r.waits = self.waits_front + self.waits.len() as u64;
+            r.waits = self.waits_front.wrapping_add(self.waits.len() as u32);
+            r.edge_len |= HAS_WAITS;
             self.waits.push_back(waits);
         }
         self.retired.push_back(r);
@@ -717,11 +787,11 @@ impl LifecycleLog {
         let Some(r) = self.retired.pop_front() else {
             return;
         };
-        self.edges.drain(..r.edge_len as usize);
-        self.edges_front += u64::from(r.edge_len);
-        if r.waits != NO_WAITS {
+        self.edges.drain(..r.edge_count());
+        self.edges_front = self.edges_front.wrapping_add(r.edge_count() as u32);
+        if r.waits_at().is_some() {
             self.waits.pop_front();
-            self.waits_front += 1;
+            self.waits_front = self.waits_front.wrapping_add(1);
         }
         self.dropped += 1;
     }
@@ -779,12 +849,13 @@ impl LifecycleLog {
         let Some(a) = self.active_get_mut(lid) else {
             return;
         };
-        let target = target.unwrap_or(0);
+        let packed = WaitEdge::pack(kind, target.unwrap_or(0), detail);
+        let identity = packed & IDENTITY_MASK;
         let cycle32 = pack_cycle(cycle);
         let (last_idx, last) = a.last_edge;
         if last_idx != NO_CYCLE {
             if let Some(e) = a.edges.get_mut(last_idx as usize) {
-                if e.kind == kind && e.target == target && last < cycle32 {
+                if e.packed & IDENTITY_MASK == identity && last < cycle32 {
                     e.cycles = e.cycles.saturating_add(1);
                     a.last_edge = (last_idx, cycle32);
                     return;
@@ -797,18 +868,16 @@ impl LifecycleLog {
             .edges
             .iter_mut()
             .enumerate()
-            .find(|(_, e)| e.kind == kind && e.target == target)
+            .find(|(_, e)| e.packed & IDENTITY_MASK == identity)
         {
             e.cycles = e.cycles.saturating_add(1);
             a.last_edge = (idx as u32, cycle32);
             return;
         }
         a.edges.push(WaitEdge {
-            target,
+            packed,
             cycles: 1,
             first_cycle: cycle32,
-            kind,
-            detail,
         });
         a.last_edge = ((a.edges.len() - 1) as u32, cycle32);
     }
@@ -871,7 +940,7 @@ impl LifecycleLog {
                 push(e, Class::E, u64::from(name));
             }
             for edge in self.edges(r) {
-                if let (WaitEdgeKind::Producer, Some(t)) = (edge.kind, edge.target()) {
+                if let (WaitEdgeKind::Producer, Some(t)) = (edge.kind(), edge.target()) {
                     push(edge.first_cycle, Class::W, t);
                 }
             }
@@ -1075,10 +1144,10 @@ fn write_metadata(out: &mut String, log: &LifecycleLog, r: &InstRecord) {
     }
     let mut sep = " edges=";
     for e in log.edges(r) {
-        let _ = write!(out, "{sep}{}", e.kind.key());
+        let _ = write!(out, "{sep}{}", e.kind().key());
         sep = ",";
-        if e.detail != WaitDetail::None {
-            let _ = write!(out, "[{}]", e.detail.key());
+        if e.detail() != WaitDetail::None {
+            let _ = write!(out, "[{}]", e.detail().key());
         }
         if let Some(t) = e.target() {
             let _ = write!(out, ">{t}");
@@ -1509,15 +1578,22 @@ mod tests {
     /// waits on it through a cache miss, a squashed wrong-path
     /// instruction, a reused validation, and a replica.
     fn sample() -> LifecycleLog {
+        sample_from(1)
+    }
+
+    /// [`sample`] with its lids and sequence numbers counted from
+    /// `first`.
+    fn sample_from(first: u64) -> LifecycleLog {
         let mut log = LifecycleLog::new(0);
+        log.next_lid = first;
         let p = log.begin_fetch(4, || "ld r1, 0(r2)".into(), 0, 2);
         let c = log.begin_fetch(5, || "addi r3, r1, 1".into(), 0, 2);
         let w = log.begin_fetch(6, || "addi r9, r9, 1".into(), 1, 3);
         let u = log.begin_fetch(7, || "add r4, r4, r1".into(), 1, 3);
-        log.note_dispatch(p, 1, 2);
-        log.note_dispatch(c, 2, 2);
-        log.note_dispatch(w, 3, 3);
-        log.note_dispatch(u, 4, 3);
+        log.note_dispatch(p, first, 2);
+        log.note_dispatch(c, first + 1, 2);
+        log.note_dispatch(w, first + 2, 3);
+        log.note_dispatch(u, first + 3, 3);
         log.note_issue(p, 3);
         log.edge(p, WaitEdgeKind::CacheMiss, None, WaitDetail::L2, 3);
         log.edge(p, WaitEdgeKind::CacheMiss, None, WaitDetail::L2, 4);
@@ -1577,12 +1653,12 @@ mod tests {
         let c = log.records().find(|r| r.pc() == 5).unwrap();
         let edges: Vec<&WaitEdge> = log.edges(c).collect();
         assert_eq!(edges.len(), 1);
-        assert_eq!(edges[0].kind, WaitEdgeKind::Producer);
+        assert_eq!(edges[0].kind(), WaitEdgeKind::Producer);
         assert_eq!(edges[0].cycles, 6);
         assert_eq!(edges[0].first_cycle, 3);
         let p = log.records().find(|r| r.pc() == 4).unwrap();
         let edges: Vec<&WaitEdge> = log.edges(p).collect();
-        assert_eq!(edges[0].detail, WaitDetail::L2);
+        assert_eq!(edges[0].detail(), WaitDetail::L2);
         assert_eq!(edges[0].cycles, 2);
     }
 
@@ -1591,11 +1667,25 @@ mod tests {
     type EdgeKey = (WaitEdgeKind, Option<u64>, WaitDetail, u32, u32);
 
     fn edge_key(e: &WaitEdge) -> EdgeKey {
-        (e.kind, e.target(), e.detail, e.cycles, e.first_cycle)
+        (e.kind(), e.target(), e.detail(), e.cycles, e.first_cycle)
     }
 
     #[test]
     fn ring_cap_drops_oldest_but_keeps_totals() {
+        check_capped_ring(0, 0);
+    }
+
+    #[test]
+    fn ring_positions_wrap_past_2_pow_32() {
+        // The 12 edges and 5 wait tables of the run cross 2^32 after
+        // the 6th edge and the 3rd table: positions kept modulo 2^32
+        // still read each record's own share.
+        check_capped_ring(u32::MAX - 5, u32::MAX - 2);
+    }
+
+    /// Record nine instructions into a 2-record ring whose edge and
+    /// waits columns start at positions `edges_front` and `waits_front`.
+    fn check_capped_ring(edges_front: u32, waits_front: u32) {
         // Record `i` carries `i % 4` edges; the even ones commit with a
         // `DCacheMiss` charge of `i + 1` slots beside the commit's
         // `useful` slot, the odd ones are squashed and charge nothing.
@@ -1611,6 +1701,8 @@ mod tests {
                 .collect()
         };
         let mut log = LifecycleLog::new(2);
+        log.edges_front = edges_front;
+        log.waits_front = waits_front;
         let mut stall = StallBreakdown::new();
         for i in 0..9u64 {
             let l = log.begin_fetch(i, || format!("op{i}"), i, i + 1);
@@ -1692,9 +1784,74 @@ mod tests {
     }
 
     #[test]
-    fn inst_record_is_72_bytes() {
+    fn inst_record_is_56_bytes() {
         // The retired ring holds one per fetched instruction.
-        assert_eq!(std::mem::size_of::<InstRecord>(), 72);
+        assert_eq!(std::mem::size_of::<InstRecord>(), 56);
+    }
+
+    #[test]
+    fn wait_edge_is_16_bytes() {
+        // The edge column holds every retired record's edges.
+        assert_eq!(std::mem::size_of::<WaitEdge>(), 16);
+    }
+
+    #[test]
+    fn lids_and_seqs_past_2_pow_32_round_trip() {
+        let shift = 1 << 32;
+        let (small, big) = (sample(), sample_from(1 + shift));
+        assert_eq!(small.len(), big.len());
+        for (s, b) in small.records().zip(big.records()) {
+            assert_eq!(b.lid, s.lid + shift);
+            assert_eq!(b.seq(), s.seq().map(|q| q + shift));
+            let unshifted = |e: &WaitEdge| {
+                let mut k = edge_key(e);
+                k.1 = k.1.map(|t| t - shift);
+                k
+            };
+            let want: Vec<_> = small.edges(s).map(edge_key).collect();
+            let got: Vec<_> = big.edges(b).map(unshifted).collect();
+            assert_eq!(got, want, "edges of the record at pc {}", s.pc());
+        }
+        // The Konata document carries the wide ids and reads back as
+        // the narrow one does.
+        let (small_doc, big_doc) = (small.render_konata(), big.render_konata());
+        let (p, c) = (1 + shift, 2 + shift);
+        assert!(big_doc.contains(&format!("W\t{c}\t{p}\t0\n")), "{big_doc}");
+        assert!(big_doc.contains(&format!("seq={c} ")), "{big_doc}");
+        assert!(big_doc.contains(&format!("producer>{p}:6@3")), "{big_doc}");
+        let (st, bt) = (
+            parse_konata(&small_doc).unwrap(),
+            parse_konata(&big_doc).unwrap(),
+        );
+        assert_eq!(st.insts.len(), bt.insts.len());
+        for (s, b) in st.insts.iter().zip(&bt.insts) {
+            assert_eq!(b.sid, s.sid + shift);
+            assert_eq!(
+                (b.tid, b.label, b.pc, b.fate, b.reused, &b.stages),
+                (s.tid, s.label, s.pc, s.fate, s.reused, &s.stages)
+            );
+            assert_eq!((b.retire_cycle, b.flushed), (s.retire_cycle, s.flushed));
+        }
+
+        // Every kind and detail packs beside targets up to 2^56 - 1.
+        let mut log = LifecycleLog::new(0);
+        log.next_lid = shift;
+        let l = log.begin_fetch(1, || "ld".into(), 0, 1);
+        let mut want = Vec::new();
+        for (k, kind) in WaitEdgeKind::ALL.into_iter().enumerate() {
+            for (d, detail) in WaitDetail::ALL.into_iter().enumerate() {
+                let target = match d {
+                    0 => None,
+                    d => Some(TARGET_MASK - (k * 5 + d) as u64),
+                };
+                let cycle = 10 + want.len() as u32;
+                log.edge(l, kind, target, detail, u64::from(cycle));
+                want.push((kind, target, detail, 1, cycle));
+            }
+        }
+        log.note_squash(l, 100);
+        let r = log.records().next().unwrap();
+        assert_eq!(log.edges(r).map(edge_key).collect::<Vec<_>>(), want);
     }
 
     #[test]

@@ -139,11 +139,10 @@ impl Pipeline<'_> {
                     self.lsq.set_addr(seq, addr);
                     match self.lsq.search_for_load(seq, addr) {
                         crate::lsq::LoadSearch::Stall(store) => {
-                            let rob = &self.rob;
                             self.obs.wait_edge(
-                                rob[i].lid,
+                                self.rob[i].lid,
                                 WaitEdgeKind::StoreDisambiguation,
-                                || rob.find_seq(store).map(|j| rob[j].lid),
+                                || Some(store),
                                 WaitDetail::None,
                                 self.cycle,
                             );

@@ -7,10 +7,12 @@
 use std::collections::VecDeque;
 
 /// One LSQ entry (loads and stores share the queue, in program order).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LsqEntry {
     /// Dynamic sequence number of the owning instruction.
     pub seq: u64,
+    /// Lifecycle id of the owning instruction (0 when recording is off).
+    pub lid: u64,
     /// `true` for stores.
     pub store: bool,
     /// Effective address once computed.
@@ -26,9 +28,9 @@ pub enum LoadSearch {
     CacheAccess,
     /// An older store to the same word supplies the value.
     Forwarded(u64),
-    /// Cannot execute yet, blocked by the older store of this `seq`:
-    /// the youngest with an unknown address, or the matching one whose
-    /// data is not ready.
+    /// Cannot execute yet, blocked by the older store of this lifecycle
+    /// id: the youngest with an unknown address, or the matching one
+    /// whose data is not ready.
     Stall(u64),
 }
 
@@ -60,15 +62,17 @@ impl Lsq {
         self.q.len()
     }
 
-    /// Append a memory instruction at dispatch (program order).
+    /// Append a memory instruction at dispatch (program order), with
+    /// its lifecycle id `lid`.
     ///
     /// # Panics
     /// Panics when full — callers must check [`Lsq::has_room`].
-    pub fn push(&mut self, seq: u64, store: bool) {
+    pub fn push(&mut self, seq: u64, lid: u64, store: bool) {
         assert!(self.has_room(), "LSQ overflow");
         debug_assert!(self.q.back().map(|e| e.seq < seq).unwrap_or(true));
         self.q.push_back(LsqEntry {
             seq,
+            lid,
             store,
             addr: None,
             data: None,
@@ -109,11 +113,11 @@ impl Lsq {
     pub fn search_for_load(&self, seq: u64, addr: u64) -> LoadSearch {
         for e in self.older_stores(seq) {
             match e.addr {
-                None => return LoadSearch::Stall(e.seq),
+                None => return LoadSearch::Stall(e.lid),
                 Some(a) if a == addr => {
                     return match e.data {
                         Some(d) => LoadSearch::Forwarded(d),
-                        None => LoadSearch::Stall(e.seq),
+                        None => LoadSearch::Stall(e.lid),
                     };
                 }
                 _ => {}
@@ -152,13 +156,19 @@ impl Lsq {
 mod tests {
     use super::*;
 
+    /// The lifecycle id the tests give instruction `seq`: distinct from
+    /// every `seq`, so a `Stall` naming the sequence number fails.
+    fn lid(seq: u64) -> u64 {
+        seq + 1000
+    }
+
     #[test]
     fn forwarding_from_matching_store() {
         let mut l = Lsq::new(8);
-        l.push(1, true);
+        l.push(1, lid(1), true);
         l.set_addr(1, 1000);
         l.set_data(1, 77);
-        l.push(2, false);
+        l.push(2, lid(2), false);
         assert_eq!(l.search_for_load(2, 1000), LoadSearch::Forwarded(77));
         assert_eq!(l.search_for_load(2, 1008), LoadSearch::CacheAccess);
     }
@@ -166,22 +176,22 @@ mod tests {
     #[test]
     fn youngest_matching_store_wins() {
         let mut l = Lsq::new(8);
-        l.push(1, true);
+        l.push(1, lid(1), true);
         l.set_addr(1, 1000);
         l.set_data(1, 1);
-        l.push(2, true);
+        l.push(2, lid(2), true);
         l.set_addr(2, 1000);
         l.set_data(2, 2);
-        l.push(3, false);
+        l.push(3, lid(3), false);
         assert_eq!(l.search_for_load(3, 1000), LoadSearch::Forwarded(2));
     }
 
     #[test]
     fn unknown_older_store_address_stalls() {
         let mut l = Lsq::new(8);
-        l.push(1, true); // no address yet
-        l.push(2, false);
-        assert_eq!(l.search_for_load(2, 1000), LoadSearch::Stall(1));
+        l.push(1, lid(1), true); // no address yet
+        l.push(2, lid(2), false);
+        assert_eq!(l.search_for_load(2, 1000), LoadSearch::Stall(lid(1)));
         l.set_addr(1, 2000);
         l.set_data(1, 9);
         assert_eq!(l.search_for_load(2, 1000), LoadSearch::CacheAccess);
@@ -190,17 +200,17 @@ mod tests {
     #[test]
     fn matching_store_without_data_stalls() {
         let mut l = Lsq::new(8);
-        l.push(1, true);
+        l.push(1, lid(1), true);
         l.set_addr(1, 1000);
-        l.push(2, false);
-        assert_eq!(l.search_for_load(2, 1000), LoadSearch::Stall(1));
+        l.push(2, lid(2), false);
+        assert_eq!(l.search_for_load(2, 1000), LoadSearch::Stall(lid(1)));
     }
 
     #[test]
     fn younger_stores_are_ignored() {
         let mut l = Lsq::new(8);
-        l.push(1, false);
-        l.push(2, true);
+        l.push(1, lid(1), false);
+        l.push(2, lid(2), true);
         l.set_addr(2, 1000);
         l.set_data(2, 5);
         assert_eq!(l.search_for_load(1, 1000), LoadSearch::CacheAccess);
@@ -209,28 +219,28 @@ mod tests {
     #[test]
     fn intervening_unknown_store_blocks_older_match() {
         let mut l = Lsq::new(8);
-        l.push(1, true);
+        l.push(1, lid(1), true);
         l.set_addr(1, 1000);
         l.set_data(1, 5);
-        l.push(2, true); // unknown address between the match and the load
-        l.push(3, false);
-        assert_eq!(l.search_for_load(3, 1000), LoadSearch::Stall(2));
+        l.push(2, lid(2), true); // unknown address between the match and the load
+        l.push(3, lid(3), false);
+        assert_eq!(l.search_for_load(3, 1000), LoadSearch::Stall(lid(2)));
     }
 
     #[test]
     fn blocking_store_mirrors_the_stall_verdict() {
         let mut l = Lsq::new(8);
-        l.push(1, true); // unknown address
-        l.push(2, true);
+        l.push(1, lid(1), true); // unknown address
+        l.push(2, lid(2), true);
         l.set_addr(2, 1000); // matching, data missing
-        l.push(3, false);
+        l.push(3, lid(3), false);
         // Youngest blocker first: store 2 matches but has no data.
-        assert_eq!(l.search_for_load(3, 1000), LoadSearch::Stall(2));
+        assert_eq!(l.search_for_load(3, 1000), LoadSearch::Stall(lid(2)));
         l.set_data(2, 7);
         // Now the match forwards; nothing blocks.
         assert_eq!(l.search_for_load(3, 1000), LoadSearch::Forwarded(7));
         // A different address is still behind store 1's unknown addr.
-        assert_eq!(l.search_for_load(3, 2000), LoadSearch::Stall(1));
+        assert_eq!(l.search_for_load(3, 2000), LoadSearch::Stall(lid(1)));
         l.set_addr(1, 3000);
         l.set_data(1, 0);
         assert_eq!(l.search_for_load(3, 2000), LoadSearch::CacheAccess);
@@ -239,9 +249,9 @@ mod tests {
     #[test]
     fn commit_pops_head_and_squash_pops_tail() {
         let mut l = Lsq::new(8);
-        l.push(1, true);
-        l.push(2, false);
-        l.push(3, false);
+        l.push(1, lid(1), true);
+        l.push(2, lid(2), false);
+        l.push(3, lid(3), false);
         l.squash_younger(2);
         assert_eq!(l.len(), 2);
         l.pop_committed(1);
@@ -253,8 +263,8 @@ mod tests {
     #[test]
     fn capacity_respected() {
         let mut l = Lsq::new(2);
-        l.push(1, false);
-        l.push(2, false);
+        l.push(1, lid(1), false);
+        l.push(2, lid(2), false);
         assert!(!l.has_room());
     }
 
@@ -262,8 +272,8 @@ mod tests {
     #[should_panic(expected = "LSQ overflow")]
     fn overflow_panics() {
         let mut l = Lsq::new(1);
-        l.push(1, false);
-        l.push(2, false);
+        l.push(1, lid(1), false);
+        l.push(2, lid(2), false);
     }
 
     /// The linear scans the binary searches replaced, kept as the
@@ -281,11 +291,11 @@ mod tests {
                     continue;
                 }
                 match e.addr {
-                    None => return LoadSearch::Stall(e.seq),
+                    None => return LoadSearch::Stall(e.lid),
                     Some(a) if a == addr => {
                         return match e.data {
                             Some(d) => LoadSearch::Forwarded(d),
-                            None => LoadSearch::Stall(e.seq),
+                            None => LoadSearch::Stall(e.lid),
                         };
                     }
                     _ => {}
@@ -295,10 +305,8 @@ mod tests {
         }
     }
 
-    fn contents(l: &Lsq) -> Vec<(u64, bool, Option<u64>, Option<u64>)> {
-        l.q.iter()
-            .map(|e| (e.seq, e.store, e.addr, e.data))
-            .collect()
+    fn contents(l: &Lsq) -> Vec<LsqEntry> {
+        l.q.iter().copied().collect()
     }
 
     #[test]
@@ -317,8 +325,8 @@ mod tests {
                         // instructions sit between LSQ entries.
                         next_seq += rng.gen_range(1, 4);
                         let store = rng.gen_bool(0.5);
-                        fast.push(next_seq, store);
-                        slow.push(next_seq, store);
+                        fast.push(next_seq, lid(next_seq), store);
+                        slow.push(next_seq, lid(next_seq), store);
                     }
                     3..=4 => {
                         let (seq, addr) = (rng.gen_range(0, hi), 8 * rng.gen_range(0, 4));

@@ -741,7 +741,7 @@ impl<'a> Pipeline<'a> {
             self.obs.rename(f.lid, e.src_phys, e.new_phys, self.cycle);
             // Memory instructions enter the LSQ.
             if is_mem {
-                self.lsq.push(seq, f.inst.is_store());
+                self.lsq.push(seq, f.lid, f.inst.is_store());
             }
             // Vectorization triggers run post-rename (the destination
             // register seeds loop-carried self-dependences); skipped
@@ -763,48 +763,35 @@ impl<'a> Pipeline<'a> {
             let e = &self.rob[i];
             (e.pc, e.inst, e.ldest)
         };
-        // Destination extension update.
-        if let Some(d) = ldest {
-            let d = d as usize;
+        // Destination extension update; without the mechanism every
+        // extension stays empty.
+        if let (Some(d), Some(m)) = (ldest, &self.mech) {
+            let bpc = Program::byte_pc(pc);
+            let mut x = RenameExt::new();
             match inst {
-                Inst::Ld { .. } => {
-                    let mut x = RenameExt::new();
-                    if let Some(m) = &self.mech {
-                        let bpc = Program::byte_pc(pc);
-                        if m.stride.is_strided(bpc) {
-                            x.set_strided_load(bpc);
-                        }
-                    }
-                    self.ext[d] = x;
-                }
+                Inst::Ld { .. } if m.stride.is_strided(bpc) => x.set_strided_load(bpc),
                 Inst::Alu { .. } | Inst::AluImm { .. } | Inst::Fp { .. } => {
-                    let cap = self.cfg.mech.strided_pc_slots;
                     let srcs = inst.sources();
-                    let (x, dropped) = RenameExt::propagate_from(
-                        srcs.iter().flatten().map(|&s| &self.ext[s as usize]),
-                        cap,
-                    );
-                    self.stats.strided_pc_dropped += dropped as u64;
-                    if x.len() + dropped > 0 {
-                        self.stats.strided_pc_sum += (x.len() + dropped) as u64;
+                    let srcs = srcs.iter().flatten().map(|&s| &self.ext[s as usize]);
+                    // A strided PC of a source lands in the union or is
+                    // dropped, so every propagation here is a sample.
+                    if !srcs.clone().all(RenameExt::is_empty) {
+                        let cap = self.cfg.mech.strided_pc_slots;
+                        let (y, dropped) = RenameExt::propagate_from(srcs, cap);
+                        self.stats.strided_pc_dropped += dropped as u64;
+                        self.stats.strided_pc_sum += (y.len() + dropped) as u64;
                         self.stats.strided_pc_samples += 1;
+                        x = y;
                     }
-                    self.ext[d] = x;
                 }
-                _ => self.ext[d] = RenameExt::new(),
+                _ => {}
             }
             // V/S: set when this PC currently has an SRSMT entry (it was
             // vectorized, either fresh this cycle or still live).
-            let vectorized = self
-                .mech
-                .as_ref()
-                .map(|m| m.srsmt.find(Program::byte_pc(pc)).is_some())
-                .unwrap_or(false);
-            if vectorized {
-                self.ext[d].set_vectorized(Program::byte_pc(pc));
-            } else {
-                self.ext[d].clear_vectorized();
+            if m.srsmt.find(bpc).is_some() {
+                x.set_vectorized(bpc);
             }
+            self.ext[d as usize] = x;
         }
 
         // Reuse wiring: the instruction does not execute.

@@ -317,13 +317,6 @@ impl Window {
         self.entries.iter()
     }
 
-    /// Index of the entry with dynamic sequence number `seq`, if it is
-    /// in the window (entries are in ascending `seq` order).
-    #[inline]
-    pub(crate) fn find_seq(&self, seq: u64) -> Option<usize> {
-        self.entries.binary_search_by_key(&seq, |e| e.seq).ok()
-    }
-
     /// Slot of the entry at index `i`.
     #[inline]
     fn slot(&self, i: usize) -> usize {
@@ -712,9 +705,6 @@ mod tests {
         w.pop_back();
         assert_eq!(issuable(&w), vec![]);
         w.check_work_lists(&rf);
-        assert_eq!(w.find_seq(5), Some(2));
-        assert_eq!(w.find_seq(6), None, "squashed");
-        assert_eq!(w.find_seq(1), None, "retired");
     }
 
     #[test]
